@@ -56,19 +56,20 @@ class PrecisionContext:
 
     ``digits`` is the number of decimal significant digits results are good
     to; ``quad_tol`` is the absolute tolerance quadratures are driven to,
-    defaulting to 10^(6-digits). Operations run internally with guard digits
+    defaulting to 10^(6-digits) as an mpf (a float would underflow to 0 from
+    330 digits on). Operations run internally with guard digits
     (and, where a formula cancels, with explicitly widened precision) so that
     well-conditioned results carry relative error at most 10^(1-digits).
     """
 
     digits: int = 40
-    quad_tol: float | None = None
+    quad_tol: object = None
 
     def __post_init__(self):
         if self.digits < 16:
             raise DomainError("digits must be at least 16, got %r" % (self.digits,))
         if self.quad_tol is None:
-            object.__setattr__(self, "quad_tol", 10.0 ** (6 - self.digits))
+            object.__setattr__(self, "quad_tol", self.mp().mpf(10) ** (6 - self.digits))
         elif not self.quad_tol > 0:
             raise DomainError("quad_tol must be positive, got %r" % (self.quad_tol,))
 
@@ -231,9 +232,11 @@ def upper_incomplete_gamma_half_ladder(
         a = wctx.mpf(1) / 2
         za = zz ** (a - 1)  # z^{a-1}, kept in step with a
         ladder = [g]
-        # running absolute error bound, to turn cancellation into a number
+        # running absolute error bound, to turn cancellation into a number;
+        # the digits attained are log10 of the least |g|/err, and a zero g
+        # ends the sweep at ratio 1 (zero digits)
         err = abs(g) * ulp
-        worst = float(wctx.log10(abs(g) / err)) if g != 0 else 0.0
+        least = abs(g) / err if g != 0 else wctx.one
         for _ in range(m_max):
             a -= 1
             sub = za * emz
@@ -242,10 +245,10 @@ def upper_incomplete_gamma_half_ladder(
             za = za / zz
             ladder.append(g)
             if g == 0:
-                worst = 0.0
+                least = wctx.one
                 break
-            worst = min(worst, float(wctx.log10(abs(g) / err)))
-        attained = worst
+            least = min(least, abs(g) / err)
+        attained = float(wctx.log10(least))
         if attained >= ctx.digits:
             return ladder
         effective += int(math.ceil(ctx.digits - attained)) + 10

@@ -12,7 +12,10 @@ truncating the algebraic expansion after m terms:
   with the erfc route.
 * ``remainder_exact``: the terminant remainder, either as a contour-rotated
   real integral or through a backward recurrence for the upper incomplete
-  gamma function at negative half-integer order.
+  gamma function at negative half-integer order. The recurrence does the
+  work at run time wherever its depth cap allows; the integral is the
+  independent cross-check the tests compare it with, and the runtime route
+  only past that cap.
 
 Arguments outside the first quadrant must pass through
 ``reduce_to_first_quadrant`` first; K is even in x and flips sign with y,
@@ -21,6 +24,7 @@ L is even in y and flips sign with x.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -30,6 +34,7 @@ import mpmath
 from .exceptions import DomainError
 from .numerics import (
     DEFAULT_CONTEXT,
+    GAMMA_RECURRENCE_CAP,
     GUARD_DIGITS,
     PrecisionContext,
     integrate_semi_infinite,
@@ -40,8 +45,9 @@ from .numerics import (
 )
 
 # Quadrature form of the remainder keeps its pole off the path only for
-# theta < pi/2; within this collar of the Stokes line the gamma route takes
-# over under route="auto".
+# theta < pi/2. Under route="auto" it runs only past GAMMA_RECURRENCE_CAP,
+# and even there the gamma route (and its cap error) takes over within this
+# collar of the Stokes line.
 EPS_POLE = 0.05
 
 
@@ -223,8 +229,6 @@ def _quad_fourier(arg: VoigtArgument, ctx: PrecisionContext):
     x = wctx.convert(arg.x)
     y = wctx.convert(arg.y)
     pref = 1 / wctx.sqrt(wctx.pi)
-    import math
-
     T = 2 * math.sqrt((ctx.digits + GUARD_DIGITS) * math.log(10))
     step = math.pi / max(float(x), 1.0)
     pts = tuple(j * step for j in range(1, int(T / step) + 1)) + (T,)
@@ -282,8 +286,6 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
             "the remainder integrand has a pole on the path at theta = pi/2; "
             "use the gamma route there"
         )
-    import math
-
     mctx = ctx.mp(extra=GUARD_DIGITS)
     absz, nu, alpha = _remainder_prefactors(mctx, arg, m)
     psi = 2 * mctx.convert(arg.theta)
@@ -327,27 +329,27 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
     )
 
 
-def _remainder_gamma_sweep(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):
+def _gamma_remainders(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):
+    """The incomplete-gamma ladder up to m_max, and the map from its entry m
+    to the exact remainder after m terms."""
     mctx = ctx.mp(extra=GUARD_DIGITS)
     z = arg.z(PrecisionContext(digits=ctx.digits + GUARD_DIGITS))
     ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
-    ez = mctx.exp(z)
-    sqrtpi = mctx.sqrt(mctx.pi)
+    ez_over_sqrtpi = mctx.exp(z) / mctx.sqrt(mctx.pi)
     out = ctx.mp()
     eps = out.mpf(10) ** (1 - ctx.digits)
-    evals: List[Evaluation] = []
-    poch = mctx.mpf(1)
-    for m in range(m_max + 1):
-        if m > 0:
-            poch *= m - mctx.mpf(1) / 2
-        val = (-1) ** m * poch * sqrtpi * ez * mctx.mpc(ladder[m]) / mctx.pi
+
+    def remainder(m: int) -> Evaluation:
+        # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, where
+        # Gamma(m + 1/2) / sqrt(pi) = (1/2)_m = (2m)! / (4^m m!) exactly
+        half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+        val = (-1) ** m * mctx.convert(half_poch) * ez_over_sqrtpi * mctx.mpc(ladder[m])
         K = out.mpf(val.real)
         L = out.mpf(-val.imag)
-        evals.append(
-            Evaluation(K=K, L=L, method="remainder-gamma",
-                       err_estimate=eps * (abs(K) + abs(L)))
-        )
-    return evals
+        return Evaluation(K=K, L=L, method="remainder-gamma",
+                          err_estimate=eps * (abs(K) + abs(L)))
+
+    return remainder
 
 
 def remainder_exact(
@@ -359,10 +361,12 @@ def remainder_exact(
     algebraic partial sum; see ``expansions.algebraic_partial_sums``.
 
     route: "quadrature" evaluates a contour-rotated real integral (pole off
-    the path only for theta < pi/2); "gamma" evaluates
-    (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi by backward recurrence;
-    "auto" picks quadrature away from the Stokes line, gamma within
-    EPS_POLE of it.
+    the path only for theta < pi/2, and m >= 1); "gamma" evaluates
+    (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi by backward recurrence
+    (m <= GAMMA_RECURRENCE_CAP); "auto" picks gamma whenever
+    m <= GAMMA_RECURRENCE_CAP, and past the cap quadrature away from the
+    Stokes line, gamma (which then refuses the depth) within EPS_POLE of it.
+    At m = 0 the remainder is the whole K - iL.
     """
     if m < 0:
         raise DomainError("remainder order m must be nonnegative, got %r" % (m,))
@@ -373,7 +377,7 @@ def remainder_exact(
     if route == "auto":
         mctx = ctx.mp()
         near_pole = arg.theta > mctx.pi / 2 - mctx.mpf(EPS_POLE)
-        route = "gamma" if near_pole else "quadrature"
+        route = "gamma" if m <= GAMMA_RECURRENCE_CAP or near_pole else "quadrature"
     if route == "quadrature":
         if m == 0:
             raise DomainError(
@@ -381,7 +385,7 @@ def remainder_exact(
                 "the whole function (use voigt_exact_erfc)"
             )
         return _remainder_quadrature(arg, m, ctx)
-    return _remainder_gamma_sweep(arg, m, ctx)[m]
+    return _gamma_remainders(arg, m, ctx)(m)
 
 
 def remainder_ladder(
@@ -397,4 +401,5 @@ def remainder_ladder(
         raise DomainError("m_max must be nonnegative, got %r" % (m_max,))
     if arg.r == 0:
         raise DomainError("the remainder is undefined at the origin")
-    return _remainder_gamma_sweep(arg, m_max, ctx)
+    remainder = _gamma_remainders(arg, m_max, ctx)
+    return [remainder(m) for m in range(m_max + 1)]

@@ -180,6 +180,16 @@ def test_quadrature_unit_exponential(ctx40):
     assert abs(res.value - 1) <= res.err_estimate
 
 
+def test_quadrature_default_tolerance_past_double_range():
+    # 10^(6-digits) is below the smallest double from 330 digits on; the
+    # default tolerance must stay positive there
+    ctx = PrecisionContext(digits=330)
+    mctx = ctx.mp()
+    assert ctx.quad_tol > 0
+    res = integrate_semi_infinite(lambda t: mctx.exp(-t), ctx)
+    assert abs(res.value - 1) <= ctx.quad_tol
+
+
 def test_quadrature_gaussian_two_half_lines(ctx40):
     mctx = ctx40.mp()
     res = integrate_semi_infinite(lambda t: mctx.exp(-t * t), ctx40)

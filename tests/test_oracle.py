@@ -23,6 +23,7 @@ from voigt_asym import (
     voigt_exact_erfc,
     voigt_quadrature,
 )
+from voigt_asym.numerics import GAMMA_RECURRENCE_CAP
 
 # exact remainders at |w| = 3.5 with the m = 12 cut, frozen from the
 # high-precision subtraction oracle before the terminant routes existed
@@ -237,6 +238,47 @@ def test_remainder_auto_switches_near_stokes(ctx40):
     assert ev.method == "remainder-gamma"
     with pytest.raises(DomainError):
         remainder_exact(arg, 9, ctx40, route="quadrature")
+
+
+def _route_points():
+    # two seeded radii per angle, plus one point whose optimal order is past
+    # the recurrence cap (m = 225), where auto must fall back to quadrature
+    rng = random.Random(3141)
+    points = [("%.3f" % rng.uniform(3, 8), t)
+              for t in ("0", "0.1", "0.2", "0.3", "0.4", "0.48") for _ in range(2)]
+    return points + [("15", "0.3")]
+
+
+@pytest.mark.parametrize("r, theta_over_pi", _route_points())
+def test_remainder_auto_route(ctx40, r, theta_over_pi):
+    # auto runs the gamma ladder up to the cap; quadrature stays the
+    # independent cross-check
+    mctx = ctx40.mp()
+    arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx40)
+    m = int(mctx.floor(arg.r ** 2 + mctx.mpf(1) / 2))
+    auto = remainder_exact(arg, m, ctx40)
+    quad = remainder_exact(arg, m, ctx40, route="quadrature")
+    scale = abs(mctx.mpc(quad.K, -quad.L))
+    assert abs(auto.K - quad.K) <= mctx.mpf(10) ** (-30) * scale
+    assert abs(auto.L - quad.L) <= mctx.mpf(10) ** (-30) * scale
+    if m <= GAMMA_RECURRENCE_CAP:
+        assert auto.method == "remainder-gamma"
+        assert auto == remainder_ladder(arg, m, ctx40)[m]
+    else:
+        assert auto.method == "remainder-quadrature"
+
+
+def test_remainder_order_zero_is_whole_function(ctx40):
+    # at m = 0 nothing has been summed, so the remainder is K - iL itself,
+    # on either side of the pole collar
+    mctx = ctx40.mp()
+    for theta in ("0.3", "1.55"):
+        arg = VoigtArgument.from_polar(5, theta, ctx40)
+        rem = remainder_exact(arg, 0, ctx40)
+        full = voigt_exact_erfc(arg, ctx40)
+        scale = abs(mctx.mpc(full.K, -full.L))
+        assert abs(rem.K - full.K) <= mctx.mpf(10) ** (-35) * scale
+        assert abs(rem.L - full.L) <= mctx.mpf(10) ** (-35) * scale
 
 
 def test_remainder_ladder_consistency(ctx40):
