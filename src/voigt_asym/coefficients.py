@@ -30,7 +30,14 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .exceptions import DomainError, SingularInputError, UnsupportedOrderError
-from .numerics import DEFAULT_CONTEXT, PrecisionContext, mp_context, pochhammer, to_mpf
+from .numerics import (
+    DEFAULT_CONTEXT,
+    PrecisionContext,
+    mp_context,
+    pochhammer,
+    round_widening,
+    to_mpf,
+)
 
 # Below this phi (radians) the B-coefficient closed form needs widened
 # precision; at phi = 0 exactly the stored limits take over.
@@ -139,7 +146,7 @@ def binomial_alpha(alpha, n: int):
         for i in range(n):
             out *= Fraction(a - i, i + 1)
         return out
-    out = alpha / alpha  # one, in alpha's arithmetic
+    out = alpha * 0 + 1  # one, in alpha's arithmetic (alpha may be zero)
     for i in range(n):
         out *= (alpha - i) / (i + 1)
     return out
@@ -247,7 +254,7 @@ class StokesGeometry:
 def _b_widening(phi_float: float, k: int) -> int:
     # closed form cancels across ~ (2k+1) log10(1/phi) digits; provision
     # that with margin
-    return int(math.ceil((2 * k + 3) * math.log10(1.0 / phi_float))) + 30
+    return round_widening(int(math.ceil((2 * k + 3) * math.log10(1.0 / phi_float))) + 30)
 
 
 def _B2k_closed_raw(mctx, phi, alpha, k: int):

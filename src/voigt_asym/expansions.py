@@ -110,10 +110,11 @@ def algebraic_partial_sums(
 ) -> Evaluation:
     """The m-term algebraic partial sums K_m, L_m.
 
-    K_m - i L_m = (1/sqrt(pi)) sum_{k<m} (-1)^k (1/2)_k w^{-2k-1}; the real
-    trigonometric resummation in (r, theta) is evaluated alongside the
-    complex form and the two are required to agree, as a guard against sign
-    slips in either.
+    K_m - i L_m = (1/sqrt(pi)) sum_{k<m} (-1)^k (1/2)_k w^{-2k-1}, summed in
+    complex arithmetic at guard precision: each term is the previous one
+    times the ratio -(k - 1/2)/w^2. This is the only form evaluated; the
+    tests check it against the real trigonometric resummation in
+    (r, theta) and against the same sum at higher precision.
     """
     if m < 0:
         raise DomainError("partial sum length must be nonnegative, got %r" % (m,))
@@ -121,40 +122,23 @@ def algebraic_partial_sums(
         raise DomainError("the algebraic expansion is undefined at the origin")
     mctx = ctx.mp(extra=GUARD_DIGITS)
     w = mctx.mpc(arg.y, arg.x)
-    theta = mctx.convert(arg.theta)
-    r = mctx.convert(arg.r)
-    inv_sqrt_pi = 1 / mctx.sqrt(mctx.pi)
-
+    # term_k / term_{k-1} = -(k - 1/2)/w^2 = q (2k - 1)
+    q = -1 / (2 * w * w)
+    term = 1 / w
     S = mctx.mpc(0)
-    K_trig = mctx.mpf(0)
-    L_trig = mctx.mpf(0)
-    winv = 1 / w
-    wpow = winv
-    rpow = 1 / r
-    poch = mctx.mpf(1)
     for k in range(m):
-        if k > 0:
-            poch *= k - mctx.mpf(1) / 2
-            wpow *= winv * winv
-            rpow /= r * r
-        sgn = -1 if k % 2 else 1
-        S += sgn * poch * wpow
-        K_trig += sgn * poch * rpow * mctx.cos((2 * k + 1) * theta)
-        L_trig += sgn * poch * rpow * mctx.sin((2 * k + 1) * theta)
-    S *= inv_sqrt_pi
-    K_trig *= inv_sqrt_pi
-    L_trig *= inv_sqrt_pi
-
-    scale = abs(K_trig) + abs(L_trig) + mctx.mpf(10) ** (-2 * ctx.digits)
-    tol = mctx.mpf(10) ** (5 - ctx.digits)
-    assert abs(S.real - K_trig) <= tol * scale, "partial-sum forms disagree (K)"
-    assert abs(-S.imag - L_trig) <= tol * scale, "partial-sum forms disagree (L)"
+        if k:
+            term *= q * (2 * k - 1)
+        S += term
+    S /= mctx.sqrt(mctx.pi)
 
     out = ctx.mp()
+    K = out.mpf(S.real)
+    L = out.mpf(-S.imag)
     eps = out.mpf(10) ** (1 - ctx.digits)
     return Evaluation(
-        K=out.mpf(K_trig), L=out.mpf(L_trig), method="algebraic",
-        err_estimate=eps * out.mpf(scale),
+        K=K, L=L, method="algebraic",
+        err_estimate=eps * (abs(K) + abs(L) + out.mpf(10) ** (-2 * ctx.digits)),
     )
 
 

@@ -50,6 +50,16 @@ def mp_context(dps: int) -> MPContext:
     return ctx
 
 
+def round_widening(extra: int) -> int:
+    """``extra`` working digits rounded up to a multiple of 10.
+
+    Every context ``mp_context`` creates stays cached, so precision widened
+    by a continuously varying amount would grow that cache without bound;
+    rounding keeps the widened precisions on a few shared contexts.
+    """
+    return -(-extra // 10) * 10
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Requested precision for a computation.
@@ -195,7 +205,7 @@ def erfc_asymptotic(z, n_terms: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
 def _gamma_widening(absz: float, digits: int) -> int:
     # Cancellation rule: the downward recurrence loses about |z| log10(e)
     # digits; provision twice that plus a fixed guard.
-    return digits + math.ceil(2 * absz * math.log10(math.e)) + 10
+    return digits + round_widening(math.ceil(2 * absz * math.log10(math.e)) + 10)
 
 
 def upper_incomplete_gamma_half_ladder(
@@ -251,7 +261,7 @@ def upper_incomplete_gamma_half_ladder(
         attained = float(wctx.log10(least))
         if attained >= ctx.digits:
             return ladder
-        effective += int(math.ceil(ctx.digits - attained)) + 10
+        effective += round_widening(int(math.ceil(ctx.digits - attained)) + 10)
     raise PrecisionError(
         "incomplete-gamma recurrence at m=%d, |z|=%.3g attained only %.0f of "
         "%d requested digits despite widening" % (m_max, absz, attained, ctx.digits),

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-import mpmath
-
 from .exceptions import DomainError
 from .numerics import (
     DEFAULT_CONTEXT,
@@ -49,6 +47,16 @@ from .numerics import (
 # and even there the gamma route (and its cap error) takes over within this
 # collar of the Stokes line.
 EPS_POLE = 0.05
+
+
+def _finite_pair(mctx, a, b, name_a: str, name_b: str):
+    # NaN passes every ordering test and infinity has no polar form, so
+    # both are refused before any sign or range check
+    pair = (to_mpf(mctx, a), to_mpf(mctx, b))
+    for name, v in zip((name_a, name_b), pair):
+        if not mctx.isfinite(v):
+            raise DomainError("%s must be finite, got %s" % (name, v))
+    return pair
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,7 @@ class VoigtArgument:
     @classmethod
     def from_xy(cls, x, y, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "VoigtArgument":
         mctx = ctx.mp()
-        xx = to_mpf(mctx, x)
-        yy = to_mpf(mctx, y)
+        xx, yy = _finite_pair(mctx, x, y, "x", "y")
         if xx < 0 or yy < 0:
             raise DomainError(
                 "VoigtArgument lives in the first quadrant; reduce (x, y) first"
@@ -88,8 +95,7 @@ class VoigtArgument:
     @classmethod
     def from_polar(cls, r, theta, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "VoigtArgument":
         mctx = ctx.mp()
-        rr = to_mpf(mctx, r)
-        th = to_mpf(mctx, theta)
+        rr, th = _finite_pair(mctx, r, theta, "r", "theta")
         if rr < 0:
             raise DomainError("radius must be nonnegative, got %s" % (rr,))
         if th < 0 or th > mctx.pi / 2:
@@ -101,11 +107,6 @@ class VoigtArgument:
         if th == mctx.pi / 2:
             return cls.from_xy(rr, 0, ctx)
         return cls.from_xy(rr * mctx.sin(th), rr * mctx.cos(th), ctx)
-
-    @property
-    def w(self):
-        """w = y + ix."""
-        return mpmath.mpc(self.y, self.x)
 
     def z(self, ctx: PrecisionContext = DEFAULT_CONTEXT):
         """z = w^2 rounded at the context precision."""
@@ -136,8 +137,7 @@ def reduce_to_first_quadrant(
     K(x, y) = sign_K * K(|x|, |y|) and L(x, y) = sign_L * L(|x|, |y|).
     """
     mctx = ctx.mp()
-    xx = to_mpf(mctx, x)
-    yy = to_mpf(mctx, y)
+    xx, yy = _finite_pair(mctx, x, y, "x", "y")
     sign_K = -1 if yy < 0 else 1
     sign_L = -1 if xx < 0 else 1
     return VoigtArgument.from_xy(abs(xx), abs(yy), ctx), sign_K, sign_L

@@ -228,6 +228,15 @@ def test_coeffs_table_marks_singularity(capsys):
     assert "(singular at phi = 0)" in out
 
 
+def test_coeffs_at_alpha_zero(capsys):
+    rc, out, _ = run(capsys, "coeffs", "--phi", "1", "--alpha", "0",
+                     "--kmax", "5", "--format", "json")
+    assert rc == EXIT_OK
+    rows = json.loads(out)["coefficients"]
+    assert rows[0]["A"] == {"re": "1.0", "im": "0.0"}
+    assert len(rows) == 6
+
+
 def test_coeffs_order_cap(capsys):
     rc, _, err = run(capsys, "coeffs", "--phi", "1", "--alpha", "0.5",
                      "--kmax", "6")
@@ -265,6 +274,19 @@ def test_domain_errors(capsys):
         rc, _, err = run(capsys, *argv)
         assert rc == EXIT_DOMAIN, argv
         assert "domain error" in err
+
+
+def test_non_finite_coordinates_exit_2(capsys):
+    for bad in ("nan", "inf", "-inf"):
+        for argv in (
+            ("--x=" + bad, "--y", "2"),
+            ("--x", "2", "--y=" + bad),
+            ("--r=" + bad, "--theta-over-pi", "0.25"),
+            ("--r", "2", "--theta-over-pi=" + bad),
+        ):
+            rc, out, err = run(capsys, "eval", *argv)
+            assert rc == EXIT_DOMAIN, argv
+            assert "domain error" in err and out == ""
 
 
 def test_precision_error_maps_to_exit_3(capsys, monkeypatch):

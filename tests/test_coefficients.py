@@ -5,6 +5,7 @@ reversion pipeline that regenerates the stored tables from first principles.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +30,14 @@ from voigt_asym import (
     reversion_series,
     stirling_gamma,
 )
-from voigt_asym.coefficients import B_LIMIT_POLYNOMIALS, PHI_SWITCH, _bhat2k_alt
+from voigt_asym.coefficients import (
+    B_LIMIT_POLYNOMIALS,
+    CJK_TABLE,
+    K_MAX,
+    PHI_SWITCH,
+    _b_widening,
+    _bhat2k_alt,
+)
 
 
 # ------------------------------------------------------------------- h_k
@@ -67,6 +75,26 @@ def test_h_k_rejects_phi_zero(ctx40):
 def test_binomial_alpha_rational_path():
     assert binomial_alpha(Fraction(1, 4), 2) == Fraction(1, 4) * Fraction(-3, 4) / 2
     assert binomial_alpha(Fraction(1, 2), 0) == 1
+
+
+def test_alpha_zero_matches_fraction_path(ctx40):
+    # C(0, n) is 1 for n = 0 and 0 after; the mpf path must agree with the
+    # exact one instead of dividing zero by itself
+    mctx = ctx40.mp()
+    for n in range(2 * K_MAX + 1):
+        assert binomial_alpha(mctx.mpf(0), n) == binomial_alpha(Fraction(0), n)
+    phi = mctx.mpf(1)
+    e = mctx.expj(phi)
+    u = e / (1 - e)
+    for k in range(K_MAX + 1):
+        ref = mctx.mpc(mctx.convert((-1) ** k * stirling_gamma(k)))
+        for j in range(2, 2 * k + 1):
+            h = sum(mctx.convert(binomial_alpha(Fraction(0), j - i)) * u**i for i in range(j + 1))
+            ref += mctx.convert(CJK_TABLE[k][j]) * h
+        got = A2k(phi, 0, k, ctx40)
+        assert abs(got - ref) <= mctx.mpf(10) ** (-35) * max(1, abs(ref))
+        for p in ("1", "0.05"):  # both B2k branches
+            assert mctx.isfinite(abs(Bhat2k(p, 0, k, ctx40)))
 
 
 # --------------------------------------------------------- stored rationals
@@ -336,6 +364,20 @@ def test_B2k_branch_agreement_at_switch(ctx40):
             below = B2k(PHI_SWITCH - delta, a, k, ctx40)
             above = B2k(PHI_SWITCH + delta, a, k, ctx40)
             assert abs(below - above) < mctx.mpf(10) ** (-10)
+
+
+def test_b_widening_lands_on_few_precisions():
+    # every widened precision is cached for good, so the widening is rounded
+    # up to a multiple of 10 digits; it never drops below the cancellation rule
+    rng = random.Random(1989)
+    seen = set()
+    for _ in range(200):
+        phi = rng.uniform(0, PHI_SWITCH) or PHI_SWITCH / 2
+        k = rng.randint(0, K_MAX)
+        widened = _b_widening(phi, k)
+        assert widened >= int(math.ceil((2 * k + 3) * math.log10(1.0 / phi))) + 30
+        seen.add(widened)
+    assert len(seen) <= 8
 
 
 def test_B2k_closed_form_on_stokes_line(ctx40):

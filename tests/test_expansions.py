@@ -7,6 +7,7 @@ remainder oracles.
 
 from __future__ import annotations
 
+import random
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from voigt_asym import (
     BelowAsymptoticRangeWarning,
     DomainError,
+    PrecisionContext,
     StokesCollarWarning,
     TruncationPlan,
     UnsupportedOrderError,
@@ -89,6 +91,57 @@ def test_partial_sums_validation(ctx40):
         algebraic_partial_sums(arg, -1, ctx40)
     with pytest.raises(DomainError):
         algebraic_partial_sums(VoigtArgument.from_xy(0, 0, ctx40), 3, ctx40)
+
+
+def _partial_sum_cases():
+    # seeded (digits, r, theta/pi, m) draws; m covers the empty sum, the
+    # optimal cut and random cuts up to 3 r^2 + 5, well past the least term
+    rng = random.Random(20140329)
+    cases = []
+    for digits in (20, 40, 100):
+        for i in range(6):
+            r = "%.6f" % rng.uniform(0.5, 30)
+            theta_over_pi = ("0", "0.5")[i] if i < 2 else "%.6f" % rng.uniform(0, 0.5)
+            m_opt = int(float(r) ** 2 + 0.5)
+            m_rand = rng.randint(0, int(3 * float(r) ** 2 + 5))
+            for m in (0, m_opt, m_rand):
+                cases.append((digits, r, theta_over_pi, m))
+    return cases
+
+
+def _trig_partial_sums(arg, m, digits):
+    # the real resummation in (r, theta):
+    # K_m, L_m = (1/sqrt(pi)) sum_{k<m} (-1)^k (1/2)_k r^{-2k-1} {cos, sin}((2k+1) theta)
+    mctx = PrecisionContext(digits=digits).mp()
+    r = mctx.convert(arg.r)
+    theta = mctx.convert(arg.theta)
+    K = L = mctx.mpf(0)
+    coef = 1 / r
+    for k in range(m):
+        if k:
+            coef *= -(k - mctx.mpf(1) / 2) / (r * r)
+        K += coef * mctx.cos((2 * k + 1) * theta)
+        L += coef * mctx.sin((2 * k + 1) * theta)
+    root = mctx.sqrt(mctx.pi)
+    return K / root, L / root
+
+
+@pytest.mark.parametrize("digits, r, theta_over_pi, m", _partial_sum_cases())
+def test_partial_sums_cross_checks(digits, r, theta_over_pi, m):
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+    ev = algebraic_partial_sums(arg, m, ctx)
+
+    K_trig, L_trig = _trig_partial_sums(arg, m, digits + 20)
+    scale = abs(K_trig) + abs(L_trig) + mctx.mpf(10) ** (-2 * digits)
+    tol = mctx.mpf(10) ** (5 - digits) * scale
+    assert abs(ev.K - K_trig) <= tol
+    assert abs(ev.L - L_trig) <= tol
+
+    wide = algebraic_partial_sums(arg, m, PrecisionContext(digits=digits + 30))
+    assert abs(ev.K - wide.K) <= ev.err_estimate
+    assert abs(ev.L - wide.L) <= ev.err_estimate
 
 
 def test_decomposition_is_m_invariant(ctx40):

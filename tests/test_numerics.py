@@ -6,6 +6,7 @@ frozen from independent oracle evaluations before the implementation existed.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from voigt_asym import (
     upper_incomplete_gamma_half,
     upper_incomplete_gamma_half_ladder,
 )
+from voigt_asym.numerics import _gamma_widening
 
 HALF = Fraction(1, 2)
 
@@ -169,6 +171,21 @@ def test_gamma_half_ladder_prefix_consistency(ctx40):
     ladder = upper_incomplete_gamma_half_ladder(8, z, ctx40)
     solo = upper_incomplete_gamma_half(5, z, ctx40)
     assert abs(ladder[5] - solo) <= mctx.mpf(10) ** (-(ctx40.digits - 5)) * abs(solo)
+
+
+def test_gamma_widening_lands_on_few_precisions():
+    # every widened precision is cached for good, so the widening is rounded
+    # up to a multiple of 10 digits; it never drops below the cancellation rule
+    rng = random.Random(1403)
+    seen = set()
+    for _ in range(200):
+        absz = rng.uniform(9, 64)
+        digits = 40
+        widened = _gamma_widening(absz, digits)
+        assert widened >= digits + math.ceil(2 * absz * math.log10(math.e)) + 10
+        assert (widened - digits) % 10 == 0
+        seen.add(widened)
+    assert len(seen) <= 8
 
 
 # ------------------------------------------------------------- quadrature

@@ -48,6 +48,18 @@ def test_argument_rejects_other_quadrants(ctx40):
         VoigtArgument.from_xy(1, -2, ctx40)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", float("nan"), float("inf")])
+def test_non_finite_input_is_a_domain_error(ctx40, bad):
+    for a, b in ((bad, "2"), ("2", bad)):
+        with pytest.raises(DomainError):
+            VoigtArgument.from_xy(a, b, ctx40)
+        with pytest.raises(DomainError):
+            reduce_to_first_quadrant(a, b, ctx40)
+    for r, theta in ((bad, "0.3"), ("2", bad)):
+        with pytest.raises(DomainError):
+            VoigtArgument.from_polar(r, theta, ctx40)
+
+
 def test_reduce_examples(ctx40):
     a, sK, sL = reduce_to_first_quadrant(-2, 3, ctx40)
     assert (a.x, a.y, sK, sL) == (2, 3, 1, -1)
