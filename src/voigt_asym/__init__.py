@@ -24,15 +24,11 @@ from .exceptions import (
     VoigtError,
 )
 from .numerics import (
-    ComplexValue,
     DEFAULT_CONTEXT,
     PrecisionContext,
-    erfc_asymptotic,
-    erfc_complex,
     integrate_semi_infinite,
     mp_context,
     pochhammer,
-    upper_incomplete_gamma_half,
     upper_incomplete_gamma_half_ladder,
 )
 from .oracle import (
@@ -45,23 +41,14 @@ from .oracle import (
     voigt_quadrature,
 )
 from .coefficients import (
-    A2k,
-    B2k,
-    Bhat2k,
     CoefficientSet,
     E_of_phi,
-    ReversionReport,
     ReversionSeries,
-    StokesGeometry,
     b0_phi_slope,
     b2k_limit,
-    binomial_alpha,
     c_of_phi,
-    cjk,
-    h_k,
-    regenerate_A_via_reversion,
+    coefficient_set,
     reversion_series,
-    stirling_gamma,
 )
 from .expansions import (
     RemainderEstimate,
@@ -79,12 +66,8 @@ from .expansions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "A2k",
-    "B2k",
     "BelowAsymptoticRangeWarning",
-    "Bhat2k",
     "CoefficientSet",
-    "ComplexValue",
     "DEFAULT_CONTEXT",
     "DomainError",
     "E_of_phi",
@@ -93,11 +76,9 @@ __all__ = [
     "PrecisionError",
     "QuadratureError",
     "RemainderEstimate",
-    "ReversionReport",
     "ReversionSeries",
     "SingularInputError",
     "StokesCollarWarning",
-    "StokesGeometry",
     "TruncationPlan",
     "UnsupportedOrderError",
     "VoigtArgument",
@@ -105,13 +86,9 @@ __all__ = [
     "algebraic_partial_sums",
     "b0_phi_slope",
     "b2k_limit",
-    "binomial_alpha",
     "c_of_phi",
-    "cjk",
-    "erfc_asymptotic",
-    "erfc_complex",
+    "coefficient_set",
     "evaluate_via_expansion",
-    "h_k",
     "hat_expansion",
     "integrate_semi_infinite",
     "leading_remainder",
@@ -119,15 +96,12 @@ __all__ = [
     "mp_context",
     "pochhammer",
     "reduce_to_first_quadrant",
-    "regenerate_A_via_reversion",
     "remainder_exact",
     "remainder_ladder",
     "reversion_series",
-    "stirling_gamma",
     "terminant_asymptotic",
     "theorem1",
     "theorem2",
-    "upper_incomplete_gamma_half",
     "upper_incomplete_gamma_half_ladder",
     "voigt_exact_erfc",
     "voigt_quadrature",

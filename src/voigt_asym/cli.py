@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from . import tables
-from .coefficients import A2k, B2k, Bhat2k, c_of_phi
+from .coefficients import c_of_phi, coefficient_set
 from .exceptions import DomainError, PrecisionError
 from .expansions import (
     THETA_COLLAR_OVER_PI,
@@ -442,15 +442,10 @@ def cmd_coeffs(args) -> int:
     mctx = ctx.mp()
     phi = mctx.mpf(args.phi)
     alpha = mctx.mpf(args.alpha)
-    if args.kmax < 0 or args.kmax > 5:
-        raise DomainError("--kmax must lie in [0, 5], got %d" % (args.kmax,))
     c = c_of_phi(phi, ctx)
-    rows = []
-    for k in range(args.kmax + 1):
-        A = None if phi == 0 else A2k(phi, alpha, k, ctx)
-        B = B2k(phi, alpha, k, ctx)
-        Bh = Bhat2k(phi, alpha, k, ctx)
-        rows.append((k, A, B, Bh))
+    coeffs = coefficient_set(phi, alpha, args.kmax, ctx)
+    A = coeffs.A or (None,) * (args.kmax + 1)
+    rows = list(zip(range(args.kmax + 1), A, coeffs.B, coeffs.Bhat))
 
     digits = min(ctx.digits, 12)
 

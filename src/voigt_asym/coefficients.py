@@ -2,24 +2,27 @@
 
 This module holds every coefficient entering the exponentially improved
 expansions: the Laplace-method coefficients A_2k(phi, alpha) built from the
-h_k sums, the Stirling coefficients gamma_k, the c_{j,k} table, the uniform
-(Stokes-smoothing) coefficients B_2k and their hatted companions, the pole
-proximity measure c(phi), and the error-function smoothing factor E(phi).
+h_j sums, the uniform (Stokes-smoothing) coefficients B_2k and their hatted
+companions, the pole proximity measure c(phi), and the error-function
+smoothing factor E(phi).
+
+``coefficient_set`` is the one way to get A, B and B^: a single pass fills
+every order k = 0..k_max at one (phi, alpha). It builds u, the binomials
+C(alpha, n) and the h_j once, from h_j = C(alpha, j) + u h_{j-1}. The
+rational ingredients of A_2k, the Stirling coefficients gamma_k and the
+table c_{j,k}, come from the exact series reversion of (1/2) w^2 =
+t - log(1 + t), computed once per process; nothing is typed in by hand.
 
 The geometry, fixed throughout: a first-quadrant point has theta = arg w in
 [0, pi/2] and phi = pi - 2 theta in [0, pi]. phi = 0 is the Stokes line. The
-quantity u = e^{i phi}/(1 - e^{i phi}) that powers the h_k sums blows up as
+quantity u = e^{i phi}/(1 - e^{i phi}) that powers the h_j sums blows up as
 phi -> 0, and the closed form for B_2k then suffers catastrophic cancellation
 between its A-part and its c(phi)^{-2k-1} part, even though B_2k itself stays
-bounded. Below PHI_SWITCH the closed form is therefore evaluated with
-explicitly widened internal precision sized to the cancellation depth, which
-keeps both branches in agreement to full context precision across the switch.
-At phi = 0 exactly, the limits are served from stored polynomials in alpha
-(available for B_0, B_2, B_4 only; higher orders are refused there).
-
-An independent reversion pipeline regenerates the A-coefficients from scratch
-in exact rational arithmetic and diffs them against the stored tables; it is
-a build-time self test, not a runtime path.
+bounded. Below PHI_SWITCH the pass therefore runs with explicitly widened
+internal precision sized to the cancellation depth of its highest order,
+which keeps both branches in agreement to full context precision across the
+switch. At phi = 0 exactly, the limits are served from stored polynomials in
+alpha (available for B_0, B_2, B_4 only; higher orders are refused there).
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
-from .exceptions import DomainError, SingularInputError, UnsupportedOrderError
+from .exceptions import DomainError, UnsupportedOrderError
 from .numerics import (
     DEFAULT_CONTEXT,
     PrecisionContext,
-    mp_context,
-    pochhammer,
     round_widening,
     to_mpf,
 )
@@ -46,52 +48,9 @@ PHI_SWITCH = 0.15
 # Coefficient tables stop here; beyond is an error, never an extrapolation.
 K_MAX = 5
 
-# Stirling coefficients gamma_0..gamma_5.
-STIRLING_GAMMA: Tuple[Fraction, ...] = (
-    Fraction(1),
-    Fraction(-1, 12),
-    Fraction(1, 288),
-    Fraction(139, 51840),
-    Fraction(-571, 2488320),
-    Fraction(-163879, 209018880),
-)
-
-# c_{j,k} for k = 1..5, 2 <= j <= 2k. Entries absent here are zero.
-CJK_TABLE: Dict[int, Dict[int, Fraction]] = {
-    1: {2: Fraction(1)},
-    2: {2: Fraction(1, 12), 3: Fraction(2), 4: Fraction(3)},
-    3: {
-        2: Fraction(1, 288),
-        3: Fraction(1, 6),
-        4: Fraction(25, 4),
-        5: Fraction(20),
-        6: Fraction(15),
-    },
-    4: {
-        2: Fraction(-139, 51840),
-        3: Fraction(1, 144),
-        4: Fraction(49, 96),
-        5: Fraction(77, 3),
-        6: Fraction(525, 4),
-        7: Fraction(210),
-        8: Fraction(105),
-    },
-    5: {
-        2: Fraction(-571, 2488320),
-        3: Fraction(-139, 25920),
-        4: Fraction(221, 17280),
-        5: Fraction(149, 72),
-        6: Fraction(12565, 96),
-        7: Fraction(1883, 2),
-        8: Fraction(9555, 4),
-        9: Fraction(2520),
-        10: Fraction(945),
-    },
-}
-
 # phi -> 0 limits of B_2k as polynomials in alpha (constant coefficients
 # first). Only k = 0, 1, 2 are known; the values are real.
-B_LIMIT_POLYNOMIALS: Dict[int, Tuple[Fraction, ...]] = {
+B_LIMIT_POLYNOMIALS = {
     0: (Fraction(2, 3), Fraction(-1)),
     1: (Fraction(23, 270), Fraction(-5, 12), Fraction(1, 2), Fraction(-1, 6)),
     2: (
@@ -112,95 +71,33 @@ B0_SLOPE_POLYNOMIAL: Tuple[Fraction, ...] = (
     Fraction(-1, 2),
 )
 
-_DOUBLE_FACTORIAL = (1, 1, 3, 15, 105, 945)  # (2k-1)!! for k = 0..5
+_DOUBLE_FACTORIAL = (1, 1, 3, 15, 105, 945)  # (2k-1)!! = 2^k (1/2)_k for k = 0..5
 
 
-def stirling_gamma(k: int) -> Fraction:
-    """gamma_k from the stored table, k <= 5."""
-    if not 0 <= k <= K_MAX:
-        raise UnsupportedOrderError("stirling_gamma is tabulated for 0 <= k <= 5, got %r" % (k,))
-    return STIRLING_GAMMA[k]
-
-
-def cjk(j: int, k: int) -> Fraction:
-    """Table entry c_{j,k}; zero above the table diagonal (j > 2k)."""
-    if not 1 <= k <= K_MAX:
-        raise UnsupportedOrderError("cjk is tabulated for 1 <= k <= 5, got k=%r" % (k,))
-    if j < 2:
-        raise UnsupportedOrderError("cjk starts at j = 2, got j=%r" % (j,))
-    if j > 2 * k:
-        return Fraction(0)
-    return CJK_TABLE[k][j]
-
-
-def binomial_alpha(alpha, n: int):
-    """Generalized binomial coefficient C(alpha, n) by the falling product.
-
-    Exact (a Fraction) for int/float/Fraction alpha; an mpf otherwise.
-    """
-    if n < 0:
-        raise DomainError("binomial order must be nonnegative")
-    if isinstance(alpha, (int, float, Fraction)):
-        a = Fraction(alpha)
-        out = Fraction(1)
-        for i in range(n):
-            out *= Fraction(a - i, i + 1)
-        return out
-    out = alpha * 0 + 1  # one, in alpha's arithmetic (alpha may be zero)
-    for i in range(n):
-        out *= (alpha - i) / (i + 1)
-    return out
-
-
-def _check_phi(mctx, phi, allow_zero: bool):
+def _check_phi(mctx, phi):
     p = to_mpf(mctx, phi)
     if p < 0 or p > mctx.pi * (1 + mctx.mpf(10) ** (-10)):
         raise DomainError("phi must lie in [0, pi], got %s" % (p,))
-    if p == 0 and not allow_zero:
-        raise SingularInputError(
-            "phi = 0 is a singular point here (u = e^{i phi}/(1 - e^{i phi}) is unbounded)"
-        )
     return p
 
 
-def _h_k_raw(mctx, phi, alpha, k: int):
-    e = mctx.expj(phi)
-    u = e / (1 - e)
-    total = mctx.mpc(0)
-    upow = mctx.mpc(1)
-    for r in range(k + 1):
-        total += mctx.convert(binomial_alpha(alpha, k - r)) * upow
-        upow *= u
-    return total
+def _polynomial(mctx, coeffs, x):
+    value = mctx.mpf(0)
+    for c in reversed(coeffs):
+        value = value * x + mctx.convert(c)
+    return value
 
 
-def h_k(phi, alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """h_k(phi, alpha) = sum over r <= k of C(alpha, k-r) u^r with
-    u = e^{i phi}/(1 - e^{i phi}). Singular at phi = 0."""
-    if k < 0:
-        raise DomainError("h_k order must be nonnegative, got %r" % (k,))
-    mctx = ctx.mp()
-    p = _check_phi(mctx, phi, allow_zero=False)
-    a = to_mpf(mctx, alpha)
-    return _h_k_raw(mctx, p, a, k)
-
-
-def _A2k_raw(mctx, phi, alpha, k: int):
-    total = mctx.mpc(mctx.convert((-1) ** k * STIRLING_GAMMA[k]))
-    for j in range(2, 2 * k + 1):
-        total += mctx.convert(CJK_TABLE[k][j]) * _h_k_raw(mctx, phi, alpha, j)
-    return total
-
-
-def A2k(phi, alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Laplace coefficient A_2k(phi, alpha) = (-1)^k gamma_k
-    + sum_{j=2}^{2k} c_{j,k} h_j(phi, alpha). Singular at phi = 0."""
-    if not 0 <= k <= K_MAX:
-        raise UnsupportedOrderError("A2k is available for 0 <= k <= 5, got %r" % (k,))
-    mctx = ctx.mp()
-    p = _check_phi(mctx, phi, allow_zero=False)
-    a = to_mpf(mctx, alpha)
-    return _A2k_raw(mctx, p, a, k)
+def _h_sums(alpha, u, n: int) -> list:
+    """h_0..h_n with h_j = sum_{r <= j} C(alpha, j - r) u^r, by the
+    recurrence h_j = C(alpha, j) + u h_{j-1}; C(alpha, j) is the falling
+    product. Works in the arithmetic of alpha and u (exact for Fractions)."""
+    binom = alpha * 0 + 1  # one, in alpha's arithmetic (alpha may be zero)
+    h = [binom]
+    for j in range(1, n + 1):
+        binom *= (alpha - (j - 1)) / j
+        h.append(binom + u * h[-1])
+    return h
 
 
 def _c_raw(mctx, phi):
@@ -215,15 +112,14 @@ def c_of_phi(phi, ctx: PrecisionContext = DEFAULT_CONTEXT):
     - e^{-i phi} on the branch with c(phi) ~ phi near phi = 0. Lies in the
     closed fourth quadrant for phi in [0, pi]."""
     mctx = ctx.mp()
-    p = _check_phi(mctx, phi, allow_zero=True)
-    return _c_raw(mctx, p)
+    return _c_raw(mctx, _check_phi(mctx, phi))
 
 
 def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Stokes smoothing factor E(phi) = sqrt(2 pi) e^{zeta^2} erfc(zeta)
     with zeta = c(phi) r / sqrt(2). E(0) = sqrt(2 pi)."""
     mctx = ctx.mp()
-    p = _check_phi(mctx, phi, allow_zero=True)
+    p = _check_phi(mctx, phi)
     rr = to_mpf(mctx, r)
     if not rr > 0:
         raise DomainError("E_of_phi needs r > 0, got %s" % (rr,))
@@ -231,157 +127,117 @@ def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
     return mctx.sqrt(2 * mctx.pi) * mctx.exp(zeta * zeta) * mctx.erfc(zeta)
 
 
+def _b_widening(mctx, phi, k: int) -> int:
+    # the closed form cancels across ~ (2k+1) log10(1/phi) digits; provision
+    # that with margin. log10 is taken of the mpf itself, so a phi below the
+    # float range (1e-400, say) widens like any other
+    depth = float(-mctx.log10(phi))
+    return round_widening(int(math.ceil((2 * k + 3) * depth)) + 30)
+
+
 @dataclass(frozen=True)
-class StokesGeometry:
-    """c(phi), zeta = c(phi) r / sqrt(2), and E(phi) for one (phi, r)."""
+class CoefficientSet:
+    """A_2k, B_2k, and B^_2k for k = 0..k_max at one (phi, alpha).
+
+    ``A`` is None at phi = 0, where h_j and with them the A_2k are singular.
+    """
 
     phi: object
-    c: object
-    zeta: object
-    E: object
-
-    @classmethod
-    def build(cls, phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "StokesGeometry":
-        mctx = ctx.mp()
-        p = _check_phi(mctx, phi, allow_zero=True)
-        rr = to_mpf(mctx, r)
-        c = _c_raw(mctx, p)
-        zeta = c * rr / mctx.sqrt(2)
-        E = mctx.sqrt(2 * mctx.pi) * mctx.exp(zeta * zeta) * mctx.erfc(zeta)
-        return cls(phi=p, c=c, zeta=zeta, E=E)
+    alpha: object
+    k_max: int
+    A: Optional[Tuple]
+    B: Tuple
+    Bhat: Tuple
 
 
-def _b_widening(phi_float: float, k: int) -> int:
-    # closed form cancels across ~ (2k+1) log10(1/phi) digits; provision
-    # that with margin
-    return round_widening(int(math.ceil((2 * k + 3) * math.log10(1.0 / phi_float))) + 30)
+def coefficient_set(
+    phi, alpha, k_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT
+) -> CoefficientSet:
+    """Every expansion coefficient of order k = 0..k_max at (phi, alpha).
 
-
-def _B2k_closed_raw(mctx, phi, alpha, k: int):
-    c = _c_raw(mctx, phi)
-    poch = mctx.convert(pochhammer(Fraction(1, 2), k))
-    return (
-        mctx.expj(phi * alpha) * _A2k_raw(mctx, phi, alpha, k) / (1 - mctx.expj(phi))
-        - 1j * (-1) ** k * 2**k * poch / c ** (2 * k + 1)
+    A_2k = (-1)^k gamma_k + sum_{j=2}^{2k} c_{j,k} h_j(phi, alpha);
+    B_2k = e^{i phi alpha} A_2k / (1 - e^{i phi})
+    - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1}, run with widened internal
+    precision below PHI_SWITCH where its two parts cancel;
+    B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0 the stored limit
+    polynomials give B for k_max <= 2; higher orders are refused there.
+    """
+    if not 0 <= k_max <= K_MAX:
+        raise UnsupportedOrderError(
+            "coefficient sets stop at k_max = %d, got %r" % (K_MAX, k_max)
+        )
+    mctx = ctx.mp()
+    p = _check_phi(mctx, phi)
+    a = to_mpf(mctx, alpha)
+    if p == 0:
+        if k_max not in B_LIMIT_POLYNOMIALS:
+            raise UnsupportedOrderError(
+                "B_%d at phi = 0 is not tabulated (limits exist for B_0, B_2, B_4 only)"
+                % (2 * k_max,)
+            )
+        B = tuple(
+            mctx.mpc(_polynomial(mctx, B_LIMIT_POLYNOMIALS[k], a), 0)
+            for k in range(k_max + 1)
+        )
+        return CoefficientSet(
+            phi=p, alpha=a, k_max=k_max, A=None, B=B, Bhat=tuple(-2j * b for b in B)
+        )
+    wctx = ctx.mp(extra=_b_widening(mctx, p, k_max)) if p < PHI_SWITCH else mctx
+    A, B, Bhat = _closed_forms(wctx, wctx.convert(p), wctx.convert(a), k_max)
+    return CoefficientSet(
+        phi=p, alpha=a, k_max=k_max,
+        A=tuple(mctx.mpc(v) for v in A),
+        B=tuple(mctx.mpc(v) for v in B),
+        Bhat=tuple(mctx.mpc(v) for v in Bhat),
     )
 
 
-def B2k(phi, alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Uniform-expansion coefficient B_2k(phi, alpha).
-
-    For phi > 0 this is the closed form
-    e^{i phi alpha} A_2k / (1 - e^{i phi}) - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1},
-    evaluated with widened internal precision below PHI_SWITCH where its two
-    parts cancel. At phi = 0 the stored limit polynomials serve k <= 2; the
-    limits of higher orders are not tabulated and are refused there.
-    """
-    if not 0 <= k <= K_MAX:
-        raise UnsupportedOrderError("B2k is available for 0 <= k <= 5, got %r" % (k,))
-    mctx = ctx.mp()
-    p = _check_phi(mctx, phi, allow_zero=True)
-    a = to_mpf(mctx, alpha)
-    if p == 0:
-        if k not in B_LIMIT_POLYNOMIALS:
-            raise UnsupportedOrderError(
-                "B_%d at phi = 0 is not tabulated (limits exist for B_0, B_2, B_4 only)"
-                % (2 * k,)
-            )
-        coeffs = B_LIMIT_POLYNOMIALS[k]
-        value = mctx.mpf(0)
-        for c in reversed(coeffs):
-            value = value * a + mctx.convert(c)
-        return mctx.mpc(value, 0)
-    if p < PHI_SWITCH:
-        wctx = mp_context(ctx.digits + 5 + _b_widening(float(p), k))
-        val = _B2k_closed_raw(wctx, wctx.convert(p), wctx.convert(a), k)
-        return mctx.mpc(val)
-    return _B2k_closed_raw(mctx, p, a, k)
+def _closed_forms(mctx, phi, alpha, k_max: int):
+    gamma, cjk = _laplace_tables()
+    e = mctx.expj(phi)
+    h = _h_sums(alpha, e / (1 - e), 2 * k_max)
+    to_B = mctx.expj(phi * alpha) / (1 - e)
+    to_Bhat = -2j * mctx.expj(phi * (mctx.mpf(1) / 2 - alpha))
+    c = _c_raw(mctx, phi)
+    c_sq = c * c
+    c_pow = c  # c^{2k+1}
+    A, B, Bhat = [], [], []
+    for k in range(k_max + 1):
+        a_k = mctx.mpc(mctx.convert((-1) ** k * gamma[k]))
+        for j, c_jk in enumerate(cjk[k], start=2):
+            a_k += mctx.convert(c_jk) * h[j]
+        b_k = to_B * a_k - 1j * (-1) ** k * _DOUBLE_FACTORIAL[k] / c_pow
+        A.append(a_k)
+        B.append(b_k)
+        Bhat.append(to_Bhat * b_k)
+        c_pow *= c_sq
+    return A, B, Bhat
 
 
 def b2k_limit(alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT, probe_phi: str = "1e-14"):
     """Numerical phi -> 0+ probe of B_2k, for auditing the reality
     conjecture at orders whose exact limits are not tabulated.
 
-    Evaluates the closed form at a tiny positive phi with precision widened
-    to cover the full cancellation depth; the result differs from the true
-    limit by O(probe_phi). Not a substitute for the stored phi = 0 data.
+    Evaluates the closed form at a tiny positive phi, where the pass widens
+    its precision to cover the full cancellation depth; the result differs
+    from the true limit by O(probe_phi). Not a substitute for the stored
+    phi = 0 data.
     """
-    if not 0 <= k <= K_MAX:
-        raise UnsupportedOrderError("b2k_limit is available for 0 <= k <= 5, got %r" % (k,))
     phi_f = float(probe_phi)
     if not 0 < phi_f < PHI_SWITCH:
         raise DomainError("probe_phi must be a small positive angle")
-    wctx = mp_context(ctx.digits + 5 + _b_widening(phi_f, k))
-    val = _B2k_closed_raw(wctx, wctx.mpf(probe_phi), wctx.convert(to_mpf(wctx, alpha)), k)
-    return ctx.mp().mpc(val)
+    return coefficient_set(probe_phi, alpha, k, ctx).B[k]
 
 
 def b0_phi_slope(alpha, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """d B_0 / d phi at phi = 0: the purely imaginary
     -(i/12)(1 - 6 alpha + 6 alpha^2)."""
     mctx = ctx.mp()
-    a = to_mpf(mctx, alpha)
-    value = mctx.mpf(0)
-    for c in reversed(B0_SLOPE_POLYNOMIAL):
-        value = value * a + mctx.convert(c)
-    return mctx.mpc(0, value)
-
-
-def Bhat2k(phi, alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Hatted coefficient B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k.
-
-    Equivalently A_2k/cos(theta) - (-1)^k 2^{k+1} (1/2)_k e^{i phi (1/2
-    - alpha)} / c^{2k+1}; the two forms are asserted equal in the test
-    suite where both are computable.
-    """
-    mctx = ctx.mp()
-    p = _check_phi(mctx, phi, allow_zero=True)
-    a = to_mpf(mctx, alpha)
-    b = B2k(p, a, k, ctx)
-    return -2j * mctx.expj(p * (mctx.mpf(1) / 2 - a)) * b
-
-
-def _bhat2k_alt(phi, alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    # second form of the hatted coefficient; needs phi > 0 for A_2k
-    mctx = ctx.mp()
-    p = _check_phi(mctx, phi, allow_zero=False)
-    a = to_mpf(mctx, alpha)
-    theta = (mctx.pi - p) / 2
-    c = _c_raw(mctx, p)
-    poch = mctx.convert(pochhammer(Fraction(1, 2), k))
-    return _A2k_raw(mctx, p, a, k) / mctx.cos(theta) - (-1) ** k * 2 ** (
-        k + 1
-    ) * poch * mctx.expj(p * (mctx.mpf(1) / 2 - a)) / c ** (2 * k + 1)
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """A_2k, B_2k, and B^_2k for k = 0..k_max at one (phi, alpha)."""
-
-    phi: object
-    alpha: object
-    k_max: int
-    A: Tuple
-    B: Tuple
-    Bhat: Tuple
-
-    @classmethod
-    def build(cls, phi, alpha, k_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "CoefficientSet":
-        if not 0 <= k_max <= K_MAX:
-            raise UnsupportedOrderError(
-                "coefficient sets stop at k_max = 5, got %r" % (k_max,)
-            )
-        mctx = ctx.mp()
-        p = _check_phi(mctx, phi, allow_zero=False)
-        a = to_mpf(mctx, alpha)
-        A = tuple(A2k(p, a, k, ctx) for k in range(k_max + 1))
-        B = tuple(B2k(p, a, k, ctx) for k in range(k_max + 1))
-        Bh = tuple(Bhat2k(p, a, k, ctx) for k in range(k_max + 1))
-        return cls(phi=p, alpha=a, k_max=k_max, A=A, B=B, Bhat=Bh)
+    return mctx.mpc(0, _polynomial(mctx, B0_SLOPE_POLYNOMIAL, to_mpf(mctx, alpha)))
 
 
 # ---------------------------------------------------------------------------
-# Reversion pipeline: regenerate the A-coefficients in exact rationals.
+# Series reversion: the rational ingredients of A_2k, in exact arithmetic.
 # ---------------------------------------------------------------------------
 
 def _series_mul(a: List[Fraction], b: List[Fraction], n: int) -> List[Fraction]:
@@ -423,13 +279,6 @@ def _series_sqrt(a: List[Fraction], n: int) -> List[Fraction]:
     return out
 
 
-def _series_pow(a: List[Fraction], p: int, n: int) -> List[Fraction]:
-    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for _ in range(p):
-        out = _series_mul(out, a, n)
-    return out
-
-
 @dataclass(frozen=True)
 class ReversionSeries:
     """The reverted saddle variable t(w) and the ratio w/t as exact series.
@@ -457,88 +306,35 @@ def reversion_series(order: int = 12) -> ReversionSeries:
     S = [Fraction(2 * (-1) ** i, i + 2) for i in range(n)]
     inv_sqrt_S = _series_recip(_series_sqrt(S, n), n)
     t_of_w: List[Fraction] = [Fraction(0), Fraction(1)]
+    power = inv_sqrt_S  # S^{-m/2}, one multiplication per m
     for m in range(2, n):
-        t_of_w.append(_series_pow(inv_sqrt_S, m, n)[m - 1] / m)
+        power = _series_mul(power, inv_sqrt_S, n)
+        t_of_w.append(power[m - 1] / m)
     t_over_w = t_of_w[1:]  # t(w)/w, constant term 1
     w_over_t = _series_recip(t_over_w, n - 1)
     return ReversionSeries(t_of_w=tuple(t_of_w), w_over_t=tuple(w_over_t), order=order)
 
 
-@dataclass(frozen=True)
-class ReversionReport:
-    """Outcome of regenerating the A-coefficient tables from the reversion."""
+@lru_cache(maxsize=None)
+def _laplace_tables() -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...], ...]]:
+    """(gamma, cjk): the Stirling coefficients gamma_k and the rows
+    cjk[k] = (c_{2,k}, ..., c_{2k,k}) for k = 0..K_MAX, exact.
 
-    order: int
-    passed: bool
-    per_k: Dict[int, bool]
-    mismatches: Tuple[str, ...]
-    series: ReversionSeries
-    gamma_terms: Dict[int, Fraction]
-    cjk_terms: Dict[Tuple[int, int], Fraction]
-
-
-def regenerate_A_via_reversion(order: int = K_MAX) -> ReversionReport:
-    """Recompute every A_2k ingredient for k <= order from first principles
-    and diff against the stored tables.
-
-    The Laplace integrand contributes w t(w)^{j-1} alongside h_j, so the
-    coefficient of h_j in A_2k is (2k-1)!! [w^{2k-1}] t(w)^{j-1}, and the
-    h-free term is (2k-1)!! [w^{2k}] (w/t), which must reproduce
-    (-1)^k gamma_k. All arithmetic is exact; "pass" means equality of
-    Fractions, not closeness of floats.
+    The Laplace integrand contributes w t(w)^{j-1} alongside h_j, so
+    c_{j,k} = (2k-1)!! [w^{2k-1}] t(w)^{j-1}, and the h-free term
+    (2k-1)!! [w^{2k}] (w/t) is (-1)^k gamma_k. Built once per process.
     """
-    if not 1 <= order <= K_MAX:
-        raise UnsupportedOrderError(
-            "regeneration is supported for 1 <= order <= 5, got %r" % (order,)
-        )
-    n_terms = 2 * order + 2
-    series = reversion_series(n_terms)
+    series = reversion_series(2 * K_MAX + 1)
     t = list(series.t_of_w)
-    w_over_t = list(series.w_over_t)
-
-    mismatches: List[str] = []
-    per_k: Dict[int, bool] = {}
-    gamma_terms: Dict[int, Fraction] = {}
-    cjk_terms: Dict[Tuple[int, int], Fraction] = {}
-
-    # powers of t as series in w, up to t^{2*order - 1}
-    n = n_terms + 1
-    t_pows: List[List[Fraction]] = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
-    for _ in range(2 * order - 1):
+    n = 2 * K_MAX  # coefficients up to w^{2 K_MAX - 1} are read
+    t_pows = [[Fraction(1)] + [Fraction(0)] * (n - 1)]  # t^0, t^1, ...
+    for _ in range(2 * K_MAX - 1):
         t_pows.append(_series_mul(t_pows[-1], t, n))
-
-    for k in range(1, order + 1):
-        ok = True
-        dfact = _DOUBLE_FACTORIAL[k]
-        const = dfact * w_over_t[2 * k]
-        gamma_terms[k] = const
-        expected_const = (-1) ** k * STIRLING_GAMMA[k]
-        if const != expected_const:
-            ok = False
-            mismatches.append(
-                "k=%d: h-free term %s != (-1)^k gamma_k = %s" % (k, const, expected_const)
-            )
-        # j = 1 contributes [w^{2k-1}] of t^0, which vanishes for k >= 1
-        if (Fraction(1) if 2 * k - 1 == 0 else Fraction(0)) != 0:
-            ok = False
-            mismatches.append("k=%d: unexpected j=1 contribution" % (k,))
-        for j in range(2, 2 * k + 1):
-            regen = dfact * t_pows[j - 1][2 * k - 1]
-            cjk_terms[(j, k)] = regen
-            if regen != CJK_TABLE[k][j]:
-                ok = False
-                mismatches.append(
-                    "k=%d j=%d: regenerated %s != table %s"
-                    % (k, j, regen, CJK_TABLE[k][j])
-                )
-        per_k[k] = ok
-
-    return ReversionReport(
-        order=order,
-        passed=all(per_k.values()),
-        per_k=per_k,
-        mismatches=tuple(mismatches),
-        series=series,
-        gamma_terms=gamma_terms,
-        cjk_terms=cjk_terms,
+    gamma = tuple(
+        (-1) ** k * _DOUBLE_FACTORIAL[k] * series.w_over_t[2 * k] for k in range(K_MAX + 1)
     )
+    cjk = tuple(
+        tuple(_DOUBLE_FACTORIAL[k] * t_pows[j - 1][2 * k - 1] for j in range(2, 2 * k + 1))
+        for k in range(K_MAX + 1)
+    )
+    return gamma, cjk

@@ -23,23 +23,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .coefficients import (
-    PHI_SWITCH,
-    A2k,
-    B2k,
-    Bhat2k,
-    E_of_phi,
-    c_of_phi,
-)
+from .coefficients import B_LIMIT_POLYNOMIALS, K_MAX, E_of_phi, c_of_phi, coefficient_set
 from .exceptions import (
     BelowAsymptoticRangeWarning,
     DomainError,
     StokesCollarWarning,
     UnsupportedOrderError,
 )
-from .numerics import DEFAULT_CONTEXT, GUARD_DIGITS, PrecisionContext, pochhammer, to_mpf
+from .numerics import DEFAULT_CONTEXT, GUARD_DIGITS, PrecisionContext, to_mpf
 from .oracle import Evaluation, VoigtArgument
 
 # theta within this collar (in radians, as a fraction of pi) of the Stokes
@@ -54,8 +46,8 @@ STOKES_WARN_OVER_PI = 0.40
 # Stokes line
 NEAR_PHI_MAX = 0.5
 
-MAX_K_TERMS = 5
-MAX_K_TERMS_SMALL_PHI = 3
+# the error estimate reads the first omitted coefficient, of order k_terms
+MAX_K_TERMS = K_MAX
 
 # the first omitted term estimates the truncation error but does not bound
 # it; this margin absorbs the O(1) wobble so err_estimate can be trusted
@@ -153,12 +145,13 @@ class RemainderEstimate:
     err_estimate: object = None
 
 
-def _check_k_terms(k_terms: int, small_phi: bool):
-    cap = MAX_K_TERMS_SMALL_PHI if small_phi else MAX_K_TERMS
+def _check_k_terms(k_terms: int, on_line: bool = False):
+    # on the Stokes line only the stored limits B_0, B_2, B_4 exist
+    cap = len(B_LIMIT_POLYNOMIALS) if on_line else MAX_K_TERMS
     if not 1 <= k_terms <= cap:
         raise UnsupportedOrderError(
             "k_terms must lie in [1, %d]%s, got %r"
-            % (cap, " this close to the Stokes line" if small_phi else "", k_terms)
+            % (cap, " on the Stokes line" if on_line else "", k_terms)
         )
 
 
@@ -193,15 +186,14 @@ def terminant_asymptotic(
         phi = mctx.mpf(0)
 
     if region == "away":
-        _check_k_terms(k_terms, small_phi=False)
+        _check_k_terms(k_terms)
         if phi < mctx.mpf(10) ** (-8):
             raise DomainError(
                 "the non-uniform terminant estimate has a pole at arg z = pi; "
                 "use region=\"uniform\""
             )
-        series = sum(
-            A2k(phi, alpha, k, ctx) / absz**k for k in range(k_terms)
-        )
+        A = coefficient_set(phi, alpha, k_terms - 1, ctx).A
+        series = sum(A[k] / absz**k for k in range(k_terms))
         pref = -mctx.mpc(0, 1) * mctx.expj(phi * to_mpf(mctx, nu)) / (1 - mctx.expj(phi))
         return ctx.mp().mpc(
             pref * mctx.exp(-zz - absz) / mctx.sqrt(2 * mctx.pi * absz) * series
@@ -209,9 +201,10 @@ def terminant_asymptotic(
 
     if region != "uniform":
         raise DomainError("unknown terminant region %r" % (region,))
-    _check_k_terms(k_terms, small_phi=phi < PHI_SWITCH)
+    _check_k_terms(k_terms, on_line=phi == 0)
     zeta = c_of_phi(phi, ctx) * mctx.sqrt(absz / 2)
-    series = sum(B2k(phi, alpha, k, ctx) / absz**k for k in range(k_terms))
+    B = coefficient_set(phi, alpha, k_terms - 1, ctx).B
+    series = sum(B[k] / absz**k for k in range(k_terms))
     val = mctx.erfc(zeta) / 2 - mctx.mpc(0, 1) * mctx.exp(
         -zz - absz + mctx.mpc(0, 1) * phi * absz
     ) / mctx.sqrt(2 * mctx.pi * absz) * series
@@ -243,7 +236,7 @@ def theorem1(
             "theta = %s is inside the Stokes collar; the non-uniform estimate "
             "diverges there, use theorem2" % (theta,)
         )
-    _check_k_terms(k_terms, small_phi=False)
+    _check_k_terms(k_terms)
     if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
         warnings.warn(
             "theta is close to the Stokes line; the non-uniform estimate is "
@@ -256,15 +249,13 @@ def theorem1(
     alpha = plan.m + mctx.mpf(1) / 2 - r * r
     rot = mctx.expj(plan.m * phi)
     pref = _exp_prefactor(mctx, arg) / mctx.cos(theta)
+    A = coefficient_set(phi, alpha, k_terms, ctx).A
     total = mctx.mpc(0)
     rpow = 1 / r
-    last = mctx.mpf(0)
     for k in range(k_terms):
-        term = rot * A2k(phi, alpha, k, ctx) * rpow
-        total += term
-        last = abs(term)
+        total += rot * A[k] * rpow
         rpow /= r * r
-    omitted = abs(A2k(phi, alpha, k_terms, ctx)) * rpow if k_terms < MAX_K_TERMS else last / (r * r)
+    omitted = abs(A[k_terms]) * rpow
     out = ctx.mp()
     return RemainderEstimate(
         Khat=out.mpf((pref * total).real),
@@ -289,24 +280,24 @@ def theorem2(
     mctx = ctx.mp(extra=GUARD_DIGITS)
     phi = mctx.convert(arg.phi)
     r = mctx.convert(arg.r)
-    _check_k_terms(k_terms, small_phi=phi < PHI_SWITCH)
+    on_line = phi == 0
+    _check_k_terms(k_terms, on_line)
     alpha = plan.m + mctx.mpf(1) / 2 - r * r
     E = E_of_phi(phi, r, ctx)
     # e^{i (m + 1/2 - alpha) phi} = e^{i r^2 phi}
     head = mctx.expj((plan.m + mctx.mpf(1) / 2 - alpha) * phi) * E
     rot = mctx.expj(plan.m * phi)
+    # the omitted term has order k_terms, which the stored limits lack when
+    # k_terms = 3 on the line
+    k_top = min(k_terms, max(B_LIMIT_POLYNOMIALS)) if on_line else k_terms
+    Bhat = coefficient_set(phi, alpha, k_top, ctx).Bhat
     total = mctx.mpc(head)
     rpow = 1 / r
-    last = mctx.mpf(0)
     for k in range(k_terms):
-        term = rot * Bhat2k(phi, alpha, k, ctx) * rpow
+        term = rot * Bhat[k] * rpow
         total += term
-        last = abs(term)
         rpow /= r * r
-    try:
-        omitted = abs(Bhat2k(phi, alpha, k_terms, ctx)) * rpow
-    except UnsupportedOrderError:
-        omitted = last / (r * r)
+    omitted = abs(Bhat[k_terms]) * rpow if k_terms <= k_top else abs(term) / (r * r)
     pref = _exp_prefactor(mctx, arg)
     out = ctx.mp()
     return RemainderEstimate(

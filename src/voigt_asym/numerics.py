@@ -96,37 +96,6 @@ class PrecisionContext:
 DEFAULT_CONTEXT = PrecisionContext()
 
 
-@dataclass(frozen=True)
-class ComplexValue:
-    """Serialization-facing record of a complex quantity.
-
-    Computational routines exchange mpmath ``mpc`` values directly (same two
-    components, cheaper to do arithmetic with); this record is the stable
-    exchange form used at API boundaries and by the CLI. The polar accessors
-    are consistent with the rectangular fields by construction.
-    """
-
-    re: object
-    im: object
-
-    @classmethod
-    def from_complex(cls, z) -> "ComplexValue":
-        z = mp_context(DEFAULT_CONTEXT.digits + GUARD_DIGITS).convert(z)
-        return cls(re=z.real, im=z.imag)
-
-    def as_mpc(self, ctx=None):
-        ctx = ctx if ctx is not None else mp_context(DEFAULT_CONTEXT.digits + GUARD_DIGITS)
-        return ctx.mpc(self.re, self.im)
-
-    def modulus(self, ctx=None):
-        ctx = ctx if ctx is not None else mp_context(DEFAULT_CONTEXT.digits + GUARD_DIGITS)
-        return abs(self.as_mpc(ctx))
-
-    def argument(self, ctx=None):
-        ctx = ctx if ctx is not None else mp_context(DEFAULT_CONTEXT.digits + GUARD_DIGITS)
-        return ctx.arg(self.as_mpc(ctx))
-
-
 def to_mpf(ctx, x):
     """Convert a real input to mpf, parsing strings at context precision."""
     if isinstance(x, str):
@@ -135,9 +104,8 @@ def to_mpf(ctx, x):
 
 
 def to_mpc(ctx, z):
-    """Convert a complex-like input (ComplexValue included) to mpc."""
-    if isinstance(z, ComplexValue):
-        return z.as_mpc(ctx)
+    """Convert a complex-like input to mpc, parsing strings at context
+    precision."""
     if isinstance(z, str):
         return ctx.mpc(ctx.mpf(z))
     return ctx.mpc(ctx.convert(z))

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 
-REFERENCE_VERSION = "1.0"
-
 # --- table 1: remainder values at r = 3.5, m = 12 (alpha = 1/4) -----------
 # first angle theta/pi = 0.1 evaluated with the non-uniform estimate (eq41),
 # second angle theta/pi = 0.375 with the uniform estimate (eq42); rows are
@@ -31,7 +29,6 @@ TABLE1_R = "3.5"
 TABLE1_M = 12
 TABLE1_SIG = 9
 TABLE1_ANGLES = ("0.1", "0.375")
-TABLE1_VARIANTS = ("eq41", "eq42")
 
 TABLE1_ROWS = {
     # k_terms: (Khat@0.1, Lhat@0.1, Khat@0.375, Lhat@0.375)

@@ -1,0 +1,85 @@
+"""Published reference data for the coefficient tests.
+
+The library derives gamma_k and c_{j,k} from the series reversion at run
+time; the values below are the published tables those must equal, exactly.
+``bhat2k_alt`` is the second closed form of the hatted coefficient, kept
+here as an independent check on the one the library evaluates.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from voigt_asym import c_of_phi, coefficient_set, pochhammer
+
+# Stirling coefficients gamma_0..gamma_5.
+STIRLING_GAMMA = (
+    Fraction(1),
+    Fraction(-1, 12),
+    Fraction(1, 288),
+    Fraction(139, 51840),
+    Fraction(-571, 2488320),
+    Fraction(-163879, 209018880),
+)
+
+# c_{j,k} for k = 1..5, 2 <= j <= 2k. Entries absent here are zero.
+CJK_TABLE = {
+    1: {2: Fraction(1)},
+    2: {2: Fraction(1, 12), 3: Fraction(2), 4: Fraction(3)},
+    3: {
+        2: Fraction(1, 288),
+        3: Fraction(1, 6),
+        4: Fraction(25, 4),
+        5: Fraction(20),
+        6: Fraction(15),
+    },
+    4: {
+        2: Fraction(-139, 51840),
+        3: Fraction(1, 144),
+        4: Fraction(49, 96),
+        5: Fraction(77, 3),
+        6: Fraction(525, 4),
+        7: Fraction(210),
+        8: Fraction(105),
+    },
+    5: {
+        2: Fraction(-571, 2488320),
+        3: Fraction(-139, 25920),
+        4: Fraction(221, 17280),
+        5: Fraction(149, 72),
+        6: Fraction(12565, 96),
+        7: Fraction(1883, 2),
+        8: Fraction(9555, 4),
+        9: Fraction(2520),
+        10: Fraction(945),
+    },
+}
+
+
+def h_power_sum(mctx, phi, alpha, j):
+    """h_j = sum_{r <= j} C(alpha, j - r) u^r summed term by term, with
+    u = e^{i phi}/(1 - e^{i phi}) and each binomial from its own product."""
+    e = mctx.expj(phi)
+    u = e / (1 - e)
+    total = mctx.mpc(0)
+    for r in range(j + 1):
+        n = j - r
+        binom = mctx.mpf(1)
+        for i in range(n):
+            binom *= (alpha - i) / (i + 1)
+        total += binom * u**r
+    return total
+
+
+def bhat2k_alt(phi, alpha, k, ctx):
+    """B^_2k = A_2k/cos(theta) - (-1)^k 2^{k+1} (1/2)_k e^{i phi (1/2 - alpha)}
+    / c^{2k+1}, theta = (pi - phi)/2; needs phi > 0 for A_2k."""
+    mctx = ctx.mp()
+    p, a = mctx.convert(phi), mctx.convert(alpha)
+    theta = (mctx.pi - p) / 2
+    c = c_of_phi(p, ctx)
+    poch = mctx.convert(pochhammer(Fraction(1, 2), k))
+    A = coefficient_set(p, a, k, ctx).A[k]
+    return A / mctx.cos(theta) - (-1) ** k * 2 ** (k + 1) * poch * mctx.expj(
+        p * (mctx.mpf(1) / 2 - a)
+    ) / c ** (2 * k + 1)

@@ -15,12 +15,8 @@ from fractions import Fraction
 
 from voigt_asym import tables
 from voigt_asym.cli import _check_cells, _table1_cells, _table2_cells
-from voigt_asym.coefficients import (
-    b2k_limit,
-    cjk,
-    regenerate_A_via_reversion,
-    stirling_gamma,
-)
+from coefficient_reference import CJK_TABLE, STIRLING_GAMMA
+from voigt_asym.coefficients import K_MAX, _laplace_tables, b2k_limit
 from voigt_asym.expansions import (
     algebraic_partial_sums,
     optimal_truncation,
@@ -103,16 +99,28 @@ def test_acceptance_3_exact_decomposition_all_orders(ctx40):
 
 
 def test_acceptance_4_coefficients_from_reversion():
-    report = regenerate_A_via_reversion(5)
-    ok = report.passed and not report.mismatches
+    # the run-time tables, built by the series reversion, against the
+    # published gamma_k and c_{j,k}: exact Fraction equality
+    gamma, rows = _laplace_tables()
+    cjk = {(j, k): c for k in range(K_MAX + 1) for j, c in enumerate(rows[k], start=2)}
+    published = {(j, k): c for k, row in CJK_TABLE.items() for j, c in row.items()}
+    mismatches = [
+        "gamma_%d: %s != %s" % (k, g, STIRLING_GAMMA[k])
+        for k, g in enumerate(gamma) if g != STIRLING_GAMMA[k]
+    ]
+    mismatches += [
+        "c_{%d,%d}: %s != %s" % (j, k, cjk.get((j, k)), c)
+        for (j, k), c in sorted(published.items()) if cjk.get((j, k)) != c
+    ]
+    ok = not mismatches and len(gamma) == len(STIRLING_GAMMA) and set(cjk) == set(published)
     # structural identities tying the coefficient grid to its generators
     for k in range(1, 6):
-        ok = ok and cjk(2 * k, k) == Fraction(2**k) * pochhammer(Fraction(1, 2), k)
-        ok = ok and cjk(2, k) == (-1) ** (k - 1) * stirling_gamma(k - 1)
+        ok = ok and cjk[(2 * k, k)] == Fraction(2**k) * pochhammer(Fraction(1, 2), k)
+        ok = ok and cjk[(2, k)] == (-1) ** (k - 1) * gamma[k - 1]
         if k >= 2:
-            ok = ok and cjk(3, k) == 2 * (-1) ** k * stirling_gamma(k - 2)
+            ok = ok and cjk[(3, k)] == 2 * (-1) ** k * gamma[k - 2]
     assert _verdict(4, "coefficient regeneration by series reversion", ok), (
-        report.mismatches or "grid identities failed"
+        mismatches or "grid identities failed"
     )
 
 

@@ -237,6 +237,23 @@ def test_coeffs_at_alpha_zero(capsys):
     assert len(rows) == 6
 
 
+def test_coeffs_phi_below_float_range(capsys):
+    # a phi that underflows as a float still sizes its widening, from the
+    # exponent of the mpf; the B limits are approached to O(phi)
+    rc, out, err = run(capsys, "coeffs", "--phi", "1e-400", "--alpha", "0.5",
+                       "--kmax", "5", "--format", "json")
+    assert rc == EXIT_OK, err
+    assert "Traceback" not in err
+    rows = json.loads(out)["coefficients"]
+    assert len(rows) == 6
+    mctx = mp_context(20)  # A_2k ~ phi^{-2k} overflows a float
+    for row in rows:
+        for name in ("A", "B", "Bhat"):
+            for part in row[name].values():
+                assert mctx.isfinite(mctx.mpf(part))
+    assert abs(float(rows[0]["B"]["re"]) - (2 / 3 - 0.5)) < 1e-12
+
+
 def test_coeffs_order_cap(capsys):
     rc, _, err = run(capsys, "coeffs", "--phi", "1", "--alpha", "0.5",
                      "--kmax", "6")

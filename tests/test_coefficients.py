@@ -1,6 +1,6 @@
-"""Coefficient-algebra tests: the h_k building blocks, the A and B families,
-the Stokes variable c(phi) and smoothing factor E(phi), and the exact-rational
-reversion pipeline that regenerates the stored tables from first principles.
+"""Coefficient-algebra tests: the h_j building blocks, the one-pass A and B
+families, the Stokes variable c(phi) and smoothing factor E(phi), and the
+exact-rational reversion that is the run-time source of gamma_k and c_{j,k}.
 """
 
 from __future__ import annotations
@@ -11,42 +11,40 @@ from fractions import Fraction
 
 import pytest
 
+from coefficient_reference import CJK_TABLE, STIRLING_GAMMA, bhat2k_alt, h_power_sum
 from voigt_asym import (
-    A2k,
-    B2k,
-    Bhat2k,
     DomainError,
-    SingularInputError,
     UnsupportedOrderError,
     E_of_phi,
     b0_phi_slope,
     b2k_limit,
-    binomial_alpha,
     c_of_phi,
-    cjk,
-    h_k,
+    coefficient_set,
     pochhammer,
-    regenerate_A_via_reversion,
     reversion_series,
-    stirling_gamma,
 )
 from voigt_asym.coefficients import (
     B_LIMIT_POLYNOMIALS,
-    CJK_TABLE,
     K_MAX,
     PHI_SWITCH,
     _b_widening,
-    _bhat2k_alt,
+    _h_sums,
+    _laplace_tables,
 )
 
 
-# ------------------------------------------------------------------- h_k
+def _u(mctx, phi):
+    e = mctx.expj(phi)
+    return e / (1 - e)
+
+
+# ------------------------------------------------------------------- h_j
 
 def test_h0_is_one_everywhere(ctx40):
     mctx = ctx40.mp()
     for phi in ("0.3", "1.0", "3.0"):
         for alpha in ("0.25", "0.5", "1.0"):
-            v = h_k(mctx.mpf(phi), mctx.mpf(alpha), 0, ctx40)
+            v = _h_sums(mctx.mpf(alpha), _u(mctx, mctx.mpf(phi)), 0)[0]
             assert abs(v - 1) < mctx.mpf(10) ** (-38)
 
 
@@ -54,115 +52,135 @@ def test_h1_closed_form(ctx40):
     mctx = ctx40.mp()
     phi = mctx.mpf("0.7")
     alpha = mctx.mpf("0.3")
-    u = mctx.expj(phi) / (1 - mctx.expj(phi))
-    got = h_k(phi, alpha, 1, ctx40)
+    u = _u(mctx, phi)
+    got = _h_sums(alpha, u, 1)[1]
     assert abs(got - (alpha + u)) < mctx.mpf(10) ** (-38)
 
 
 def test_h2_on_stokes_line_is_one_thirtysecond(ctx40):
-    # u = -1/2 at phi = pi, so h_2(pi, 1/4) collapses to a small rational
+    # u = -1/2 at phi = pi, so h_2(pi, 1/4) collapses to a small rational,
+    # and A_2 = 1/12 + h_2 with it
     mctx = ctx40.mp()
-    got = h_k(mctx.pi, mctx.mpf("0.25"), 2, ctx40)
+    alpha = mctx.mpf("0.25")
+    got = _h_sums(alpha, _u(mctx, mctx.pi), 2)[2]
     assert abs(got - mctx.mpf(1) / 32) < mctx.mpf(10) ** (-38)
     assert abs(got.imag) < mctx.mpf(10) ** (-38)
+    A2 = coefficient_set(mctx.pi, alpha, 1, ctx40).A[1]
+    assert abs(A2 - (mctx.mpf(1) / 12 + mctx.mpf(1) / 32)) < mctx.mpf(10) ** (-38)
 
 
 def test_h_k_rejects_phi_zero(ctx40):
-    with pytest.raises(SingularInputError):
-        h_k(0, "0.25", 1, ctx40)
+    # h_j, and with them the A_2k, are singular on the Stokes line: the pass
+    # returns no A there, only the stored B limits
+    coeffs = coefficient_set(0, "0.25", 1, ctx40)
+    assert coeffs.A is None
+    assert len(coeffs.B) == len(coeffs.Bhat) == 2
 
 
 def test_binomial_alpha_rational_path():
-    assert binomial_alpha(Fraction(1, 4), 2) == Fraction(1, 4) * Fraction(-3, 4) / 2
-    assert binomial_alpha(Fraction(1, 2), 0) == 1
+    # at u = 0 the sums reduce to the binomials C(alpha, j), exact for Fractions
+    assert _h_sums(Fraction(1, 4), Fraction(0), 2)[2] == Fraction(1, 4) * Fraction(-3, 4) / 2
+    assert _h_sums(Fraction(1, 2), Fraction(0), 0) == [1]
+    # the recurrence h_j = C(alpha, j) + u h_{j-1} equals the defining sum
+    alpha, u = Fraction(3, 7), Fraction(-5, 2)
+    binom = [Fraction(1)]
+    for n in range(1, 11):
+        binom.append(binom[-1] * (alpha - n + 1) / n)
+    h = _h_sums(alpha, u, 10)
+    for j in range(11):
+        assert h[j] == sum(binom[j - r] * u**r for r in range(j + 1))
 
 
 def test_alpha_zero_matches_fraction_path(ctx40):
     # C(0, n) is 1 for n = 0 and 0 after; the mpf path must agree with the
     # exact one instead of dividing zero by itself
     mctx = ctx40.mp()
-    for n in range(2 * K_MAX + 1):
-        assert binomial_alpha(mctx.mpf(0), n) == binomial_alpha(Fraction(0), n)
+    assert _h_sums(mctx.mpf(0), mctx.mpf(0), 2 * K_MAX) == _h_sums(
+        Fraction(0), Fraction(0), 2 * K_MAX
+    )
     phi = mctx.mpf(1)
-    e = mctx.expj(phi)
-    u = e / (1 - e)
+    got = coefficient_set(phi, 0, K_MAX, ctx40).A
     for k in range(K_MAX + 1):
-        ref = mctx.mpc(mctx.convert((-1) ** k * stirling_gamma(k)))
+        ref = mctx.mpc(mctx.convert((-1) ** k * STIRLING_GAMMA[k]))
         for j in range(2, 2 * k + 1):
-            h = sum(mctx.convert(binomial_alpha(Fraction(0), j - i)) * u**i for i in range(j + 1))
-            ref += mctx.convert(CJK_TABLE[k][j]) * h
-        got = A2k(phi, 0, k, ctx40)
-        assert abs(got - ref) <= mctx.mpf(10) ** (-35) * max(1, abs(ref))
-        for p in ("1", "0.05"):  # both B2k branches
-            assert mctx.isfinite(abs(Bhat2k(p, 0, k, ctx40)))
+            ref += mctx.convert(CJK_TABLE[k][j]) * h_power_sum(mctx, phi, mctx.mpf(0), j)
+        assert abs(got[k] - ref) <= mctx.mpf(10) ** (-35) * max(1, abs(ref))
+    for p in ("1", "0.05"):  # both branches of the pass
+        for v in coefficient_set(p, 0, K_MAX, ctx40).Bhat:
+            assert mctx.isfinite(abs(v))
 
 
-# --------------------------------------------------------- stored rationals
+# ------------------------------------------------ the reversion as the source
 
 def test_stirling_gamma_values():
-    assert stirling_gamma(0) == 1
-    assert stirling_gamma(1) == Fraction(-1, 12)
-    assert stirling_gamma(5) == Fraction(-163879, 209018880)
+    gamma, _ = _laplace_tables()
+    assert gamma[0] == 1
+    assert gamma[1] == Fraction(-1, 12)
+    assert gamma[5] == Fraction(-163879, 209018880)
+    assert len(gamma) == K_MAX + 1
     with pytest.raises(UnsupportedOrderError):
-        stirling_gamma(6)
+        coefficient_set("1", "0.5", K_MAX + 1)
 
 
 def test_cjk_values():
-    assert cjk(2, 2) == Fraction(1, 12)
-    assert cjk(5, 3) == 20
-    assert cjk(10, 5) == 945
-    assert cjk(7, 3) == 0  # j beyond 2k reads as zero
+    _, cjk = _laplace_tables()
+    assert cjk[2][2 - 2] == Fraction(1, 12)
+    assert cjk[3][5 - 2] == 20
+    assert cjk[5][10 - 2] == 945
+    # row k holds j = 2..2k; past the diagonal c_{j,k} vanishes, since
+    # t(w)^{j-1} starts at w^{j-1}
+    assert [len(row) for row in cjk] == [max(0, 2 * k - 1) for k in range(K_MAX + 1)]
     with pytest.raises(UnsupportedOrderError):
-        cjk(1, 2)
-    with pytest.raises(UnsupportedOrderError):
-        cjk(2, 6)
+        coefficient_set("1", "0.5", -1)
 
 
 def test_cjk_table_relations():
-    # the three closed-form families the table satisfies
-    for k in range(1, 6):
-        assert cjk(2, k) == (-1) ** (k - 1) * stirling_gamma(k - 1)
-        assert cjk(2 * k, k) == 2**k * pochhammer(Fraction(1, 2), k)
-    for k in range(2, 6):
-        assert cjk(3, k) == 2 * (-1) ** k * stirling_gamma(k - 2)
+    # the three closed-form families the runtime table satisfies
+    gamma, cjk = _laplace_tables()
+    for k in range(1, K_MAX + 1):
+        assert cjk[k][0] == (-1) ** (k - 1) * gamma[k - 1]
+        assert cjk[k][-1] == 2**k * pochhammer(Fraction(1, 2), k)
+    for k in range(2, K_MAX + 1):
+        assert cjk[k][1] == 2 * (-1) ** k * gamma[k - 2]
 
 
 # -------------------------------------------------------------------- A_2k
 
 def test_A0_is_one(ctx40):
     mctx = ctx40.mp()
-    v = A2k(mctx.mpf("0.9"), mctx.mpf("0.5"), 0, ctx40)
+    v = coefficient_set(mctx.mpf("0.9"), mctx.mpf("0.5"), 0, ctx40).A[0]
     assert abs(v - 1) < mctx.mpf(10) ** (-38)
 
 
 def test_A2_closed_form(ctx40):
     mctx = ctx40.mp()
     phi, alpha = mctx.mpf("1.3"), mctx.mpf("0.25")
-    got = A2k(phi, alpha, 1, ctx40)
-    want = mctx.mpf(1) / 12 + h_k(phi, alpha, 2, ctx40)
+    got = coefficient_set(phi, alpha, 1, ctx40).A[1]
+    want = mctx.mpf(1) / 12 + h_power_sum(mctx, phi, alpha, 2)
     assert abs(got - want) < mctx.mpf(10) ** (-37)
 
 
 def test_A4_closed_form(ctx40):
     mctx = ctx40.mp()
     phi, alpha = mctx.mpf("2.1"), mctx.mpf("0.7")
-    got = A2k(phi, alpha, 2, ctx40)
+    got = coefficient_set(phi, alpha, 2, ctx40).A[2]
     want = (
         mctx.mpf(1) / 288
-        + h_k(phi, alpha, 2, ctx40) / 12
-        + 2 * h_k(phi, alpha, 3, ctx40)
-        + 3 * h_k(phi, alpha, 4, ctx40)
+        + h_power_sum(mctx, phi, alpha, 2) / 12
+        + 2 * h_power_sum(mctx, phi, alpha, 3)
+        + 3 * h_power_sum(mctx, phi, alpha, 4)
     )
     assert abs(got - want) < mctx.mpf(10) ** (-36) * max(1, abs(want))
 
 
 def test_A2k_order_and_domain_errors(ctx40):
     with pytest.raises(UnsupportedOrderError):
-        A2k("1.0", "0.5", 6, ctx40)
-    with pytest.raises(SingularInputError):
-        A2k(0, "0.5", 1, ctx40)
+        coefficient_set("1.0", "0.5", 6, ctx40)
+    assert coefficient_set(0, "0.5", 1, ctx40).A is None
     with pytest.raises(DomainError):
-        A2k(-1, "0.5", 1, ctx40)
+        coefficient_set(-1, "0.5", 1, ctx40)
+    with pytest.raises(DomainError):
+        coefficient_set("3.2", "0.5", 1, ctx40)
 
 
 def test_A2k_real_on_stokes_line(ctx40):
@@ -171,9 +189,33 @@ def test_A2k_real_on_stokes_line(ctx40):
     tol = mctx.mpf(10) ** (-(ctx40.digits - 5))
     for _ in range(10):
         alpha = mctx.mpf(repr(rng.uniform(0.0, 1.0)))
-        for k in range(6):
-            v = A2k(mctx.pi, alpha, k, ctx40)
+        for v in coefficient_set(mctx.pi, alpha, 5, ctx40).A:
             assert abs(v.imag) <= tol * max(1, abs(v))
+
+
+def test_one_pass_serves_every_order(ctx40):
+    # a pass to k_max = 5 repeats the lower passes order by order, on both
+    # sides of the switch (where the widening grows with k_max)
+    mctx = ctx40.mp()
+    tol = mctx.mpf(10) ** (5 - ctx40.digits)
+    for phi in ("0.01", "0.149", "0.7", "3.1"):
+        full = coefficient_set(phi, "0.3", K_MAX, ctx40)
+        for k_max in range(K_MAX):
+            part = coefficient_set(phi, "0.3", k_max, ctx40)
+            for name in ("A", "B", "Bhat"):
+                for lo, hi in zip(getattr(part, name), getattr(full, name)):
+                    assert abs(lo - hi) <= tol * abs(hi)
+
+
+def test_tiny_phi_widens_from_its_own_exponent(ctx40):
+    # 1e-400 is below the float range: the widening is read from the mpf,
+    # and B_2k sits within O(phi) of its stored limit
+    mctx = ctx40.mp()
+    coeffs = coefficient_set("1e-400", "0.5", 2, ctx40)
+    limits = coefficient_set(0, "0.5", 2, ctx40)
+    for got, want in zip(coeffs.B, limits.B):
+        assert abs(got - want) < mctx.mpf(10) ** (-38)
+    assert all(mctx.isfinite(abs(a)) for a in coeffs.A)
 
 
 # ---------------------------------------------------------------- reversion
@@ -202,34 +244,31 @@ def test_reversion_series_low_order_coefficients():
 
 
 def test_reversion_regenerates_A2_exactly():
-    report = regenerate_A_via_reversion(1)
-    assert report.passed
-    assert report.per_k == {1: True}
-    # A_2 = 1/12 + h_2: the regenerated h-free term is (-1)^k gamma_k
-    assert report.gamma_terms[1] == Fraction(1, 12)
-    assert report.cjk_terms[(2, 1)] == 1
+    # A_2 = 1/12 + h_2: the h-free term (-1)^k gamma_k and c_{2,1} = 1
+    gamma, cjk = _laplace_tables()
+    assert -gamma[1] == Fraction(1, 12)
+    assert cjk[1] == (Fraction(1),)
 
 
 def test_reversion_regenerates_A4_moment_set():
     # the w^4 moment of the Laplace integrand carries the coefficient set
     # {1/864, 1/36, 2/3, 1} against h_1..; scaled by the Gaussian moment
-    # (2k-1)!! = 3 it lands on the stored row
-    report = regenerate_A_via_reversion(2)
-    assert report.passed
-    s = report.series
-    assert s.w_over_t[4] == Fraction(1, 864)
-    assert report.cjk_terms[(2, 2)] == 3 * Fraction(1, 36)
-    assert report.cjk_terms[(3, 2)] == 3 * Fraction(2, 3)
-    assert report.cjk_terms[(4, 2)] == 3 * Fraction(1)
+    # (2k-1)!! = 3 it lands on the published row
+    gamma, cjk = _laplace_tables()
+    assert reversion_series(12).w_over_t[4] == Fraction(1, 864)
+    assert gamma[2] == 3 * Fraction(1, 864)
+    assert cjk[2] == (3 * Fraction(1, 36), 3 * Fraction(2, 3), 3 * Fraction(1))
 
 
 def test_reversion_full_depth_passes():
-    report = regenerate_A_via_reversion(5)
-    assert report.passed
-    assert report.mismatches == ()
-    assert set(report.per_k) == {1, 2, 3, 4, 5}
-    with pytest.raises(UnsupportedOrderError):
-        regenerate_A_via_reversion(6)
+    # exact equality with the published tables at every order, from one
+    # cached build
+    gamma, cjk = _laplace_tables()
+    assert gamma == STIRLING_GAMMA
+    for k in range(1, K_MAX + 1):
+        assert dict(enumerate(cjk[k], start=2)) == CJK_TABLE[k]
+    assert cjk[0] == ()
+    assert _laplace_tables() is _laplace_tables()
 
 
 # ------------------------------------------------------------------ c, E
@@ -298,11 +337,15 @@ def test_E_decay_on_stokes_line(ctx40):
 
 # -------------------------------------------------------------------- B_2k
 
+def _limit(a, k, ctx):
+    return coefficient_set(0, a, k, ctx).B[k]
+
+
 def test_B0_limit_polynomial(ctx40):
     mctx = ctx40.mp()
     for alpha in ("0.25", "0.5", "0.9"):
         a = mctx.mpf(alpha)
-        got = B2k(0, a, 0, ctx40)
+        got = _limit(a, 0, ctx40)
         assert abs(got - (mctx.mpf(2) / 3 - a)) < mctx.mpf(10) ** (-38)
 
 
@@ -312,7 +355,7 @@ def test_B2_limit_polynomial(ctx40):
     want = (
         mctx.mpf(23) / 270 - 5 * a / 12 + a * a / 2 - a**3 / 6
     )
-    assert abs(B2k(0, a, 1, ctx40) - want) < mctx.mpf(10) ** (-38)
+    assert abs(_limit(a, 1, ctx40) - want) < mctx.mpf(10) ** (-38)
 
 
 def test_B4_limit_polynomial(ctx40):
@@ -326,13 +369,13 @@ def test_B4_limit_polynomial(ctx40):
         + a**4 / 6
         - a**5 / 40
     )
-    assert abs(B2k(0, a, 2, ctx40) - want) < mctx.mpf(10) ** (-38)
+    assert abs(_limit(a, 2, ctx40) - want) < mctx.mpf(10) ** (-38)
 
 
 def test_B2k_limit_order_error_at_phi_zero(ctx40):
     for k in (3, 4, 5):
         with pytest.raises(UnsupportedOrderError):
-            B2k(0, "0.5", k, ctx40)
+            coefficient_set(0, "0.5", k, ctx40)
 
 
 def test_b2k_limit_probe_matches_stored_polynomials(ctx40):
@@ -341,7 +384,7 @@ def test_b2k_limit_probe_matches_stored_polynomials(ctx40):
         for alpha in ("0.1", "0.5", "0.95"):
             a = mctx.mpf(alpha)
             probe = b2k_limit(a, k, ctx40)
-            stored = B2k(0, a, k, ctx40)
+            stored = _limit(a, k, ctx40)
             assert abs(probe - stored) < mctx.mpf(10) ** (-12)
 
 
@@ -358,23 +401,24 @@ def test_B2k_branch_agreement_at_switch(ctx40):
     # at the switch point without a visible seam
     mctx = ctx40.mp()
     delta = mctx.mpf(10) ** (-12)
-    for k in range(3):
-        for alpha in ("0.25", "0.5"):
-            a = mctx.mpf(alpha)
-            below = B2k(PHI_SWITCH - delta, a, k, ctx40)
-            above = B2k(PHI_SWITCH + delta, a, k, ctx40)
-            assert abs(below - above) < mctx.mpf(10) ** (-10)
+    for alpha in ("0.25", "0.5"):
+        a = mctx.mpf(alpha)
+        below = coefficient_set(PHI_SWITCH - delta, a, 2, ctx40).B
+        above = coefficient_set(PHI_SWITCH + delta, a, 2, ctx40).B
+        for lo, hi in zip(below, above):
+            assert abs(lo - hi) < mctx.mpf(10) ** (-10)
 
 
-def test_b_widening_lands_on_few_precisions():
+def test_b_widening_lands_on_few_precisions(ctx40):
     # every widened precision is cached for good, so the widening is rounded
     # up to a multiple of 10 digits; it never drops below the cancellation rule
+    mctx = ctx40.mp()
     rng = random.Random(1989)
     seen = set()
     for _ in range(200):
         phi = rng.uniform(0, PHI_SWITCH) or PHI_SWITCH / 2
         k = rng.randint(0, K_MAX)
-        widened = _b_widening(phi, k)
+        widened = _b_widening(mctx, mctx.mpf(phi), k)
         assert widened >= int(math.ceil((2 * k + 3) * math.log10(1.0 / phi))) + 30
         seen.add(widened)
     assert len(seen) <= 8
@@ -385,14 +429,14 @@ def test_B2k_closed_form_on_stokes_line(ctx40):
     mctx = ctx40.mp()
     a = mctx.mpf("0.25")
     k = 1
+    coeffs = coefficient_set(mctx.pi, a, k, ctx40)
     c = c_of_phi(mctx.pi, ctx40)
-    want = mctx.expj(mctx.pi * a) * A2k(mctx.pi, a, k, ctx40) / (
+    want = mctx.expj(mctx.pi * a) * coeffs.A[k] / (
         1 - mctx.expj(mctx.pi)
     ) - mctx.mpc(0, 1) * (-1) ** k * 2**k * mctx.convert(
         pochhammer(Fraction(1, 2), k)
     ) / c ** (2 * k + 1)
-    got = B2k(mctx.pi, a, k, ctx40)
-    assert abs(got - want) < mctx.mpf(10) ** (-36) * max(1, abs(want))
+    assert abs(coeffs.B[k] - want) < mctx.mpf(10) ** (-36) * max(1, abs(want))
 
 
 def test_b0_slope_matches_finite_difference(ctx40):
@@ -400,7 +444,7 @@ def test_b0_slope_matches_finite_difference(ctx40):
     mctx = ctx40.mp()
     a = mctx.mpf("0.3")
     h = mctx.mpf(10) ** (-8)
-    fd = (b2k_limit(a, 0, ctx40, probe_phi="1e-8") - B2k(0, a, 0, ctx40)) / h
+    fd = (b2k_limit(a, 0, ctx40, probe_phi="1e-8") - _limit(a, 0, ctx40)) / h
     slope = b0_phi_slope(a, ctx40)
     assert abs(fd - slope) < mctx.mpf(10) ** (-6) * max(1, abs(slope))
 
@@ -417,8 +461,8 @@ def test_Bhat_dual_forms_agree(ctx40):
     tol = mctx.mpf(10) ** (-(ctx40.digits - 5))
     for k, phi, alpha in ((0, "0.785", "0.25"), (1, "2.0", "0.6"), (2, "1.1", "0.9")):
         p, a = mctx.mpf(phi), mctx.mpf(alpha)
-        v1 = Bhat2k(p, a, k, ctx40)
-        v2 = _bhat2k_alt(p, a, k, ctx40)
+        v1 = coefficient_set(p, a, k, ctx40).Bhat[k]
+        v2 = bhat2k_alt(p, a, k, ctx40)
         assert abs(v1 - v2) <= tol * max(1, abs(v1))
 
 
@@ -427,8 +471,8 @@ def test_Bhat0_on_stokes_line_substitution(ctx40):
     # image term 2 e^{i pi (1/2 - alpha)}/c(pi)
     mctx = ctx40.mp()
     a = mctx.mpf("0.25")
-    want = A2k(mctx.pi, a, 0, ctx40) - 2 * mctx.expj(
+    coeffs = coefficient_set(mctx.pi, a, 0, ctx40)
+    want = coeffs.A[0] - 2 * mctx.expj(
         mctx.pi * (mctx.mpf(1) / 2 - a)
     ) / c_of_phi(mctx.pi, ctx40)
-    got = Bhat2k(mctx.pi, a, 0, ctx40)
-    assert abs(got - want) < mctx.mpf(10) ** (-35) * max(1, abs(want))
+    assert abs(coeffs.Bhat[0] - want) < mctx.mpf(10) ** (-35) * max(1, abs(want))

@@ -7,6 +7,8 @@ remainder oracles.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import warnings
 
@@ -21,6 +23,7 @@ from voigt_asym import (
     UnsupportedOrderError,
     VoigtArgument,
     algebraic_partial_sums,
+    coefficient_set,
     evaluate_via_expansion,
     hat_expansion,
     leading_remainder,
@@ -177,11 +180,9 @@ def test_terminant_away_matches_gamma_oracle(ctx40):
     for k_terms in (1, 3, 5):
         T_est = terminant_asymptotic(z, mctx.mpf("12.5"), "away", k_terms, ctx40)
         # first omitted term of the A-series sets the accuracy
-        from voigt_asym import A2k
-
         phi = mctx.pi - mctx.arg(z)
         omitted = abs(
-            A2k(phi, mctx.mpf("0.25"), k_terms, ctx40)
+            coefficient_set(phi, mctx.mpf("0.25"), k_terms, ctx40).A[k_terms]
         ) / abs(z) ** k_terms
         pref = abs(mctx.exp(-z - abs(z))) / mctx.sqrt(2 * mctx.pi * abs(z))
         bound = 2 * pref * omitted / abs(1 - mctx.expj(phi))
@@ -213,10 +214,23 @@ def test_terminant_validation(ctx40):
         terminant_asymptotic(z, 9.5, "smooth", 2, ctx40)
     with pytest.raises(UnsupportedOrderError):
         terminant_asymptotic(z, 9.5, "uniform", 6, ctx40)
-    near = 9 * mctx.expj(mctx.pi - mctx.mpf("0.01"))
     with pytest.raises(UnsupportedOrderError):
-        # close to the Stokes line only three B terms are available
-        terminant_asymptotic(near, 9.5, "uniform", 4, ctx40)
+        # on the Stokes line itself only the limits B_0, B_2, B_4 exist
+        terminant_asymptotic(mctx.mpf(-9), 9.5, "uniform", 4, ctx40)
+    # just off the line all five orders are there: |z| = r^2 = 9 and
+    # nu = 9.5 put the exact terminant at the m = 9 remainder of the point
+    # with phi = pi - 2 theta = 0.01
+    arg = VoigtArgument.from_polar(3, (mctx.pi - mctx.mpf("0.01")) / 2, ctx40)
+    near = arg.z(ctx40)
+    rem = remainder_exact(arg, 9, ctx40, route="gamma")
+    T_exact = mctx.mpc(rem.K, -rem.L) * mctx.exp(-near) / 2
+    phi = mctx.pi - mctx.arg(near)
+    pref = abs(mctx.exp(-near - 9)) / mctx.sqrt(18 * mctx.pi)
+    for k_terms in (4, 5):
+        T_est = terminant_asymptotic(near, 9.5, "uniform", k_terms, ctx40)
+        omitted = abs(coefficient_set(phi, mctx.mpf("0.5"), k_terms, ctx40).B[k_terms])
+        # the same bound theorem2 reports: three first omitted terms
+        assert abs(T_est - T_exact) <= 3 * pref * omitted / mctx.mpf(9) ** k_terms
 
 
 # ------------------------------------------------------------- theorem 1
@@ -266,15 +280,83 @@ def test_theorem1_error_law_at_optimal_truncation(ctx40):
         assert err <= mctx.mpf("0.05") * mctx.exp(-r * r) / mctx.mpf(r) ** 7
 
 
+def _honesty_grid(variant, n):
+    # seeded (r, theta/pi) draws, r in [2, 10]: theta/pi below 0.45 for eq41;
+    # for eq42 every third draw within phi < 0.15 of the Stokes line and the
+    # rest anywhere in [0, 1/2]
+    rng = random.Random("err-estimate/" + variant)
+    draws = []
+    for i in range(n):
+        r = "%.4f" % rng.uniform(2, 10)
+        if variant == "eq41":
+            t = rng.uniform(0, 0.45)
+        elif i % 3 == 0:
+            t = (1 - rng.uniform(0, 0.15) / math.pi) / 2
+        else:
+            t = rng.uniform(0, 0.5)
+        draws.append((r, "%.6f" % t))
+    return draws
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_remainder(r, theta_over_pi):
+    ctx = PrecisionContext(digits=40)
+    mctx = ctx.mp()
+    arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+    plan = optimal_truncation(arg.r, ctx)
+    return arg, plan, remainder_exact(arg, plan.m, ctx, route="gamma")
+
+
+def _outside_err_estimate(estimate, r, theta_over_pi, k_terms, ctx):
+    arg, plan, ex = _exact_remainder(r, theta_over_pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StokesCollarWarning)
+        est = estimate(arg, plan, k_terms, ctx)
+    mctx = ctx.mp()
+    miss = abs(mctx.mpc(est.Khat - ex.K, est.Lhat - ex.L))
+    return miss > est.err_estimate, miss / est.err_estimate
+
+
 def test_theorem1_error_estimate_is_honest(ctx40):
-    mctx = ctx40.mp()
-    arg = VoigtArgument.from_polar(4, mctx.pi / 4, ctx40)
-    plan = optimal_truncation(4, ctx40)
-    for k_terms in (1, 2, 3):
-        est = theorem1(arg, plan, k_terms, ctx40)
-        ex = remainder_exact(arg, plan.m, ctx40)
-        assert abs(est.Khat - ex.K) <= est.err_estimate
-        assert abs(est.Lhat - ex.L) <= est.err_estimate
+    # eq41 bounds the exact remainder at every k_terms = 1..5 on the grid
+    for r, t in _honesty_grid("eq41", 40):
+        for k_terms in range(1, 6):
+            outside, ratio = _outside_err_estimate(theorem1, r, t, k_terms, ctx40)
+            assert not outside, (r, t, k_terms, ratio)
+
+
+def test_theorem1_error_estimate_uses_the_real_omitted_term(ctx40):
+    # at k_terms = 5 the omitted term is A_10 itself, not a guess from the
+    # last kept term; the guess understated the error at both points
+    for r, t in (("2.588", "0.3644"), ("7.718", "0.43")):
+        outside, ratio = _outside_err_estimate(theorem1, r, t, 5, ctx40)
+        assert not outside, (r, t, ratio)
+
+
+# eq42 cases where three first omitted terms still fall short of the
+# error; they lie at r < 3 within phi < 0.15 of the Stokes line
+_EQ42_UNDERSTATED = {("2.9291", "0.496025", 3)}
+
+
+def _eq42_cases():
+    cases = []
+    for r, t in _honesty_grid("eq42", 45):
+        for k_terms in range(1, 6):
+            marks = ()
+            if (r, t, k_terms) in _EQ42_UNDERSTATED:
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    reason="eq42 at r < 3 near the Stokes line: the first omitted "
+                    "term understates the error",
+                )
+            cases.append(pytest.param(r, t, k_terms, marks=marks))
+    return cases
+
+
+@pytest.mark.parametrize("r, theta_over_pi, k_terms", _eq42_cases())
+def test_theorem2_error_estimate_is_honest(r, theta_over_pi, k_terms, ctx40):
+    outside, ratio = _outside_err_estimate(theorem2, r, theta_over_pi, k_terms, ctx40)
+    assert not outside, ratio
 
 
 # ------------------------------------------------------------- theorem 2
@@ -327,11 +409,20 @@ def test_theorem2_on_stokes_line_recovers_real_axis_value(ctx40):
 
 
 def test_theorem2_k_terms_cap_near_stokes(ctx40):
+    # only phi = 0 itself lacks B_6 and up; just off the line all five
+    # orders are there and the answer stays within its err_estimate
     mctx = ctx40.mp()
     plan = optimal_truncation(6, ctx40)
-    near = VoigtArgument.from_polar(6, mctx.pi * mctx.mpf("0.49"), ctx40)
+    on_line = VoigtArgument.from_polar(6, mctx.pi / 2, ctx40)
+    assert on_line.phi == 0
     with pytest.raises(UnsupportedOrderError):
-        theorem2(near, plan, 4, ctx40)
+        theorem2(on_line, plan, 4, ctx40)
+    theorem2(on_line, plan, 3, ctx40)
+    near = VoigtArgument.from_polar(6, (mctx.pi - mctx.mpf("0.01")) / 2, ctx40)
+    ex = remainder_exact(near, plan.m, ctx40, route="gamma")
+    for k_terms in (4, 5):
+        est = theorem2(near, plan, k_terms, ctx40)
+        assert abs(mctx.mpc(est.Khat - ex.K, est.Lhat - ex.L)) <= est.err_estimate
     far = VoigtArgument.from_polar(6, mctx.pi / 4, ctx40)
     theorem2(far, plan, 5, ctx40)  # five terms fine away from the line
 

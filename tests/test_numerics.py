@@ -17,15 +17,17 @@ from voigt_asym import (
     PrecisionContext,
     QuadratureError,
     VoigtArgument,
-    erfc_asymptotic,
-    erfc_complex,
     integrate_semi_infinite,
     pochhammer,
     remainder_exact,
-    upper_incomplete_gamma_half,
     upper_incomplete_gamma_half_ladder,
 )
-from voigt_asym.numerics import _gamma_widening
+from voigt_asym.numerics import (
+    _gamma_widening,
+    erfc_asymptotic,
+    erfc_complex,
+    upper_incomplete_gamma_half,
+)
 
 HALF = Fraction(1, 2)
 
