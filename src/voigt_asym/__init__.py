@@ -18,7 +18,6 @@ from .exceptions import (
     DomainError,
     PrecisionError,
     QuadratureError,
-    SingularInputError,
     StokesCollarWarning,
     UnsupportedOrderError,
     VoigtError,
@@ -77,7 +76,6 @@ __all__ = [
     "QuadratureError",
     "RemainderEstimate",
     "ReversionSeries",
-    "SingularInputError",
     "StokesCollarWarning",
     "TruncationPlan",
     "UnsupportedOrderError",

@@ -178,19 +178,20 @@ def cmd_eval(args) -> int:
     arg, sign_K, sign_L, x_in, y_in = _parse_point(args, ctx)
     mctx = ctx.mp()
     method = args.method
-    k_terms = None
-    m_used = None
-    alpha = None
-    if method == "oracle":
-        ev = voigt_exact_erfc(arg, ctx)
-    elif method == "quadrature":
-        ev = voigt_quadrature(arg, ctx)
-    elif method == "algebraic":
+    k_terms = m_used = alpha = None
+    if method in ("algebraic", "theorem1", "theorem2"):
+        # one plan per evaluation, and with it one below-range warning
         plan = (
             optimal_truncation(arg.r, ctx)
             if args.m is None
             else TruncationPlan.for_m(args.m, arg.r, ctx)
         )
+        m_used, alpha = plan.m, plan.alpha
+    if method == "oracle":
+        ev = voigt_exact_erfc(arg, ctx)
+    elif method == "quadrature":
+        ev = voigt_quadrature(arg, ctx)
+    elif method == "algebraic":
         ev = algebraic_partial_sums(arg, plan.m, ctx)
         # accuracy is limited by the first omitted term plus the
         # exponentially small remainder the sum cannot see
@@ -199,17 +200,10 @@ def cmd_eval(args) -> int:
         ev = dataclasses.replace(
             ev, err_estimate=ctx.mp().mpf(nxt + mctx.exp(-r * r))
         )
-        m_used, alpha = plan.m, plan.alpha
     elif method in ("theorem1", "theorem2"):
         variant = "eq41" if method == "theorem1" else "eq42"
         k_terms = args.k_terms
-        ev = evaluate_via_expansion(arg, variant, k_terms, args.m, ctx)
-        plan = (
-            optimal_truncation(arg.r, ctx)
-            if args.m is None
-            else TruncationPlan.for_m(args.m, arg.r, ctx)
-        )
-        m_used, alpha = plan.m, plan.alpha
+        ev = evaluate_via_expansion(arg, variant, k_terms, plan.m, ctx)
     else:
         raise _UsageError("unknown method %r" % (method,))
 

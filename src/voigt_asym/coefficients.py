@@ -37,6 +37,7 @@ from .exceptions import DomainError, UnsupportedOrderError
 from .numerics import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    erfcx,
     round_widening,
     to_mpf,
 )
@@ -101,10 +102,22 @@ def _h_sums(alpha, u, n: int) -> list:
 
 
 def _c_raw(mctx, phi):
-    # principal square root of 2(1 - i phi - e^{-i phi}); the radicand stays
-    # in the closed fourth quadrant for phi in [0, pi], so the principal
-    # branch is the continuous one with c ~ phi near 0
-    return mctx.sqrt(2 * (1 - 1j * phi - mctx.expj(-phi)))
+    # principal square root of 2(1 - i phi - e^{-i phi}) = 4 sin^2(phi/2)
+    # - 2i (phi - sin phi), in the closed fourth quadrant for phi in [0, pi],
+    # so the principal branch is the continuous one with c ~ phi near 0.
+    # phi - sin phi costs c log10(1/phi) digits, more than the guard digits
+    # cover below phi = 1e-3, where it comes from its series instead
+    cos_half, sin_half = mctx.cos_sin(phi / 2)
+    if phi < 0.001:
+        term = diff = phi**3 / 6
+        k = 1
+        while abs(term) > mctx.eps * diff:
+            term *= -phi * phi / ((2 * k + 2) * (2 * k + 3))
+            diff += term
+            k += 1
+    else:
+        diff = phi - 2 * sin_half * cos_half
+    return mctx.sqrt(mctx.mpc(4 * sin_half * sin_half, -2 * diff))
 
 
 def c_of_phi(phi, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -117,14 +130,16 @@ def c_of_phi(phi, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Stokes smoothing factor E(phi) = sqrt(2 pi) e^{zeta^2} erfc(zeta)
-    with zeta = c(phi) r / sqrt(2). E(0) = sqrt(2 pi)."""
+    with zeta = c(phi) r / sqrt(2), evaluated as sqrt(2 pi) erfcx(zeta) by
+    the scaled kernel (zeta lies in the closed fourth quadrant, its domain),
+    which never forms e^{-zeta^2} only to cancel it. E(0) = sqrt(2 pi)."""
     mctx = ctx.mp()
     p = _check_phi(mctx, phi)
     rr = to_mpf(mctx, r)
     if not rr > 0:
         raise DomainError("E_of_phi needs r > 0, got %s" % (rr,))
     zeta = _c_raw(mctx, p) * rr / mctx.sqrt(2)
-    return mctx.sqrt(2 * mctx.pi) * mctx.exp(zeta * zeta) * mctx.erfc(zeta)
+    return mctx.sqrt(2 * mctx.pi) * erfcx(zeta, mctx)
 
 
 def _b_widening(mctx, phi, k: int) -> int:
@@ -192,8 +207,18 @@ def coefficient_set(
     )
 
 
-def _closed_forms(mctx, phi, alpha, k_max: int):
+@lru_cache(maxsize=None)
+def _laplace_tables_in(mctx):
+    """(-1)^k gamma_k and the c_{j,k} rows as numbers of ``mctx``, cached."""
     gamma, cjk = _laplace_tables()
+    return (
+        tuple(mctx.mpc(mctx.convert((-1) ** k * g)) for k, g in enumerate(gamma)),
+        tuple(tuple(mctx.convert(c) for c in row) for row in cjk),
+    )
+
+
+def _closed_forms(mctx, phi, alpha, k_max: int):
+    signed_gamma, cjk = _laplace_tables_in(mctx)
     e = mctx.expj(phi)
     h = _h_sums(alpha, e / (1 - e), 2 * k_max)
     to_B = mctx.expj(phi * alpha) / (1 - e)
@@ -203,9 +228,9 @@ def _closed_forms(mctx, phi, alpha, k_max: int):
     c_pow = c  # c^{2k+1}
     A, B, Bhat = [], [], []
     for k in range(k_max + 1):
-        a_k = mctx.mpc(mctx.convert((-1) ** k * gamma[k]))
+        a_k = signed_gamma[k]
         for j, c_jk in enumerate(cjk[k], start=2):
-            a_k += mctx.convert(c_jk) * h[j]
+            a_k += c_jk * h[j]
         b_k = to_B * a_k - 1j * (-1) ** k * _DOUBLE_FACTORIAL[k] / c_pow
         A.append(a_k)
         B.append(b_k)

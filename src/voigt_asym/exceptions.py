@@ -18,10 +18,6 @@ class DomainError(VoigtError):
     """The argument lies outside the domain an operation supports."""
 
 
-class SingularInputError(DomainError):
-    """The requested point is a genuine singularity of the formula."""
-
-
 class UnsupportedOrderError(DomainError):
     """A coefficient or term order beyond the tabulated data was requested.
 

@@ -31,7 +31,7 @@ from .exceptions import (
     StokesCollarWarning,
     UnsupportedOrderError,
 )
-from .numerics import DEFAULT_CONTEXT, GUARD_DIGITS, PrecisionContext, to_mpf
+from .numerics import DEFAULT_CONTEXT, GUARD_DIGITS, PrecisionContext, erfcx, to_mpf
 from .oracle import Evaluation, VoigtArgument
 
 # theta within this collar (in radians, as a fraction of pi) of the Stokes
@@ -134,7 +134,7 @@ def algebraic_partial_sums(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # callers keep many; slots make each smaller
 class RemainderEstimate:
     """An asymptotic estimate of the truncation remainder (hat-K, hat-L)."""
 
@@ -205,9 +205,11 @@ def terminant_asymptotic(
     zeta = c_of_phi(phi, ctx) * mctx.sqrt(absz / 2)
     B = coefficient_set(phi, alpha, k_terms - 1, ctx).B
     series = sum(B[k] / absz**k for k in range(k_terms))
-    val = mctx.erfc(zeta) / 2 - mctx.mpc(0, 1) * mctx.exp(
-        -zz - absz + mctx.mpc(0, 1) * phi * absz
-    ) / mctx.sqrt(2 * mctx.pi * absz) * series
+    # erfc(zeta) = e^{-zeta^2} erfcx(zeta), and zeta^2 = z + |z| - i phi |z|
+    # is also the exponent of the correction series
+    val = mctx.exp(-zeta * zeta) * (
+        erfcx(zeta, mctx) / 2 - mctx.mpc(0, 1) * series / mctx.sqrt(2 * mctx.pi * absz)
+    )
     return ctx.mp().mpc(val)
 
 

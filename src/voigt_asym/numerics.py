@@ -1,4 +1,4 @@
-"""Precision-configurable arithmetic and the gamma/erfc/quadrature primitives.
+"""Precision-configurable arithmetic and the gamma/erfcx/quadrature primitives.
 
 Everything downstream (oracles, coefficients, expansions) runs on the
 primitives defined here. The precision model is a software extended-precision
@@ -126,48 +126,40 @@ def pochhammer(a, k: int) -> Fraction:
     return acc
 
 
-def erfc_complex(z, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Complementary error function of a complex argument, to context
-    precision. Satisfies erfc(z) + erfc(-z) = 2 and agrees with the real
-    erfc on the real axis."""
-    mctx = ctx.mp()
-    zz = to_mpc(mctx, z)
-    if not (mctx.isfinite(zz.real) and mctx.isfinite(zz.imag)):
-        raise DomainError("erfc_complex requires a finite argument")
-    try:
-        val = mctx.erfc(zz)
-    except Exception as exc:  # mpmath failure surfaces as a precision error
-        raise PrecisionError("erfc evaluation failed at z=%s: %s" % (zz, exc)) from exc
-    if zz.imag == 0:
-        val = mctx.mpc(val.real if hasattr(val, "real") else val, 0)
-    return mctx.mpc(val)
+def erfcx(z, mctx):
+    """e^{z^2} erfc(z) for Re z >= 0, at the precision of the mpmath
+    context ``mctx``, by one of three branches picked from z and mctx.dps:
 
-
-def erfc_asymptotic(z, n_terms: int, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Large-|z| expansion of erfc: (e^{-z^2}/sqrt(pi)) sum of
-    (-1)^k (1/2)_k z^{-2k-1} over k < n_terms.
-
-    Valid in the sector |arg z| < 3pi/4 with |z| >= 2; outside that the
-    expansion does not represent erfc and the call is refused.
+    * |z|^2 > dps ln 10: the asymptotic series U(1/2, 1/2, z^2)/sqrt(pi)
+      = (1/(z sqrt(pi))) sum (-1)^k (1/2)_k z^{-2k}, whose least term is
+      below 10^-dps there at every arg z;
+    * Re z <= 2: mpmath's erfc(z) times e^{z^2};
+    * otherwise e^{z^2} (1 - erf z), at a precision widened by the
+      Re(z^2) log10(e) digits the difference cancels (fewer than dps).
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
-    mctx = ctx.mp()
     zz = to_mpc(mctx, z)
-    if abs(zz) < 2:
-        raise DomainError("erfc_asymptotic needs |z| >= 2, got |z|=%s" % abs(zz))
-    if abs(mctx.arg(zz)) >= 3 * mctx.pi / 4:
-        raise DomainError(
-            "erfc_asymptotic valid only for |arg z| < 3*pi/4, got arg z=%s" % mctx.arg(zz)
-        )
-    zinv2 = 1 / (zz * zz)
-    term = 1 / zz
-    total = mctx.mpc(0)
-    for k in range(n_terms):
-        if k:
-            term *= -(mctx.mpf(2 * k - 1) / 2) * zinv2
-        total += term
-    return mctx.exp(-zz * zz) / mctx.sqrt(mctx.pi) * total
+    if not (mctx.isfinite(zz) and zz.real >= 0):
+        raise DomainError("erfcx covers finite z with Re z >= 0, got %s" % (zz,))
+    absz2 = float(abs(zz) ** 2)
+    if absz2 > mctx.dps * math.log(10):
+        # the k-th term has modulus (1/2)_k / |z|^{2k}: stop once it is below
+        # the working precision, or at the least term
+        log_term, n, log_absz2 = 0.0, 0, math.log(absz2)  # inf past the float range
+        while log_term > -mctx.prec * math.log(2) and n < absz2:
+            n += 1
+            log_term += math.log(n - 0.5) - log_absz2
+        q = -1 / (2 * zz * zz)  # term_k / term_{k-1} = q (2k - 1)
+        term = total = mctx.mpc(1)
+        for k in range(1, n + 1):
+            term *= q * (2 * k - 1)
+            total += term
+        return total / (zz * mctx.sqrt(mctx.pi))
+    if zz.real <= 2:
+        return mctx.exp(zz * zz) * mctx.erfc(zz)
+    cancel = max(0, math.ceil(float((zz * zz).real) * math.log10(math.e)))
+    wctx = mp_context(mctx.dps + round_widening(cancel + 10))
+    zw = wctx.convert(zz)
+    return mctx.mpc(wctx.exp(zw * zw) * (1 - wctx.erf(zw)))
 
 
 def _gamma_widening(absz: float, digits: int) -> int:
@@ -179,10 +171,11 @@ def _gamma_widening(absz: float, digits: int) -> int:
 def upper_incomplete_gamma_half_ladder(
     m_max: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> list:
-    """All of Gamma(1/2 - m, z) for m = 0..m_max, by one downward sweep.
+    """All of e^z Gamma(1/2 - m, z) for m = 0..m_max, by one downward sweep;
+    the entries are scaled by e^z.
 
-    Base case Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) with the principal
-    square root, then Gamma(a-1, z) = (Gamma(a, z) - z^{a-1} e^{-z})/(a-1)
+    With G_a = e^z Gamma(a, z): base case G_{1/2} = sqrt(pi) erfcx(sqrt(z))
+    with the principal square root, then G_{a-1} = (G_a - z^{a-1})/(a-1)
     repeatedly. The sweep runs at precision widened per the cancellation
     rule; an a-posteriori loss check turns silent digit loss into an
     explicit error.
@@ -196,7 +189,7 @@ def upper_incomplete_gamma_half_ladder(
         )
     probe = to_mpc(ctx.mp(), z)
     if probe == 0:
-        raise DomainError("upper_incomplete_gamma_half requires z != 0")
+        raise DomainError("the incomplete-gamma ladder requires z != 0")
     absz = float(abs(probe))
 
     effective = _gamma_widening(absz, ctx.digits)
@@ -205,8 +198,7 @@ def upper_incomplete_gamma_half_ladder(
         wctx = mp_context(effective)
         ulp = wctx.mpf(10) ** (-effective)
         zz = to_mpc(wctx, z)
-        g = wctx.sqrt(wctx.pi) * wctx.erfc(wctx.sqrt(zz))
-        emz = wctx.exp(-zz)
+        g = wctx.sqrt(wctx.pi) * erfcx(wctx.sqrt(zz), wctx)
         a = wctx.mpf(1) / 2
         za = zz ** (a - 1)  # z^{a-1}, kept in step with a
         ladder = [g]
@@ -217,9 +209,8 @@ def upper_incomplete_gamma_half_ladder(
         least = abs(g) / err if g != 0 else wctx.one
         for _ in range(m_max):
             a -= 1
-            sub = za * emz
-            err = (err + (abs(g) + abs(sub)) * ulp) / abs(a)
-            g = (g - sub) / a
+            err = (err + (abs(g) + abs(za)) * ulp) / abs(a)
+            g = (g - za) / a
             za = za / zz
             ladder.append(g)
             if g == 0:
@@ -235,13 +226,6 @@ def upper_incomplete_gamma_half_ladder(
         "%d requested digits despite widening" % (m_max, absz, attained, ctx.digits),
         attained=attained,
     )
-
-
-def upper_incomplete_gamma_half(
-    m: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT
-):
-    """Gamma(1/2 - m, z) for nonnegative integer m, principal branch."""
-    return upper_incomplete_gamma_half_ladder(m, z, ctx)[m]
 
 
 class QuadratureResult(NamedTuple):

@@ -37,7 +37,6 @@ from .numerics import (
     PrecisionContext,
     integrate_semi_infinite,
     mp_context,
-    pochhammer,
     to_mpf,
     upper_incomplete_gamma_half_ladder,
 )
@@ -114,7 +113,7 @@ class VoigtArgument:
         return w * w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # callers keep many; slots make each smaller
 class Evaluation:
     """One computed (K, L) pair and how it was obtained.
 
@@ -144,7 +143,8 @@ def reduce_to_first_quadrant(
 
 
 def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Evaluation:
-    """K - iL = e^{w^2} erfc(w), with exact special values on the axes."""
+    """K - iL = e^{w^2} erfc(w), with exact special values on the axes; by
+    mpmath's erfc, never the ``numerics.erfcx`` kernel this oracle judges."""
     mctx = ctx.mp(extra=GUARD_DIGITS)
     out = ctx.mp()
     eps = out.mpf(10) ** (1 - ctx.digits)
@@ -335,15 +335,16 @@ def _gamma_remainders(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):
     mctx = ctx.mp(extra=GUARD_DIGITS)
     z = arg.z(PrecisionContext(digits=ctx.digits + GUARD_DIGITS))
     ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
-    ez_over_sqrtpi = mctx.exp(z) / mctx.sqrt(mctx.pi)
+    inv_sqrtpi = 1 / mctx.sqrt(mctx.pi)
     out = ctx.mp()
     eps = out.mpf(10) ** (1 - ctx.digits)
 
     def remainder(m: int) -> Evaluation:
-        # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, where
+        # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, where the ladder
+        # holds e^z Gamma(1/2 - m, z) and
         # Gamma(m + 1/2) / sqrt(pi) = (1/2)_m = (2m)! / (4^m m!) exactly
         half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-        val = (-1) ** m * mctx.convert(half_poch) * ez_over_sqrtpi * mctx.mpc(ladder[m])
+        val = (-1) ** m * mctx.convert(half_poch) * inv_sqrtpi * mctx.mpc(ladder[m])
         K = out.mpf(val.real)
         L = out.mpf(-val.imag)
         return Evaluation(K=K, L=L, method="remainder-gamma",

@@ -5,9 +5,10 @@ check paths."""
 from __future__ import annotations
 
 import json
+import warnings
 
 import voigt_asym.cli as cli
-from voigt_asym import PrecisionError, mp_context
+from voigt_asym import BelowAsymptoticRangeWarning, PrecisionError, mp_context
 from voigt_asym.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -99,6 +100,18 @@ def test_eval_theorem_methods_track_oracle(capsys):
         assert rec["m"] is not None and rec["alpha"] is not None
         err = mctx.mpf(rec["err_estimate"])
         assert abs(mctx.mpf(rec["K"]) - K_exact) <= err
+
+
+def test_eval_warns_once_below_asymptotic_range(capsys):
+    # the truncation plan is built once per evaluation, and with it the
+    # below-range warning
+    for method in ("theorem1", "theorem2", "algebraic"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run(capsys, "eval", "--r", "0.5", "--theta-over-pi", "0.1",
+                               "--method", method)
+        assert rc == EXIT_OK, err
+        assert [w.category for w in caught] == [BelowAsymptoticRangeWarning], method
 
 
 def test_eval_formats(capsys):

@@ -14,6 +14,8 @@ import pytest
 from coefficient_reference import CJK_TABLE, STIRLING_GAMMA, bhat2k_alt, h_power_sum
 from voigt_asym import (
     DomainError,
+    PrecisionContext,
+    mp_context,
     UnsupportedOrderError,
     E_of_phi,
     b0_phi_slope,
@@ -289,6 +291,31 @@ def test_c_of_phi_small_phi_series(ctx40):
         + mctx.mpc(0, 1) * phi**4 / 270
     )
     assert abs(got - series) < mctx.mpf(10) ** (-12)
+
+
+def test_c_of_phi_tiny_phi_keeps_every_digit():
+    # the radicand 2(1 - i phi - e^{-i phi}) ~ phi^2 cancels across
+    # 2 log10(1/phi) digits, beyond the working precision at these phi;
+    # c = phi sqrt(1 - i phi/3 - phi^2/12 + i phi^3/60 + phi^4/360) + O(phi^6),
+    # whose last two terms matter only at 100 digits and phi = 1e-30
+    for digits in (16, 40, 100):
+        ctx = PrecisionContext(digits=digits)
+        mctx = ctx.mp()
+        j = mctx.mpc(0, 1)
+        for text in ("1e-30", "1e-400"):
+            phi = mctx.mpf(text)
+            want = phi * mctx.sqrt(
+                1 - j * phi / 3 - phi**2 / 12 + j * phi**3 / 60 + phi**4 / 360)
+            got = c_of_phi(phi, ctx)
+            assert abs(got - want) <= mctx.mpf(10) ** (1 - digits) * abs(want), (digits, text)
+        # either side of phi = 1e-3, where c switches to the series, against
+        # the closed form at 40 more digits than it cancels
+        ref = mp_context(mctx.dps + 40)
+        for text in ("0.000999", "0.001001", "0.15"):
+            phi = ref.mpf(text)
+            want = ref.sqrt(2 * (1 - 1j * phi - ref.expj(-phi)))
+            got = ref.mpc(c_of_phi(text, ctx))
+            assert abs(got - want) <= ref.mpf(10) ** (1 - digits) * abs(want), (digits, text)
 
 
 def test_c_of_phi_on_stokes_line(ctx40):

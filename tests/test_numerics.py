@@ -1,7 +1,9 @@
-"""Extended-precision kernel tests: Pochhammer symbols, complex erfc and its
-asymptotic series, the incomplete-gamma ladder, and the semi-infinite
-quadrature engine. Expected values are either trivial identities or were
-frozen from independent oracle evaluations before the implementation existed.
+"""Extended-precision kernel tests: Pochhammer symbols, the scaled
+complementary error function erfcx and its asymptotic series, the scaled
+incomplete-gamma ladder, and the semi-infinite quadrature engine. Expected
+values are trivial identities, values frozen from independent oracle
+evaluations before the implementation existed, or mpmath's own erfc and
+gammainc at 20 more digits.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ from voigt_asym import (
     remainder_exact,
     upper_incomplete_gamma_half_ladder,
 )
-from voigt_asym.numerics import (
-    _gamma_widening,
-    erfc_asymptotic,
-    erfc_complex,
-    upper_incomplete_gamma_half,
-)
+from voigt_asym.numerics import _gamma_widening, erfcx, mp_context
 
 HALF = Fraction(1, 2)
 
@@ -53,10 +50,10 @@ def test_pochhammer_integer_start_is_factorial():
     assert pochhammer(1, 6) == Fraction(720)
 
 
-# -------------------------------------------------------------------- erfc
+# -------------------------------------------------------------------- erfcx
 
 def test_erfc_at_zero(ctx40):
-    v = erfc_complex(0, ctx40)
+    v = erfcx(0, ctx40.mp())
     assert v.real == 1 and v.imag == 0
 
 
@@ -64,38 +61,55 @@ def test_erfc_one_matches_voigt_K_on_imaginary_axis(ctx40):
     from voigt_asym import voigt_exact_erfc
 
     mctx = ctx40.mp()
-    lhs = mctx.e * erfc_complex(1, ctx40).real
+    lhs = erfcx(1, mctx).real  # e^1 erfc(1)
     ev = voigt_exact_erfc(VoigtArgument.from_xy(0, 1, ctx40), ctx40)
     assert abs(lhs - ev.K) < mctx.mpf(10) ** (-(ctx40.digits - 3))
     assert ev.L == 0
 
 
 def test_erfc_reflection_identity_random(ctx40):
+    # erfc(z) + erfc(-z) = 2 reads erfcx(z) + erfcx(-z) = 2 e^{z^2} on the
+    # imaginary axis, where z and -z both lie in the kernel's half-plane;
+    # |z| up to 12 crosses into the asymptotic branch. Off the axis the
+    # kernel is conjugate-symmetric.
     rng = random.Random(411)
     mctx = ctx40.mp()
     tol = mctx.mpf(10) ** (-(ctx40.digits - 5))
-    for _ in range(100):
-        z = mctx.mpc(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        total = erfc_complex(z, ctx40) + erfc_complex(-z, ctx40)
-        scale = max(1, abs(erfc_complex(z, ctx40)))
-        assert abs(total - 2) <= tol * scale
+    for _ in range(50):
+        z = mctx.mpc(0, rng.uniform(-12, 12))
+        total = erfcx(z, mctx) + erfcx(-z, mctx)
+        assert abs(total - 2 * mctx.exp(z * z)) <= tol * abs(erfcx(z, mctx))
+    for _ in range(50):
+        z = mctx.mpc(rng.uniform(0, 12), rng.uniform(-12, 12))
+        assert abs(erfcx(mctx.conj(z), mctx) - mctx.conj(erfcx(z, mctx))) <= tol * abs(
+            erfcx(z, mctx))
 
 
-def test_erfc_asymptotic_single_term_real(ctx40):
-    mctx = ctx40.mp()
-    z = mctx.mpf(4)
-    got = erfc_asymptotic(z, 1, ctx40)
-    want = mctx.exp(-z * z) / (z * mctx.sqrt(mctx.pi))
-    assert abs(got - want) < mctx.mpf(10) ** (-(ctx40.digits - 3)) * abs(want)
+def _asymptotic_sum(mctx, z, n):
+    # the first n terms of e^{z^2} erfc(z) ~ (1/(z sqrt(pi))) sum of
+    # (-1)^k (1/2)_k z^{-2k}
+    return sum(
+        (-1) ** k * mctx.convert(pochhammer(HALF, k)) / z ** (2 * k + 1) for k in range(n)
+    ) / mctx.sqrt(mctx.pi)
 
 
 def _first_omitted(mctx, z, n):
-    return (
-        mctx.exp(-(z * z).real)
-        / mctx.sqrt(mctx.pi)
-        * mctx.convert(pochhammer(HALF, n))
-        / abs(z) ** (2 * n + 1)
-    )
+    return mctx.convert(pochhammer(HALF, n)) / (mctx.sqrt(mctx.pi) * abs(z) ** (2 * n + 1))
+
+
+def test_erfc_asymptotic_single_term_real(ctx40):
+    # one term of the asymptotic series misses e^{z^2} erfc(z) by at most
+    # the first omitted term on the positive real axis
+    mctx = ctx40.mp()
+    z = mctx.mpf(4)
+    got = erfcx(z, mctx)
+    lead = 1 / (z * mctx.sqrt(mctx.pi))
+    assert abs(got - lead) <= _first_omitted(mctx, z, 1)
+    assert abs(got - lead) >= _first_omitted(mctx, z, 1) / 2
+    # past the float range the leading term is the whole answer
+    z = mctx.mpc("1e200", "1e199")
+    lead = 1 / (z * mctx.sqrt(mctx.pi))
+    assert abs(erfcx(z, mctx) - lead) <= mctx.mpf(10) ** (-(ctx40.digits + 3)) * abs(lead)
 
 
 def test_erfc_asymptotic_real_optimal_truncation(ctx40):
@@ -103,7 +117,7 @@ def test_erfc_asymptotic_real_optimal_truncation(ctx40):
     mctx = ctx40.mp()
     z = mctx.mpf(3)
     n = 9
-    diff = abs(erfc_asymptotic(z, n, ctx40) - erfc_complex(z, ctx40))
+    diff = abs(_asymptotic_sum(mctx, z, n) - erfcx(z, mctx))
     assert diff <= _first_omitted(mctx, z, n)
 
 
@@ -113,26 +127,73 @@ def test_erfc_asymptotic_rotated_argument(ctx40):
     mctx = ctx40.mp()
     z = 4 * mctx.expj(mctx.pi / 2 - mctx.mpf("0.1"))
     n = 16
-    diff = abs(erfc_asymptotic(z, n, ctx40) - erfc_complex(z, ctx40))
+    diff = abs(_asymptotic_sum(mctx, z, n) - erfcx(z, mctx))
     assert diff <= 4 * _first_omitted(mctx, z, n)
 
 
 def test_erfc_asymptotic_domain_checks(ctx40):
+    mctx = ctx40.mp()
     with pytest.raises(DomainError):
-        erfc_asymptotic(1, 3, ctx40)  # |z| too small
+        erfcx(complex(-3, 0.1), mctx)  # outside the right half-plane
     with pytest.raises(DomainError):
-        erfc_asymptotic(complex(-3, 0.1), 3, ctx40)  # sector violation
+        erfcx(mctx.mpc(mctx.nan, 0), mctx)
     with pytest.raises(DomainError):
-        erfc_asymptotic(4, 0, ctx40)
+        erfcx(mctx.mpc(4, mctx.inf), mctx)
+
+
+def _erfcx_grid(seed):
+    # (digits, z) over digits 16..400, |z| in [0.1, 40], arg z in
+    # [-pi/2, pi/2]: a log-uniform draw in |z|, plus points just either
+    # side of the asymptotic threshold |z|^2 = dps ln 10 and of Re z = 2
+    rng = random.Random(seed)
+    cases = []
+    for digits in (16, 40, 100, 400):
+        dps = digits + 5  # the working precision of PrecisionContext.mp()
+        edge = math.sqrt(dps * math.log(10))
+        for _ in range(30):
+            modulus = 0.1 * 400 ** rng.random()
+            angle = rng.uniform(-math.pi / 2, math.pi / 2)
+            cases.append((digits, modulus * math.cos(angle), modulus * math.sin(angle)))
+        for modulus in (edge * (1 - 1e-6), edge * (1 + 1e-6)):
+            if modulus <= 40:
+                for angle in (0.0, 0.7, -1.2, math.pi / 2):
+                    cases.append((digits, modulus * math.cos(angle), modulus * math.sin(angle)))
+        for re in (2 - 1e-9, 2 + 1e-9):
+            for im in (0.0, 1.5, -4.0, 7.5):
+                if re * re + im * im < edge * edge:
+                    cases.append((digits, re, im))
+    return cases
+
+
+def test_erfcx_matches_mpmath_on_seeded_grid():
+    # every branch, and both sides of each threshold, against mpmath's
+    # e^{z^2} erfc(z) at 20 more digits
+    seen = set()
+    for digits, re, im in _erfcx_grid(2606):
+        ctx = PrecisionContext(digits=digits)
+        mctx = ctx.mp()
+        z = mctx.mpc(re, im)
+        ref_ctx = mp_context(mctx.dps + 20)
+        zr = ref_ctx.mpc(z)
+        want = ref_ctx.exp(zr * zr) * ref_ctx.erfc(zr)
+        got = ref_ctx.mpc(erfcx(z, mctx))
+        assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (digits, z)
+        if abs(z) ** 2 > mctx.dps * math.log(10):
+            seen.add("asymptotic")
+        else:
+            seen.add("mpmath" if z.real <= 2 else "widened")
+    assert seen == {"asymptotic", "mpmath", "widened"}
 
 
 # ------------------------------------------------------ incomplete gamma
 
 def test_gamma_half_base_case(ctx40):
+    # the ladder holds e^z Gamma(1/2 - m, z); at m = 0 that is
+    # e^z sqrt(pi) erfc(sqrt(z))
     mctx = ctx40.mp()
     for z in (mctx.mpf("0.5"), mctx.mpf(2), mctx.mpf(9)):
-        got = upper_incomplete_gamma_half(0, z, ctx40)
-        want = mctx.sqrt(mctx.pi) * mctx.erfc(mctx.sqrt(z))
+        got = upper_incomplete_gamma_half_ladder(0, z, ctx40)[0]
+        want = mctx.exp(z) * mctx.sqrt(mctx.pi) * mctx.erfc(mctx.sqrt(z))
         assert abs(got - want) <= mctx.mpf(10) ** (-(ctx40.digits - 3)) * abs(want)
 
 
@@ -143,9 +204,9 @@ def test_gamma_half_feeds_terminant_identity(ctx40):
     arg = VoigtArgument.from_polar("3.5", mctx.pi / 10, ctx40)
     z = arg.z(ctx40)
     m = 12
-    gm = upper_incomplete_gamma_half(m, z, ctx40)
+    gm = upper_incomplete_gamma_half_ladder(m, z, ctx40)[m]  # e^z Gamma(1/2 - m, z)
     poch = mctx.convert(pochhammer(HALF, m)) * mctx.sqrt(mctx.pi)  # Gamma(m+1/2)
-    via_gamma = (-1) ** m * poch * mctx.exp(z) * gm / mctx.pi
+    via_gamma = (-1) ** m * poch * gm / mctx.pi
     ref = remainder_exact(arg, m, ctx40, route="quadrature")
     want = mctx.mpc(ref.K, -ref.L)
     assert abs(via_gamma - want) <= mctx.mpf(10) ** (-30) * abs(want)
@@ -154,15 +215,15 @@ def test_gamma_half_feeds_terminant_identity(ctx40):
 def test_gamma_half_recurrence_round_trip(ctx40):
     # climb back up from m = 36 and compare against the m = 0 base value;
     # the upward direction amplifies error by ~e^{2|z|}, hence the documented
-    # 10^-(digits-35) allowance
+    # 10^-(digits-35) allowance. On the scaled entries the upward step is
+    # G_{s+1} = s G_s + z^s.
     mctx = ctx40.mp()
     z = mctx.mpf(36)
     ladder = upper_incomplete_gamma_half_ladder(36, z, ctx40)
-    ez = mctx.exp(-z)
     G = mctx.mpc(ladder[36])
     for m in range(36, 0, -1):
         s = mctx.mpf(1) / 2 - m
-        G = s * G + mctx.power(z, s) * ez
+        G = s * G + mctx.power(z, s)
     base = mctx.mpc(ladder[0])
     assert abs(G - base) <= mctx.mpf(10) ** (-(ctx40.digits - 35)) * abs(base)
 
@@ -171,8 +232,31 @@ def test_gamma_half_ladder_prefix_consistency(ctx40):
     mctx = ctx40.mp()
     z = mctx.mpc(2, 3)
     ladder = upper_incomplete_gamma_half_ladder(8, z, ctx40)
-    solo = upper_incomplete_gamma_half(5, z, ctx40)
+    solo = upper_incomplete_gamma_half_ladder(5, z, ctx40)[5]
     assert abs(ladder[5] - solo) <= mctx.mpf(10) ** (-(ctx40.digits - 5)) * abs(solo)
+
+
+def test_scaled_ladder_matches_mpmath_gammainc():
+    # e^{-z} ladder[m] against mpmath's Gamma(1/2 - m, z) at 20 more digits,
+    # over seeded (digits, z, m <= 60); z = w^2 with w in the closed first
+    # quadrant, as the remainder route passes it, with arg z up to pi
+    rng = random.Random(2607)
+    for _ in range(24):
+        digits = rng.choice((16, 40, 100))
+        ctx = PrecisionContext(digits=digits)
+        w_abs = rng.uniform(0.5, 7.5)
+        w_arg = rng.choice((0.0, math.pi / 2, rng.uniform(0, math.pi / 2)))
+        m_max = rng.randint(0, 60)
+        ref_ctx = mp_context(digits + 25)
+        w = ref_ctx.mpc(w_abs * math.cos(w_arg), w_abs * math.sin(w_arg))
+        z = ctx.mp().mpc(w * w)
+        ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
+        zr = ref_ctx.mpc(z)
+        for m in sorted({0, m_max // 2, m_max}):
+            want = ref_ctx.gammainc(ref_ctx.mpf(1) / 2 - m, zr)
+            got = ref_ctx.exp(-zr) * ref_ctx.mpc(ladder[m])
+            assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (
+                digits, z, m)
 
 
 def test_gamma_widening_lands_on_few_precisions():
@@ -277,10 +361,10 @@ def test_precision_monotonicity(ctx40, ctx60):
         return lambda t: (1 + t) ** 2 * m.exp(-t)
 
     pairs = [
-        (erfc_complex(z, ctx40), erfc_complex(z, ctx60)),
+        (erfcx(z, ctx40.mp()), erfcx(z, ctx60.mp())),
         (
-            upper_incomplete_gamma_half(5, z, ctx40),
-            upper_incomplete_gamma_half(5, z, ctx60),
+            upper_incomplete_gamma_half_ladder(5, z, ctx40)[5],
+            upper_incomplete_gamma_half_ladder(5, z, ctx60)[5],
         ),
         (
             integrate_semi_infinite(poly_exp(ctx40.mp()), ctx40).value,

@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Per-call times of the main paths at one point, before and after a change.
+
+Times E_of_phi, remainder_exact(route="gamma") at optimal m, theorem2 at
+k = 3, evaluate_via_expansion (eq42, k = 3) and voigt_exact_erfc at
+(x, y) = (3, 4), at 40 and 100 digits, each next to the digits it attains
+against an mpmath reference at 20 more digits. Two source trees are timed
+in alternating child processes, so that host drift hits both alike:
+
+    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_6.json
+
+Each time is the median over rounds of the mean of ``--calls`` calls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import warnings
+from time import perf_counter
+
+X, Y = 3, 4
+DIGITS = (40, 100)
+REF_EXTRA = 20
+
+
+def _digits(mctx, got, want, cap):
+    miss = abs(mctx.mpc(got) - mctx.mpc(want))
+    if miss == 0:
+        return float(cap)
+    return round(min(float(cap), float(-mctx.log10(miss / abs(mctx.mpc(want))))), 1)
+
+
+def measure(src, calls):
+    """{digits: {path: (ms per call, digits attained)}} for the tree at src."""
+    sys.path.insert(0, src)
+    import voigt_asym as va
+
+    warnings.simplefilter("ignore")
+    out = {}
+    for digits in DIGITS:
+        ctx = va.PrecisionContext(digits=digits)
+        arg = va.VoigtArgument.from_xy(X, Y, ctx)
+        plan = va.optimal_truncation(arg.r, ctx)
+        ref = va.mp_context(digits + va.numerics.GUARD_DIGITS + REF_EXTRA)
+        w = ref.mpc(Y, X)
+        z = w * w
+        r = ref.convert(arg.r)
+        c = ref.sqrt(2 * (1 - 1j * ref.convert(arg.phi) - ref.expj(-ref.convert(arg.phi))))
+        zeta = c * r / ref.sqrt(2)
+        E_ref = ref.sqrt(2 * ref.pi) * ref.exp(zeta * zeta) * ref.erfc(zeta)
+        m = plan.m
+        # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi = hat-K - i hat-L
+        rem_ref = ((-1) ** m * ref.gamma(m + ref.mpf(1) / 2) * ref.exp(z)
+                   * ref.gammainc(ref.mpf(1) / 2 - m, z) / ref.pi)
+        voigt_ref = ref.exp(z) * ref.erfc(w)
+
+        def pair(ev):
+            return ref.mpc(ev.K, -ev.L)
+
+        paths = {
+            "E_of_phi": (lambda: va.E_of_phi(arg.phi, arg.r, ctx), lambda v: v, E_ref),
+            "remainder_exact_gamma": (
+                lambda: va.remainder_exact(arg, m, ctx, route="gamma"), pair, rem_ref),
+            "theorem2_k3": (lambda: va.theorem2(arg, plan, 3, ctx),
+                            lambda e: ref.mpc(e.Khat, -e.Lhat), rem_ref),
+            "evaluate_via_expansion_eq42": (
+                lambda: va.evaluate_via_expansion(arg, "eq42", 3, None, ctx), pair, voigt_ref),
+            "voigt_exact_erfc": (lambda: va.voigt_exact_erfc(arg, ctx), pair, voigt_ref),
+        }
+        row = {}
+        for name, (call, value, want) in paths.items():
+            got = value(call())  # warm-up, and the value judged
+            t0 = perf_counter()
+            for _ in range(calls):
+                call()
+            row[name] = ((perf_counter() - t0) * 1e3 / calls, _digits(ref, got, want, digits))
+        out[str(digits)] = row
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", required=True, help="src/ of the parent tree")
+    parser.add_argument("--after", required=True, help="src/ of the changed tree")
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--calls", type=int, default=30)
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(measure(args.child, args.calls)))
+        return 0
+    runs = {"before": [], "after": []}
+    for _ in range(args.rounds):
+        for side in ("before", "after"):
+            cmd = [sys.executable, __file__, "--before", args.before, "--after", args.after,
+                   "--out", args.out, "--calls", str(args.calls),
+                   "--child", getattr(args, side)]
+            done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+            runs[side].append(json.loads(done.stdout))
+    import mpmath
+
+    report = {"point": {"x": X, "y": Y}, "rounds": args.rounds, "calls": args.calls,
+              "reference": "mpmath at %d more digits" % REF_EXTRA,
+              "host": {"python": platform.python_version(), "mpmath": mpmath.__version__,
+                       "mpmath_backend": mpmath.libmp.BACKEND, "cpus": os.cpu_count(),
+                       "machine": platform.machine()},
+              "paths": {}}
+    first = runs["before"][0]
+    for digits in first:
+        for name in first[digits]:
+            entry = report["paths"].setdefault(name, {})
+            cell = {}
+            for side, side_runs in runs.items():
+                ms = statistics.median(run[digits][name][0] for run in side_runs)
+                cell[side + "_ms"] = round(ms, 3)
+                cell[side + "_digits"] = side_runs[0][digits][name][1]
+            cell["speedup"] = round(cell["before_ms"] / cell["after_ms"], 2)
+            entry[digits] = cell
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    json.dump(report["paths"], sys.stdout, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
