@@ -33,7 +33,7 @@ from .expansions import (
     theorem1,
     theorem2,
 )
-from .numerics import DEFAULT_CONTEXT, PrecisionContext, mp_context, pochhammer
+from .numerics import DEFAULT_CONTEXT, PrecisionContext, mp_context
 from .oracle import (
     VoigtArgument,
     reduce_to_first_quadrant,
@@ -224,8 +224,9 @@ def cmd_eval(args) -> int:
 
 
 def _next_term_magnitude(mctx, m: int, r):
-    # magnitude of algebraic term k = m: (1/2)_m / (sqrt(pi) r^{2m+1})
-    return mctx.convert(pochhammer(0.5, m)) / (mctx.sqrt(mctx.pi) * r ** (2 * m + 1))
+    # magnitude of algebraic term k = m: (1/2)_m / (sqrt(pi) r^{2m+1}),
+    # with (1/2)_m from the gamma function rather than m exact products
+    return mctx.rf(mctx.mpf(1) / 2, m) / (mctx.sqrt(mctx.pi) * r ** (2 * m + 1))
 
 
 def _table1_cells(ctx: PrecisionContext):

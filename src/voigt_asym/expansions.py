@@ -31,7 +31,14 @@ from .exceptions import (
     StokesCollarWarning,
     UnsupportedOrderError,
 )
-from .numerics import DEFAULT_CONTEXT, GUARD_DIGITS, PrecisionContext, erfcx, to_mpf
+from .numerics import (
+    DEFAULT_CONTEXT,
+    GUARD_DIGITS,
+    PrecisionContext,
+    asymptotic_series,
+    erfcx,
+    to_mpf,
+)
 from .oracle import Evaluation, VoigtArgument
 
 # theta within this collar (in radians, as a fraction of pi) of the Stokes
@@ -60,8 +67,9 @@ class TruncationPlan:
 
     alpha = m + 1/2 - r^2 measures the offset from optimal truncation; the
     uniform coefficients are functions of it. ``optimal_truncation`` yields
-    alpha in (0, 1]; plans built by hand may carry any alpha, at the price
-    of a larger remainder.
+    alpha in (0, 1] for every finite r; plans built by hand may carry any
+    alpha, at the price of a larger remainder. The expansions read alpha
+    from here, never recompute it.
     """
 
     m: int
@@ -76,8 +84,15 @@ class TruncationPlan:
         rr = to_mpf(mctx, r)
         if not rr > 0:
             raise DomainError("truncation needs r > 0, got %s" % (rr,))
+        return cls._exact(m, mctx.fmul(rr, rr, exact=True), mctx)
+
+    @classmethod
+    def _exact(cls, m: int, r2, mctx) -> "TruncationPlan":
+        # m + 1/2 and r^2 agree in their leading digits once r^2 outgrows the
+        # precision, so alpha is formed from the exact r^2 and only then rounded
         nu = m + mctx.mpf(1) / 2
-        return cls(m=m, alpha=nu - rr * rr, nu=nu)
+        alpha = mctx.fadd(mctx.fsub(m, r2, exact=True), 0.5, exact=True)
+        return cls(m=m, alpha=mctx.mpf(alpha), nu=nu)
 
 
 def optimal_truncation(r, ctx: PrecisionContext = DEFAULT_CONTEXT) -> TruncationPlan:
@@ -93,8 +108,9 @@ def optimal_truncation(r, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Truncation
             BelowAsymptoticRangeWarning,
             stacklevel=2,
         )
-    m = int(mctx.floor(rr * rr + mctx.mpf(1) / 2))
-    return TruncationPlan.for_m(m, rr, ctx)
+    r2 = mctx.fmul(rr, rr, exact=True)
+    m = int(mctx.fadd(r2, 0.5, exact=True))  # floor, exactly
+    return TruncationPlan._exact(m, r2, mctx)
 
 
 def algebraic_partial_sums(
@@ -102,27 +118,23 @@ def algebraic_partial_sums(
 ) -> Evaluation:
     """The m-term algebraic partial sums K_m, L_m.
 
-    K_m - i L_m = (1/sqrt(pi)) sum_{k<m} (-1)^k (1/2)_k w^{-2k-1}, summed in
-    complex arithmetic at guard precision: each term is the previous one
-    times the ratio -(k - 1/2)/w^2. This is the only form evaluated; the
-    tests check it against the real trigonometric resummation in
-    (r, theta) and against the same sum at higher precision.
+    K_m - i L_m = (1/sqrt(pi)) sum_{k<m} (-1)^k (1/2)_k w^{-2k-1}, summed by
+    ``numerics.asymptotic_series`` in complex arithmetic at guard precision.
+    When every term before m shrinks (m - 1 < r^2, as at the optimal cut),
+    the sum stops after the first term below that precision, so its work
+    stays near prec ln 2 / ln r^2 terms however large m = r^2 grows; a cut
+    past the least term sums all m terms. This is the only form evaluated;
+    the tests check it against the real trigonometric resummation in
+    (r, theta) and against the full sum at higher precision.
     """
     if m < 0:
         raise DomainError("partial sum length must be nonnegative, got %r" % (m,))
     if arg.r == 0:
         raise DomainError("the algebraic expansion is undefined at the origin")
     mctx = ctx.mp(extra=GUARD_DIGITS)
-    w = mctx.mpc(arg.y, arg.x)
-    # term_k / term_{k-1} = -(k - 1/2)/w^2 = q (2k - 1)
-    q = -1 / (2 * w * w)
-    term = 1 / w
-    S = mctx.mpc(0)
-    for k in range(m):
-        if k:
-            term *= q * (2 * k - 1)
-        S += term
-    S /= mctx.sqrt(mctx.pi)
+    # r^2 exactly as the truncation plan squares it
+    r2 = mctx.fmul(arg.r, arg.r, exact=True)
+    S = asymptotic_series(mctx.mpc(arg.y, arg.x), r2, mctx, m)
 
     out = ctx.mp()
     K = out.mpf(S.real)
@@ -248,7 +260,7 @@ def theorem1(
         )
     phi = mctx.convert(arg.phi)
     r = mctx.convert(arg.r)
-    alpha = plan.m + mctx.mpf(1) / 2 - r * r
+    alpha = mctx.convert(plan.alpha)
     rot = mctx.expj(plan.m * phi)
     pref = _exp_prefactor(mctx, arg) / mctx.cos(theta)
     A = coefficient_set(phi, alpha, k_terms, ctx).A
@@ -284,7 +296,7 @@ def theorem2(
     r = mctx.convert(arg.r)
     on_line = phi == 0
     _check_k_terms(k_terms, on_line)
-    alpha = plan.m + mctx.mpf(1) / 2 - r * r
+    alpha = mctx.convert(plan.alpha)
     E = E_of_phi(phi, r, ctx)
     # e^{i (m + 1/2 - alpha) phi} = e^{i r^2 phi}
     head = mctx.expj((plan.m + mctx.mpf(1) / 2 - alpha) * phi) * E
@@ -351,7 +363,7 @@ def leading_remainder(
             "phi = %s is too far from the Stokes line for the linearized "
             "near form; use regime=\"away\" or theorem2" % (phi,)
         )
-    alpha = plan.m + mctx.mpf(1) / 2 - r * r
+    alpha = mctx.convert(plan.alpha)
     E = E_of_phi(phi, r, ctx)
     head = mctx.expj((plan.m + mctx.mpf(1) / 2 - alpha) * phi) * E
     a43 = mctx.mpf(4) / 3 - 2 * alpha

@@ -1,4 +1,5 @@
-"""Precision-configurable arithmetic and the gamma/erfcx/quadrature primitives.
+"""Precision-configurable arithmetic and the asymptotic-series, erfcx, gamma
+and quadrature primitives.
 
 Everything downstream (oracles, coefficients, expansions) runs on the
 primitives defined here. The precision model is a software extended-precision
@@ -126,13 +127,66 @@ def pochhammer(a, k: int) -> Fraction:
     return acc
 
 
+def _series_length(r2, m, prec: int) -> int:
+    # How many terms of asymptotic_series to sum. The k-th term has modulus
+    # |t_0| (1/2)_k / r2^k, which shrinks while k < r2 + 1/2. A finite cut m
+    # whose terms all shrink (m - 1 < r2) drops a tail of at most m times its
+    # first term, so g = ceil(log2 m) guard bits keep that tail below
+    # 2^-prec |t_0|; the asymptotic series of erfcx (m None, cut at its
+    # least term) misses by about its first omitted term, so g = 0. The sum
+    # runs through the first term below 2^-(prec + g) |t_0|.
+    if m is None:
+        m, guard = int(r2 + 0.5), 0
+    elif m - 1 < r2:
+        guard = (m - 1).bit_length()
+    else:
+        return m  # a cut past the least term sums every term
+    limit = (prec + guard) * math.log(2)
+    if not r2 > limit:
+        # log((1/2)_k / r2^k) >= k log(k / r2) - k >= -r2: no term is small enough
+        return m
+    log_r2 = math.log(r2.man) + r2.exp * math.log(2)  # r2 may exceed the float range
+    log_term = 0.0
+    for n in range(1, m):
+        log_term += math.log(n - 0.5) - log_r2
+        if log_term <= -limit:
+            return n + 1
+    return m
+
+
+def asymptotic_series(w, r2, mctx, m=None):
+    """(1/(w sqrt(pi))) sum_{k<n} (-1)^k (1/2)_k w^{-2k}, the asymptotic
+    series of erfcx(w) and the m-term algebraic partial sum of K - iL at
+    w = y + ix, summed in the mpmath context ``mctx`` (w an mpc of it).
+
+    r2 (an mpf) is the r^2 the cut was planned from: |w|^2 up to rounding.
+    The number of terms n is fixed up front, from float logs: at most m,
+    and fewer where the terms fall below the working precision first. That
+    early stop applies only while every term before m shrinks, m - 1 < r2;
+    a cut past the least term sums all m terms. Without m the series stops
+    at its least term at the latest, as erfcx needs. Once r2 exceeds about
+    prec ln 2 the stop caps n near prec ln 2 / ln r2, so the work no longer
+    grows with m.
+    """
+    n = _series_length(r2, m, mctx.prec)
+    if n == 0:
+        return mctx.mpc(0)
+    q = -1 / (2 * w * w)  # term_k / term_{k-1} = q (2k - 1)
+    term = total = mctx.mpc(1)
+    for k in range(1, n):
+        term *= q * (2 * k - 1)
+        total += term
+    return total / (w * mctx.sqrt(mctx.pi))
+
+
 def erfcx(z, mctx):
     """e^{z^2} erfc(z) for Re z >= 0, at the precision of the mpmath
     context ``mctx``, by one of three branches picked from z and mctx.dps:
 
-    * |z|^2 > dps ln 10: the asymptotic series U(1/2, 1/2, z^2)/sqrt(pi)
+    * |z|^2 > dps ln 10: ``asymptotic_series`` U(1/2, 1/2, z^2)/sqrt(pi)
       = (1/(z sqrt(pi))) sum (-1)^k (1/2)_k z^{-2k}, whose least term is
-      below 10^-dps there at every arg z;
+      below 10^-dps there at every arg z; it stops at the first term below
+      the working precision, or at the least term;
     * Re z <= 2: mpmath's erfc(z) times e^{z^2};
     * otherwise e^{z^2} (1 - erf z), at a precision widened by the
       Re(z^2) log10(e) digits the difference cancels (fewer than dps).
@@ -140,20 +194,10 @@ def erfcx(z, mctx):
     zz = to_mpc(mctx, z)
     if not (mctx.isfinite(zz) and zz.real >= 0):
         raise DomainError("erfcx covers finite z with Re z >= 0, got %s" % (zz,))
-    absz2 = float(abs(zz) ** 2)
-    if absz2 > mctx.dps * math.log(10):
-        # the k-th term has modulus (1/2)_k / |z|^{2k}: stop once it is below
-        # the working precision, or at the least term
-        log_term, n, log_absz2 = 0.0, 0, math.log(absz2)  # inf past the float range
-        while log_term > -mctx.prec * math.log(2) and n < absz2:
-            n += 1
-            log_term += math.log(n - 0.5) - log_absz2
-        q = -1 / (2 * zz * zz)  # term_k / term_{k-1} = q (2k - 1)
-        term = total = mctx.mpc(1)
-        for k in range(1, n + 1):
-            term *= q * (2 * k - 1)
-            total += term
-        return total / (zz * mctx.sqrt(mctx.pi))
+    r2 = mctx.fadd(mctx.fmul(zz.real, zz.real, exact=True),
+                   mctx.fmul(zz.imag, zz.imag, exact=True), exact=True)
+    if float(r2) > mctx.dps * math.log(10):  # inf past the float range
+        return asymptotic_series(zz, r2, mctx)
     if zz.real <= 2:
         return mctx.exp(zz * zz) * mctx.erfc(zz)
     cancel = max(0, math.ceil(float((zz * zz).real) * math.log10(math.e)))

@@ -37,6 +37,7 @@ from .numerics import (
     PrecisionContext,
     integrate_semi_infinite,
     mp_context,
+    round_widening,
     to_mpf,
     upper_incomplete_gamma_half_ladder,
 )
@@ -144,20 +145,28 @@ def reduce_to_first_quadrant(
 
 def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Evaluation:
     """K - iL = e^{w^2} erfc(w), with exact special values on the axes; by
-    mpmath's erfc, never the ``numerics.erfcx`` kernel this oracle judges."""
+    mpmath's erfc, never the ``numerics.erfcx`` kernel this oracle judges.
+
+    w^2 = y^2 - x^2 + 2ixy is formed exactly: rounded, it would carry an
+    absolute error of about x^2 10^-dps into the exponent, and so cost
+    about 2 log10(x) digits of K and L at large x."""
     mctx = ctx.mp(extra=GUARD_DIGITS)
     out = ctx.mp()
     eps = out.mpf(10) ** (1 - ctx.digits)
     if arg.x == 0:
         # w real: K = e^{y^2} erfc(y), L = 0 identically
-        K = mctx.exp(arg.y * arg.y) * mctx.erfc(arg.y)
+        K = mctx.exp(mctx.fmul(arg.y, arg.y, exact=True)) * mctx.erfc(arg.y)
         return Evaluation(K=out.mpf(K), L=out.mpf(0), method="oracle-erfc",
                           err_estimate=eps * out.mpf(K))
-    w = mctx.mpc(arg.y, arg.x)
-    f = mctx.exp(w * w) * mctx.erfc(w)
+    # mpmath's erfc squares w at its own working precision too; give it
+    # the 2 log10(x) digits that squaring costs, beyond the guard digits
+    loss = math.ceil(2 * mctx.mag(arg.x) * math.log10(2)) - GUARD_DIGITS
+    wctx = mp_context(mctx.dps + round_widening(max(0, loss)))
+    w = wctx.mpc(arg.y, arg.x)
+    f = wctx.exp(wctx.fmul(w, w, exact=True)) * wctx.erfc(w)
     if arg.y == 0:
         # the real part collapses to a pure Gaussian; keep it in closed form
-        K = mctx.exp(-arg.x * arg.x)
+        K = mctx.exp(-mctx.fmul(arg.x, arg.x, exact=True))
     else:
         K = f.real
     L = -f.imag

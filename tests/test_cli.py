@@ -102,6 +102,30 @@ def test_eval_theorem_methods_track_oracle(capsys):
         assert abs(mctx.mpf(rec["K"]) - K_exact) <= err
 
 
+def test_eval_far_out_returns_finite(capsys):
+    # the optimal cut m = r^2 is 1e800 terms at x = 1e400 and 90,004 at
+    # x = 300; the partial sum and the algebraic error estimate must both
+    # finish and stay finite
+    mctx = mp_context(50)
+    for x, method in (("1e400", "theorem2"), ("300", "algebraic"), ("1e30", "theorem2")):
+        rc, out, err = run(capsys, "eval", "--x", x, "--y", "2", "--method", method)
+        assert rc == EXIT_OK, err
+        rec = json.loads(out)
+        K, L = mctx.mpf(rec["K"]), mctx.mpf(rec["L"])
+        assert mctx.isfinite(K) and mctx.isfinite(L) and L > 0, (x, method)
+        assert 0 < mctx.mpf(rec["alpha"]) <= 1, (x, method)
+        if x == "300":
+            _, out0, _ = run(capsys, "eval", "--x", x, "--y", "2")
+            want = mctx.mpc(*(mctx.mpf(json.loads(out0)[k]) for k in ("K", "L")))
+        else:
+            # two terms of the asymptotic series leave 10^-120 relative
+            w = mctx.mpc(2, x)
+            v = (1 - 1 / (2 * w * w)) / (w * mctx.sqrt(mctx.pi))
+            want = mctx.mpc(v.real, -v.imag)
+        assert abs(K - want.real) <= mctx.mpf(10) ** (-38) * K
+        assert abs(L - want.imag) <= mctx.mpf(10) ** (-38) * L
+
+
 def test_eval_warns_once_below_asymptotic_range(capsys):
     # the truncation plan is built once per evaluation, and with it the
     # below-range warning

@@ -11,6 +11,7 @@ import functools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +68,22 @@ def test_plan_override(ctx40):
     plan = TruncationPlan.for_m(10, "3.5", ctx40)
     assert plan.m == 10
     assert float(plan.nu) == 10.5
+
+
+@pytest.mark.parametrize("digits", (16, 40))
+@pytest.mark.parametrize("r", ("1e10", "1e23", "1e30", "1e400"))
+def test_optimal_alpha_stays_in_unit_interval_at_large_r(r, digits):
+    # once r^2 outgrows the precision, m + 1/2 - r^2 cancels in all but its
+    # last digits; the plan must still give the exact alpha in (0, 1]
+    ctx = PrecisionContext(digits=digits)
+    rr = ctx.mp().mpf(r)
+    exact_r2 = Fraction(rr.man) ** 2 * Fraction(2) ** (2 * rr.exp)
+    plan = optimal_truncation(rr, ctx)
+    assert plan.m == math.floor(exact_r2 + Fraction(1, 2))
+    alpha = plan.m + Fraction(1, 2) - exact_r2
+    assert 0 < plan.alpha <= 1
+    got = Fraction(plan.alpha.man) * Fraction(2) ** plan.alpha.exp
+    assert abs(got - alpha) <= alpha * Fraction(1, 10 ** (digits + 1))
 
 
 # ------------------------------------------------------------ partial sums
@@ -145,6 +162,79 @@ def test_partial_sums_cross_checks(digits, r, theta_over_pi, m):
     wide = algebraic_partial_sums(arg, m, PrecisionContext(digits=digits + 30))
     assert abs(ev.K - wide.K) <= ev.err_estimate
     assert abs(ev.L - wide.L) <= ev.err_estimate
+
+
+def _bounded_sum_cases():
+    # seeded (digits, r, theta/pi, m): r log-uniform on [1, 10^3] plus 1e10,
+    # both ends of theta among the angles; m is the optimal cut, and for
+    # r <= 30 also a random cut up to 3 r^2 + 5, past the least term
+    rng = random.Random(20260607)
+    cases = []
+    for digits in (16, 40, 100):
+        radii = ["%.6f" % math.exp(rng.uniform(0, math.log(1e3))) for _ in range(6)]
+        for i, r in enumerate(radii + ["1e10"]):
+            theta_over_pi = ("0", "0.5")[i] if i < 2 else "%.6f" % rng.uniform(0, 0.5)
+            cases.append((digits, r, theta_over_pi, None))
+            if float(r) <= 30:
+                cases.append((digits, r, theta_over_pi,
+                              rng.randint(0, int(3 * float(r) ** 2 + 5))))
+    return cases
+
+
+def _full_partial_sum(arg, m, digits):
+    # every one of the m terms, summed at the given precision
+    mctx = PrecisionContext(digits=digits).mp()
+    w = mctx.mpc(arg.y, arg.x)
+    term, total = 1 / w, mctx.mpc(0)
+    for k in range(m):
+        total += term
+        term *= -(k + mctx.mpf(1) / 2) / (w * w)
+    return total / mctx.sqrt(mctx.pi)
+
+
+@pytest.mark.parametrize("digits, r, theta_over_pi, m", _bounded_sum_cases())
+def test_bounded_partial_sum_matches_full_sum(digits, r, theta_over_pi, m):
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+    if m is None:
+        m = optimal_truncation(arg.r, ctx).m
+    ev = algebraic_partial_sums(arg, m, ctx)
+
+    wide = digits + 30
+    if m <= 3000:
+        want = _full_partial_sum(arg, m, wide)
+    else:
+        # too many terms to sum one by one: the full optimal sum is
+        # K - iL less a remainder of order e^{-r^2}, far below 10^-wide here
+        assert float(arg.r) ** 2 > 2 * wide * math.log(10)
+        exact = voigt_exact_erfc(arg, PrecisionContext(digits=wide))
+        want = PrecisionContext(digits=wide).mp().mpc(exact.K, -exact.L)
+    assert abs(ev.K - want.real) <= ev.err_estimate
+    assert abs(ev.L + want.imag) <= ev.err_estimate
+
+
+def test_partial_sum_length_rule():
+    from voigt_asym.numerics import _series_length
+
+    mctx = PrecisionContext(digits=40).mp(extra=5)  # the partial sums' precision
+    prec = mctx.prec
+
+    def r2(r):
+        rr = mctx.mpf(r)
+        return mctx.fmul(rr, rr, exact=True)
+
+    # past r^2 ~ prec ln 2 the optimal cut stops early, and the count no
+    # longer grows with m = r^2
+    assert _series_length(r2(300), 90000, prec) <= 100
+    assert _series_length(r2("1e10"), 10**20, prec) <= 10
+    # below it every term of the optimal cut is needed: r^2 = 64 is under
+    # (prec + ceil(log2 64)) ln 2 = 121
+    assert _series_length(r2(8), 64, prec) == 64
+    # a cut past the least term sums every term, however small they get
+    assert _series_length(r2(300), 270006, prec) == 270006
+    # without a cut the series stops at the least term at the latest
+    assert _series_length(r2(3), None, prec) == 9
 
 
 def test_decomposition_is_m_invariant(ctx40):
@@ -526,6 +616,30 @@ def test_evaluate_via_expansion_tracks_oracle(ctx40):
         assert abs(ev.L - ex.L) <= ev.err_estimate
         # and the estimate is tight enough to be useful
         assert ev.err_estimate < mctx.mpf(10) ** (-8)
+
+
+def test_evaluate_via_expansion_far_grid_within_estimate():
+    # seeded r log-uniform on [3, 10^3], where the optimal cut reaches 10^6
+    # terms and the partial sum stops early, both ends of theta included;
+    # r < 3 near the Stokes line is the known eq42 gap of the honesty grid
+    rng = random.Random(20260608)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StokesCollarWarning)
+        for digits in (16, 40, 100):
+            ctx = PrecisionContext(digits=digits)
+            mctx = ctx.mp()
+            for i in range(8):
+                r = "%.6f" % math.exp(rng.uniform(math.log(3), math.log(1e3)))
+                theta_over_pi = ("0", "0.5")[i] if i < 2 else "%.6f" % rng.uniform(0, 0.5)
+                arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+                exact = voigt_exact_erfc(arg, PrecisionContext(digits=digits + 10))
+                variants = ("eq42", "eq41") if float(theta_over_pi) < 0.45 else ("eq42",)
+                for variant in variants:
+                    for k_terms in (1, 3):
+                        ev = evaluate_via_expansion(arg, variant, k_terms, None, ctx)
+                        case = (digits, r, theta_over_pi, variant, k_terms)
+                        assert abs(ev.K - exact.K) <= ev.err_estimate, case
+                        assert abs(ev.L - exact.L) <= ev.err_estimate, case
 
 
 def test_evaluate_via_expansion_m_override(ctx40):

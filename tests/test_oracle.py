@@ -123,6 +123,37 @@ def test_exact_on_imaginary_axis(ctx40):
         assert ev.L == 0
 
 
+def _asymptotic_reference(ref, w, digits):
+    # e^{w^2} erfc(w) ~ (1/(w sqrt(pi))) sum (-1)^k (1/2)_k w^{-2k}, summed
+    # until the terms fall below 10^-(digits + 10): four terms suffice once
+    # |w|^8 > 10^(digits + 10), up to 14 at |w| = 1e5 and 100 digits
+    q = -1 / (2 * w * w)
+    term = total = ref.mpc(1)
+    k = 1
+    while abs(term) > ref.mpf(10) ** (-(digits + 10)):
+        term *= q * (2 * k - 1)
+        total += term
+        k += 1
+    return total / (w * ref.sqrt(ref.pi))
+
+
+@pytest.mark.parametrize("digits", (16, 40, 100))
+def test_exact_at_large_x_matches_asymptotic_series(digits):
+    # at large x the oracle must keep every digit: rounding w^2 before the
+    # exponential, or inside mpmath's erfc, costs about 2 log10(x) of them
+    ctx = PrecisionContext(digits=digits)
+    ref = mp_context(digits + 40)
+    tol = ref.mpf(10) ** (1 - digits)
+    for x in ("1e5", "1e10", "1e30", "1e100"):
+        for y in ("0.3", "2"):
+            arg = VoigtArgument.from_xy(x, y, ctx)
+            ev = voigt_exact_erfc(arg, ctx)
+            want = _asymptotic_reference(ref, ref.mpc(arg.y, arg.x), digits)
+            got = ref.mpc(ev.K, -ev.L)
+            assert abs(abs(got) - abs(want)) <= tol * abs(want), (digits, x, y)
+            assert abs(got - want) <= tol * abs(want), (digits, x, y)
+
+
 def test_exact_minus_partial_sum_hits_foot_values(ctx40):
     # the m = 12 remainder at |w| = 3.5, theta = pi/10, via plain subtraction
     mctx = ctx40.mp()

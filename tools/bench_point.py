@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Per-call times of the main paths at one point, before and after a change.
+"""Per-call times of the main paths at fixed points, before and after a change.
 
 Times E_of_phi, remainder_exact(route="gamma") at optimal m, theorem2 at
-k = 3, evaluate_via_expansion (eq42, k = 3) and voigt_exact_erfc at
-(x, y) = (3, 4), at 40 and 100 digits, each next to the digits it attains
-against an mpmath reference at 20 more digits. Two source trees are timed
+k = 3, algebraic_partial_sums at optimal m, evaluate_via_expansion (eq42,
+k = 3) and voigt_exact_erfc at 40 and 100 digits, each next to the digits it
+attains against an mpmath reference at 20 more digits (for the partial sum,
+the full m-term sum there). The points are (x, y) = (3, 4), where r = 5 and
+m = 25, and (12, 5), where r = 13 and m = 169: there the partial sum stops
+early at 40 digits but needs every term at 100. Two source trees are timed
 in alternating child processes, so that host drift hits both alike:
 
-    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_6.json
+    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_7.json
 
 Each time is the median over rounds of the mean of ``--calls`` calls.
 """
@@ -24,7 +27,7 @@ import sys
 import warnings
 from time import perf_counter
 
-X, Y = 3, 4
+POINTS = ((3, 4), (12, 5))
 DIGITS = (40, 100)
 REF_EXTRA = 20
 
@@ -37,51 +40,61 @@ def _digits(mctx, got, want, cap):
 
 
 def measure(src, calls):
-    """{digits: {path: (ms per call, digits attained)}} for the tree at src."""
+    """{"x,y": {digits: {path: (ms per call, digits attained)}}} for the tree
+    at src."""
     sys.path.insert(0, src)
     import voigt_asym as va
 
     warnings.simplefilter("ignore")
     out = {}
-    for digits in DIGITS:
-        ctx = va.PrecisionContext(digits=digits)
-        arg = va.VoigtArgument.from_xy(X, Y, ctx)
-        plan = va.optimal_truncation(arg.r, ctx)
-        ref = va.mp_context(digits + va.numerics.GUARD_DIGITS + REF_EXTRA)
-        w = ref.mpc(Y, X)
-        z = w * w
-        r = ref.convert(arg.r)
-        c = ref.sqrt(2 * (1 - 1j * ref.convert(arg.phi) - ref.expj(-ref.convert(arg.phi))))
-        zeta = c * r / ref.sqrt(2)
-        E_ref = ref.sqrt(2 * ref.pi) * ref.exp(zeta * zeta) * ref.erfc(zeta)
-        m = plan.m
-        # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi = hat-K - i hat-L
-        rem_ref = ((-1) ** m * ref.gamma(m + ref.mpf(1) / 2) * ref.exp(z)
-                   * ref.gammainc(ref.mpf(1) / 2 - m, z) / ref.pi)
-        voigt_ref = ref.exp(z) * ref.erfc(w)
-
-        def pair(ev):
-            return ref.mpc(ev.K, -ev.L)
-
-        paths = {
-            "E_of_phi": (lambda: va.E_of_phi(arg.phi, arg.r, ctx), lambda v: v, E_ref),
-            "remainder_exact_gamma": (
-                lambda: va.remainder_exact(arg, m, ctx, route="gamma"), pair, rem_ref),
-            "theorem2_k3": (lambda: va.theorem2(arg, plan, 3, ctx),
-                            lambda e: ref.mpc(e.Khat, -e.Lhat), rem_ref),
-            "evaluate_via_expansion_eq42": (
-                lambda: va.evaluate_via_expansion(arg, "eq42", 3, None, ctx), pair, voigt_ref),
-            "voigt_exact_erfc": (lambda: va.voigt_exact_erfc(arg, ctx), pair, voigt_ref),
-        }
-        row = {}
-        for name, (call, value, want) in paths.items():
-            got = value(call())  # warm-up, and the value judged
-            t0 = perf_counter()
-            for _ in range(calls):
-                call()
-            row[name] = ((perf_counter() - t0) * 1e3 / calls, _digits(ref, got, want, digits))
-        out[str(digits)] = row
+    for X, Y in POINTS:
+        out["%d,%d" % (X, Y)] = {str(d): _measure_point(va, X, Y, d, calls) for d in DIGITS}
     return out
+
+
+def _measure_point(va, X, Y, digits, calls):
+    ctx = va.PrecisionContext(digits=digits)
+    arg = va.VoigtArgument.from_xy(X, Y, ctx)
+    plan = va.optimal_truncation(arg.r, ctx)
+    ref = va.mp_context(digits + va.numerics.GUARD_DIGITS + REF_EXTRA)
+    w = ref.mpc(Y, X)
+    z = w * w
+    r = ref.convert(arg.r)
+    c = ref.sqrt(2 * (1 - 1j * ref.convert(arg.phi) - ref.expj(-ref.convert(arg.phi))))
+    zeta = c * r / ref.sqrt(2)
+    E_ref = ref.sqrt(2 * ref.pi) * ref.exp(zeta * zeta) * ref.erfc(zeta)
+    m = plan.m
+    # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi = hat-K - i hat-L
+    rem_ref = ((-1) ** m * ref.gamma(m + ref.mpf(1) / 2) * ref.exp(z)
+               * ref.gammainc(ref.mpf(1) / 2 - m, z) / ref.pi)
+    voigt_ref = ref.exp(z) * ref.erfc(w)
+    # every one of the m algebraic terms, (-1)^k (1/2)_k w^{-2k-1} / sqrt(pi)
+    sums_ref = sum(ref.rf(ref.mpf(1) / 2, k) * (-1 / z) ** k for k in range(m)) / (
+        w * ref.sqrt(ref.pi))
+
+    def pair(ev):
+        return ref.mpc(ev.K, -ev.L)
+
+    paths = {
+        "E_of_phi": (lambda: va.E_of_phi(arg.phi, arg.r, ctx), lambda v: v, E_ref),
+        "remainder_exact_gamma": (
+            lambda: va.remainder_exact(arg, m, ctx, route="gamma"), pair, rem_ref),
+        "theorem2_k3": (lambda: va.theorem2(arg, plan, 3, ctx),
+                        lambda e: ref.mpc(e.Khat, -e.Lhat), rem_ref),
+        "algebraic_partial_sums": (
+            lambda: va.algebraic_partial_sums(arg, m, ctx), pair, sums_ref),
+        "evaluate_via_expansion_eq42": (
+            lambda: va.evaluate_via_expansion(arg, "eq42", 3, None, ctx), pair, voigt_ref),
+        "voigt_exact_erfc": (lambda: va.voigt_exact_erfc(arg, ctx), pair, voigt_ref),
+    }
+    row = {}
+    for name, (call, value, want) in paths.items():
+        got = value(call())  # warm-up, and the value judged
+        t0 = perf_counter()
+        for _ in range(calls):
+            call()
+        row[name] = ((perf_counter() - t0) * 1e3 / calls, _digits(ref, got, want, digits))
+    return row
 
 
 def main(argv=None):
@@ -106,23 +119,25 @@ def main(argv=None):
             runs[side].append(json.loads(done.stdout))
     import mpmath
 
-    report = {"point": {"x": X, "y": Y}, "rounds": args.rounds, "calls": args.calls,
+    report = {"points": [{"x": x, "y": y} for x, y in POINTS],
+              "rounds": args.rounds, "calls": args.calls,
               "reference": "mpmath at %d more digits" % REF_EXTRA,
               "host": {"python": platform.python_version(), "mpmath": mpmath.__version__,
                        "mpmath_backend": mpmath.libmp.BACKEND, "cpus": os.cpu_count(),
                        "machine": platform.machine()},
               "paths": {}}
     first = runs["before"][0]
-    for digits in first:
-        for name in first[digits]:
-            entry = report["paths"].setdefault(name, {})
-            cell = {}
-            for side, side_runs in runs.items():
-                ms = statistics.median(run[digits][name][0] for run in side_runs)
-                cell[side + "_ms"] = round(ms, 3)
-                cell[side + "_digits"] = side_runs[0][digits][name][1]
-            cell["speedup"] = round(cell["before_ms"] / cell["after_ms"], 2)
-            entry[digits] = cell
+    for point in first:
+        for digits in first[point]:
+            for name in first[point][digits]:
+                entry = report["paths"].setdefault(name, {}).setdefault(point, {})
+                cell = {}
+                for side, side_runs in runs.items():
+                    ms = statistics.median(run[point][digits][name][0] for run in side_runs)
+                    cell[side + "_ms"] = round(ms, 3)
+                    cell[side + "_digits"] = side_runs[0][point][digits][name][1]
+                cell["speedup"] = round(cell["before_ms"] / cell["after_ms"], 2)
+                entry[digits] = cell
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
