@@ -154,22 +154,34 @@ def _resolve_digits(args) -> int:
     return DEFAULT_CONTEXT.digits
 
 
+def _number(text: str, flag: str, mctx):
+    """A numeric option parsed at the working precision. Only a literal
+    that does not parse is a usage error, so no ValueError raised by the
+    library is reported as one (argparse hands ``--y=--`` over as a list,
+    hence the TypeError)."""
+    try:
+        return mctx.mpf(text)
+    except (ValueError, TypeError):
+        raise _UsageError("%s must be a number, got %r" % (flag, text)) from None
+
+
 def _parse_point(args, ctx: PrecisionContext):
     cartesian = args.x is not None or args.y is not None
     polar = args.r is not None or args.theta_over_pi is not None
     if cartesian and polar:
         raise _UsageError("give either --x/--y or --r/--theta-over-pi, not both")
+    mctx = ctx.mp()
     if cartesian:
         if args.x is None or args.y is None:
             raise _UsageError("--x and --y must be given together")
-        arg, sign_K, sign_L = reduce_to_first_quadrant(args.x, args.y, ctx)
-        mctx = ctx.mp()
-        return arg, sign_K, sign_L, mctx.mpf(args.x), mctx.mpf(args.y)
+        x, y = _number(args.x, "--x", mctx), _number(args.y, "--y", mctx)
+        arg, sign_K, sign_L = reduce_to_first_quadrant(x, y, ctx)
+        return arg, sign_K, sign_L, x, y
     if args.r is None or args.theta_over_pi is None:
         raise _UsageError("--r and --theta-over-pi must be given together")
-    mctx = ctx.mp()
-    theta = mctx.mpf(args.theta_over_pi) * mctx.pi
-    arg = VoigtArgument.from_polar(args.r, theta, ctx)
+    r = _number(args.r, "--r", mctx)
+    theta = _number(args.theta_over_pi, "--theta-over-pi", mctx) * mctx.pi
+    arg = VoigtArgument.from_polar(r, theta, ctx)
     return arg, 1, 1, arg.x, arg.y
 
 
@@ -193,13 +205,12 @@ def cmd_eval(args) -> int:
         ev = voigt_quadrature(arg, ctx)
     elif method == "algebraic":
         ev = algebraic_partial_sums(arg, plan.m, ctx)
-        # accuracy is limited by the first omitted term plus the
-        # exponentially small remainder the sum cannot see
+        # accuracy is limited by the first omitted term, the exponentially
+        # small remainder the sum cannot see, and the sum's own rounding
         r = mctx.convert(arg.r)
         nxt = _next_term_magnitude(mctx, plan.m, r)
-        ev = dataclasses.replace(
-            ev, err_estimate=ctx.mp().mpf(nxt + mctx.exp(-r * r))
-        )
+        rounding = ctx.eps(mctx) * (abs(ev.K) + abs(ev.L))
+        ev = dataclasses.replace(ev, err_estimate=nxt + mctx.exp(-r * r) + rounding)
     elif method in ("theorem1", "theorem2"):
         variant = "eq41" if method == "theorem1" else "eq42"
         k_terms = args.k_terms
@@ -402,10 +413,11 @@ def cmd_scan(args) -> int:
         raise _UsageError("--n must be at least 2")
     ctx = PrecisionContext(digits=_resolve_digits(args))
     mctx = ctx.mp()
+    r = _number(args.r, "--r", mctx)
     top = mctx.mpf(1) / 2
     if args.variant == "eq41":
         top = top - mctx.mpf(THETA_COLLAR_OVER_PI)
-    plan = optimal_truncation(args.r, ctx)
+    plan = optimal_truncation(r, ctx)
 
     import warnings as _w
 
@@ -414,7 +426,7 @@ def cmd_scan(args) -> int:
         _w.simplefilter("ignore")
         for j in range(args.n):
             frac = top * j / (args.n - 1)
-            a = VoigtArgument.from_polar(args.r, frac * mctx.pi, ctx)
+            a = VoigtArgument.from_polar(r, frac * mctx.pi, ctx)
             exact = remainder_exact(a, plan.m, ctx)
             est = (
                 theorem1(a, plan, args.k_terms, ctx)
@@ -435,8 +447,8 @@ def cmd_scan(args) -> int:
 def cmd_coeffs(args) -> int:
     ctx = PrecisionContext(digits=_resolve_digits(args))
     mctx = ctx.mp()
-    phi = mctx.mpf(args.phi)
-    alpha = mctx.mpf(args.alpha)
+    phi = _number(args.phi, "--phi", mctx)
+    alpha = _number(args.alpha, "--alpha", mctx)
     c = c_of_phi(phi, ctx)
     coeffs = coefficient_set(phi, alpha, args.kmax, ctx)
     A = coeffs.A or (None,) * (args.kmax + 1)
@@ -534,10 +546,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
-        print("usage error: %s" % (exc,), file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # malformed numeric literals surface here from the parsing layer
         print("usage error: %s" % (exc,), file=sys.stderr)
         return EXIT_USAGE
     except PrecisionError as exc:

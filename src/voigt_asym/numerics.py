@@ -220,9 +220,17 @@ def upper_incomplete_gamma_half_ladder(
 
     With G_a = e^z Gamma(a, z): base case G_{1/2} = sqrt(pi) erfcx(sqrt(z))
     with the principal square root, then G_{a-1} = (G_a - z^{a-1})/(a-1)
-    repeatedly. The sweep runs at precision widened per the cancellation
-    rule; an a-posteriori loss check turns silent digit loss into an
-    explicit error.
+    repeatedly, z^{a-1} advanced by one multiplication by 1/z. The sweep
+    runs at precision widened per the cancellation rule; an a-posteriori
+    loss check turns silent digit loss into an explicit error.
+
+    The check carries a running bound on the absolute error of G_a, in
+    units of 10^-dps of the sweep: each step adds |G_a| + |z^{a-1}| and
+    divides by |a - 1|. The bound is kept as a float log2 and the moduli
+    enter through their binary exponents, |x| <= 2^mag(x); the digits
+    attained are the least log10 |G_a|/bound over the sweep, with
+    |G_a| >= 2^(mag(G_a) - 2). So the bound stays an upper bound, and the
+    digits a lower bound, without an mpmath modulus per step.
     """
     if m_max < 0:
         raise DomainError("m_max must be nonnegative, got %r" % (m_max,))
@@ -240,28 +248,33 @@ def upper_incomplete_gamma_half_ladder(
     attained = 0.0
     for attempt in range(2):
         wctx = mp_context(effective)
-        ulp = wctx.mpf(10) ** (-effective)
+        mag = wctx.mag
         zz = to_mpc(wctx, z)
+        inv_z = 1 / zz
         g = wctx.sqrt(wctx.pi) * erfcx(wctx.sqrt(zz), wctx)
         a = wctx.mpf(1) / 2
         za = zz ** (a - 1)  # z^{a-1}, kept in step with a
         ladder = [g]
-        # running absolute error bound, to turn cancellation into a number;
-        # the digits attained are log10 of the least |g|/err, and a zero g
-        # ends the sweep at ratio 1 (zero digits)
-        err = abs(g) * ulp
-        least = abs(g) / err if g != 0 else wctx.one
-        for _ in range(m_max):
-            a -= 1
-            err = (err + (abs(g) + abs(za)) * ulp) / abs(a)
-            g = (g - za) / a
-            za = za / zz
-            ladder.append(g)
-            if g == 0:
-                least = wctx.one
+        # err: log2 of the error bound over 10^-effective; lost: the most
+        # bits by which that bound has come within |g|. A zero g ends the
+        # sweep with every digit lost.
+        mg = err = mag(g)
+        lost = 0.0
+        for k in range(1, m_max + 1):
+            if not g:
                 break
-            least = min(least, abs(g) / err)
-        attained = float(wctx.log10(least))
+            mz = mag(za)
+            top = max(err, mg, mz)
+            err = top + math.log2(
+                2.0 ** (err - top) + 2.0 ** (mg - top) + 2.0 ** (mz - top)
+            ) - math.log2(k - 0.5)
+            a -= 1
+            g = (g - za) / a
+            za *= inv_z
+            ladder.append(g)
+            mg = mag(g)
+            lost = max(lost, err + 2 - mg)
+        attained = 0.0 if not g else effective - lost * math.log10(2)
         if attained >= ctx.digits:
             return ladder
         effective += round_widening(int(math.ceil(ctx.digits - attained)) + 10)

@@ -65,7 +65,8 @@ class VoigtArgument:
 
     theta = arctan(x/y) is measured from the positive y side, so theta = 0
     is the real-w axis (x = 0) and theta = pi/2 is the Stokes line (y = 0).
-    phi = pi - 2 theta.
+    phi = pi - 2 theta, formed as 2 atan2(y, x): the difference would cancel
+    when y << x, and it stays exactly 0 on the line.
     """
 
     x: object
@@ -89,8 +90,9 @@ class VoigtArgument:
                 "VoigtArgument lives in the first quadrant; reduce (x, y) first"
             )
         r = mctx.hypot(xx, yy)
-        theta = mctx.atan2(xx, yy) if r > 0 else mctx.mpf(0)
-        return cls(x=xx, y=yy, r=r, theta=theta, phi=mctx.pi - 2 * theta)
+        if r == 0:
+            return cls(x=xx, y=yy, r=r, theta=mctx.mpf(0), phi=mctx.pi)
+        return cls(x=xx, y=yy, r=r, theta=mctx.atan2(xx, yy), phi=2 * mctx.atan2(yy, xx))
 
     @classmethod
     def from_polar(cls, r, theta, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "VoigtArgument":

@@ -7,6 +7,8 @@ from __future__ import annotations
 import json
 import warnings
 
+import pytest
+
 import voigt_asym.cli as cli
 from voigt_asym import BelowAsymptoticRangeWarning, PrecisionError, mp_context
 from voigt_asym.cli import (
@@ -124,6 +126,28 @@ def test_eval_far_out_returns_finite(capsys):
             want = mctx.mpc(v.real, -v.imag)
         assert abs(K - want.real) <= mctx.mpf(10) ** (-38) * K
         assert abs(L - want.imag) <= mctx.mpf(10) ** (-38) * L
+
+
+def test_eval_off_the_stokes_line_at_huge_x(capsys):
+    # phi = 2 atan2(2, 1e60) = 4e-60 is not the Stokes line, so theorem2 is
+    # not held to the three stored limit terms there
+    rc, out, err = run(capsys, "eval", "--x", "1e60", "--y", "2", "--method", "theorem2",
+                       "--k-terms", "5")
+    assert rc == EXIT_OK, err
+    assert json.loads(out)["k_terms"] == 5
+
+
+def test_eval_algebraic_estimate_covers_rounding(capsys):
+    # at x = 300 the first omitted term and e^{-r^2} are near 10^-39089;
+    # the sum's own rounding, about 10^-45 relative, has to be in the estimate
+    mctx = mp_context(70)
+    rc, out, err = run(capsys, "eval", "--x", "300", "--y", "2", "--method", "algebraic")
+    assert rc == EXIT_OK, err
+    rec = json.loads(out)
+    _, out_ref, _ = run(capsys, "eval", "--x", "300", "--y", "2", "--precision", "60")
+    ref = json.loads(out_ref)
+    gap = sum(abs(mctx.mpf(rec[k]) - mctx.mpf(ref[k])) for k in ("K", "L"))
+    assert 0 < gap <= mctx.mpf(rec["err_estimate"])
 
 
 def test_eval_warns_once_below_asymptotic_range(capsys):
@@ -353,6 +377,21 @@ def test_precision_error_maps_to_exit_3(capsys, monkeypatch):
     rc, _, err = run(capsys, "eval", "--x", "1", "--y", "2")
     assert rc == EXIT_PRECISION
     assert "precision failure" in err
+
+
+def test_library_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # exit 64 is for options that do not parse; a ValueError from inside a
+    # command is a bug and must surface as one
+    def broken(arg, ctx):
+        raise ValueError("math domain error")
+
+    monkeypatch.setattr(cli, "voigt_exact_erfc", broken)
+    with pytest.raises(ValueError, match="math domain error"):
+        main(["eval", "--x", "1", "--y", "2"])
+    for argv in (("scan", "--r", "six"), ("coeffs", "--phi", "1", "--alpha", "half"),
+                 ("eval", "--r", "2", "--theta-over-pi", "0.1.2"), ("eval", "--x", "1", "--y=--")):
+        rc, _, err = run(capsys, *argv)
+        assert rc == EXIT_USAGE and "must be a number" in err, argv
 
 
 def test_env_var_controls_precision(capsys, monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 from voigt_asym import (
     DomainError,
     PrecisionContext,
+    PrecisionError,
     QuadratureError,
     VoigtArgument,
     integrate_semi_infinite,
@@ -24,6 +25,7 @@ from voigt_asym import (
     remainder_exact,
     upper_incomplete_gamma_half_ladder,
 )
+from voigt_asym import numerics
 from voigt_asym.numerics import _gamma_widening, erfcx, mp_context
 
 HALF = Fraction(1, 2)
@@ -257,6 +259,37 @@ def test_scaled_ladder_matches_mpmath_gammainc():
             got = ref_ctx.exp(-zr) * ref_ctx.mpc(ladder[m])
             assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (
                 digits, z, m)
+
+
+def _starved(monkeypatch):
+    # the first sweep runs at the requested digits, with no widening for
+    # the ~16 digits the recurrence loses at |z| = 36
+    monkeypatch.setattr(numerics, "_gamma_widening", lambda absz, digits: digits)
+
+
+@pytest.mark.parametrize("w_arg", [0.0, 0.3])
+def test_gamma_ladder_retries_a_sweep_that_falls_short(monkeypatch, w_arg):
+    digits, m_max = 40, 36
+    ctx = PrecisionContext(digits=digits)
+    ref_ctx = mp_context(digits + 25)
+    zr = ref_ctx.mpf(36) * ref_ctx.expj(2 * w_arg)
+    _starved(monkeypatch)
+    ladder = upper_incomplete_gamma_half_ladder(m_max, ctx.mp().mpc(zr), ctx)
+    for m in (0, m_max // 2, m_max):
+        want = ref_ctx.gammainc(ref_ctx.mpf(1) / 2 - m, zr)
+        got = ref_ctx.exp(-zr) * ref_ctx.mpc(ladder[m])
+        assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (w_arg, m)
+
+
+def test_gamma_ladder_refuses_when_both_sweeps_fall_short(monkeypatch):
+    # with the retry starved too, the loss check must raise rather than
+    # hand back entries short of the requested digits
+    _starved(monkeypatch)
+    monkeypatch.setattr(numerics, "round_widening", lambda extra: 0)
+    ctx = PrecisionContext(digits=40)
+    with pytest.raises(PrecisionError) as caught:
+        upper_incomplete_gamma_half_ladder(36, ctx.mp().mpf(36), ctx)
+    assert 0 < caught.value.attained < 40
 
 
 def test_gamma_widening_lands_on_few_precisions():

@@ -41,6 +41,21 @@ def test_from_polar_snaps_axes(ctx40):
     assert b.y == 0 and b.x == mctx.mpf("3.5")
 
 
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_phi_keeps_its_digits_far_from_the_real_axis(digits):
+    # pi - 2 theta cancels when y << x, down to 0 (the Stokes line) at
+    # (1e60, 2) although y = 2; phi must keep its digits there and stay
+    # exactly 0 on the line and pi at the origin
+    ctx = PrecisionContext(digits=digits)
+    ref = mp_context(digits + 20)
+    for x in ("1e30", "1e60", "3", "0"):
+        arg = VoigtArgument.from_xy(x, 2, ctx)
+        want = 2 * ref.atan2(2, ref.mpf(x))
+        assert abs(arg.phi - want) <= ref.mpf(10) ** (1 - digits) * want, (x, arg.phi)
+    assert VoigtArgument.from_xy(5, 0, ctx).phi == 0
+    assert VoigtArgument.from_xy(0, 0, ctx).phi == ctx.mp().pi
+
+
 def test_argument_rejects_other_quadrants(ctx40):
     with pytest.raises(DomainError):
         VoigtArgument.from_xy(-1, 2, ctx40)
