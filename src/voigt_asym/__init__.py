@@ -43,7 +43,6 @@ from .coefficients import (
     CoefficientSet,
     E_of_phi,
     ReversionSeries,
-    b0_phi_slope,
     b2k_limit,
     c_of_phi,
     coefficient_set,
@@ -82,7 +81,6 @@ __all__ = [
     "VoigtArgument",
     "VoigtError",
     "algebraic_partial_sums",
-    "b0_phi_slope",
     "b2k_limit",
     "c_of_phi",
     "coefficient_set",

@@ -206,11 +206,11 @@ def cmd_eval(args) -> int:
     elif method == "algebraic":
         ev = algebraic_partial_sums(arg, plan.m, ctx)
         # accuracy is limited by the first omitted term, the exponentially
-        # small remainder the sum cannot see, and the sum's own rounding
+        # small remainder the sum cannot see, and the sum's own rounding,
+        # which is the estimate the sum reports
         r = mctx.convert(arg.r)
         nxt = _next_term_magnitude(mctx, plan.m, r)
-        rounding = ctx.eps(mctx) * (abs(ev.K) + abs(ev.L))
-        ev = dataclasses.replace(ev, err_estimate=nxt + mctx.exp(-r * r) + rounding)
+        ev = dataclasses.replace(ev, err_estimate=nxt + mctx.exp(-r * r) + ev.err_estimate)
     elif method in ("theorem1", "theorem2"):
         variant = "eq41" if method == "theorem1" else "eq42"
         k_terms = args.k_terms

@@ -64,14 +64,6 @@ B_LIMIT_POLYNOMIALS = {
     ),
 }
 
-# Coefficient of the O(phi) imaginary term of B_0 near phi = 0:
-# B_0 = 2/3 - alpha - (i/12)(1 - 6 alpha + 6 alpha^2) phi + ...
-B0_SLOPE_POLYNOMIAL: Tuple[Fraction, ...] = (
-    Fraction(-1, 12),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
-
 _DOUBLE_FACTORIAL = (1, 1, 3, 15, 105, 945)  # (2k-1)!! = 2^k (1/2)_k for k = 0..5
 
 
@@ -252,13 +244,6 @@ def b2k_limit(alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT, probe_phi:
     if not 0 < phi_f < PHI_SWITCH:
         raise DomainError("probe_phi must be a small positive angle")
     return coefficient_set(probe_phi, alpha, k, ctx).B[k]
-
-
-def b0_phi_slope(alpha, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """d B_0 / d phi at phi = 0: the purely imaginary
-    -(i/12)(1 - 6 alpha + 6 alpha^2)."""
-    mctx = ctx.mp()
-    return mctx.mpc(0, _polynomial(mctx, B0_SLOPE_POLYNOMIAL, to_mpf(mctx, alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ ways:
   an error function through E(phi) and corrections in the B^_2k
   coefficients, valid up to and on the Stokes line.
 
-``leading_remainder`` gives the one-term versions of both, and
-``terminant_asymptotic`` exposes the underlying terminant estimate itself.
-All estimates here are asymptotic, not exact; the matching exact quantities
-live in ``oracle.remainder_exact``.
+Both are e^{-r^2}/sqrt(2 pi) times one bracketed sum, which a single
+private kernel computes together with its first omitted term, the basis of
+``err_estimate``. ``terminant_asymptotic`` reads the same kernel: its "away"
+and "uniform" regions are e^{-z}/2 times theorem1 and theorem2. Only
+``leading_remainder`` keeps closed one-term forms of its own. All estimates
+here are asymptotic, not exact; the matching exact quantities live in
+``oracle.remainder_exact``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .coefficients import B_LIMIT_POLYNOMIALS, K_MAX, E_of_phi, c_of_phi, coefficient_set
+from .coefficients import B_LIMIT_POLYNOMIALS, K_MAX, E_of_phi, coefficient_set
 from .exceptions import (
     BelowAsymptoticRangeWarning,
     DomainError,
@@ -36,7 +39,6 @@ from .numerics import (
     GUARD_DIGITS,
     PrecisionContext,
     asymptotic_series,
-    erfcx,
     to_mpf,
 )
 from .oracle import Evaluation, VoigtArgument
@@ -139,10 +141,8 @@ def algebraic_partial_sums(
     out = ctx.mp()
     K = out.mpf(S.real)
     L = out.mpf(-S.imag)
-    eps = out.mpf(10) ** (1 - ctx.digits)
     return Evaluation(
-        K=K, L=L, method="algebraic",
-        err_estimate=eps * (abs(K) + abs(L) + out.mpf(10) ** (-2 * ctx.digits)),
+        K=K, L=L, method="algebraic", err_estimate=ctx.eps(out) * (abs(K) + abs(L))
     )
 
 
@@ -157,14 +157,59 @@ class RemainderEstimate:
     err_estimate: object = None
 
 
-def _check_k_terms(k_terms: int, on_line: bool = False):
+def _check_collar(mctx, arg: VoigtArgument):
+    # theorem1 and the leading "away" form share the non-uniform prefactor
+    # 1/cos theta, and with it this refusal
+    theta = mctx.convert(arg.theta)
+    slack = mctx.mpf(10) ** (-12)
+    limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
+    if theta > limit + slack:
+        raise DomainError(
+            "theta = %s is inside the Stokes collar; the non-uniform estimate "
+            "diverges there, use theorem2" % (theta,)
+        )
+    return theta
+
+
+def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: PrecisionContext):
+    """The bracketed sum shared by every remainder estimate, with the
+    modulus of its first omitted term.
+
+    Both series are sum_{k < k_terms} e^{i (nu - 1/2) phi} C_2k / r^{2k+1}.
+    uniform: C = B^, after the head e^{i (nu - alpha) phi} E(phi) that
+    carries the smoothed Stokes jump (eq42). away: C = A, and the sum is
+    divided by sin(phi/2) = cos theta (eq41). The remainder after m terms,
+    2 e^z T_nu(z) at z = w^2, |z| = r^2 and nu = m + 1/2, is e^{-r^2}/sqrt(2 pi)
+    times this sum.
+    """
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    phi, r, nu, alpha = (mctx.convert(v) for v in (phi, r, nu, alpha))
     # on the Stokes line only the stored limits B_0, B_2, B_4 exist
+    on_line = phi == 0
     cap = len(B_LIMIT_POLYNOMIALS) if on_line else MAX_K_TERMS
     if not 1 <= k_terms <= cap:
         raise UnsupportedOrderError(
             "k_terms must lie in [1, %d]%s, got %r"
             % (cap, " on the Stokes line" if on_line else "", k_terms)
         )
+    # the omitted term has order k_terms, which the stored limits lack when
+    # k_terms = 3 on the line
+    k_top = min(k_terms, max(B_LIMIT_POLYNOMIALS)) if on_line else k_terms
+    coeffs = coefficient_set(phi, alpha, k_top, ctx)
+    if uniform:
+        C = coeffs.Bhat
+        total = mctx.expj((nu - alpha) * phi) * E_of_phi(phi, r, ctx)
+    else:
+        C, total = coeffs.A, mctx.mpc(0)
+    rot = mctx.expj((nu - 0.5) * phi)
+    # the away series' division by sin(phi/2) rides on the powers of r
+    rpow = 1 / r if uniform else 1 / (r * mctx.sin(phi / 2))
+    for k in range(k_terms):
+        term = rot * C[k] * rpow
+        total += term
+        rpow /= r * r
+    omitted = abs(C[k_terms]) * rpow if k_terms <= k_top else abs(term) / (r * r)
+    return total, omitted
 
 
 def terminant_asymptotic(
@@ -178,6 +223,8 @@ def terminant_asymptotic(
     where its prefactor pole sits); region="uniform" smooths the Stokes
     jump with an error function and uses the B-coefficient series. On the
     Stokes line arg z = pi the uniform form gives T = 1/2 + O(|z|^{-1/2}).
+    Either is e^{-z}/2 times the matching remainder estimate, theorem1 or
+    theorem2, at r = sqrt|z| and phi = pi - arg z.
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
     zz = mctx.mpc(z)
@@ -188,7 +235,8 @@ def terminant_asymptotic(
     slack = mctx.mpf(10) ** (-12)
     if argz < -slack or argz > mctx.pi + slack:
         raise DomainError("terminant_asymptotic covers 0 <= arg z <= pi, got arg z = %s" % (argz,))
-    alpha = to_mpf(mctx, nu) - absz
+    nu = to_mpf(mctx, nu)
+    alpha = nu - absz
     if abs(alpha) > 1 + slack:
         raise DomainError(
             "nu must sit within one unit of |z| (|alpha| <= 1), got alpha = %s" % (alpha,)
@@ -196,38 +244,37 @@ def terminant_asymptotic(
     phi = mctx.pi - argz
     if phi < 0:
         phi = mctx.mpf(0)
-
     if region == "away":
-        _check_k_terms(k_terms)
         if phi < mctx.mpf(10) ** (-8):
             raise DomainError(
                 "the non-uniform terminant estimate has a pole at arg z = pi; "
                 "use region=\"uniform\""
             )
-        A = coefficient_set(phi, alpha, k_terms - 1, ctx).A
-        series = sum(A[k] / absz**k for k in range(k_terms))
-        pref = -mctx.mpc(0, 1) * mctx.expj(phi * to_mpf(mctx, nu)) / (1 - mctx.expj(phi))
-        return ctx.mp().mpc(
-            pref * mctx.exp(-zz - absz) / mctx.sqrt(2 * mctx.pi * absz) * series
-        )
-
-    if region != "uniform":
+    elif region != "uniform":
         raise DomainError("unknown terminant region %r" % (region,))
-    _check_k_terms(k_terms, on_line=phi == 0)
-    zeta = c_of_phi(phi, ctx) * mctx.sqrt(absz / 2)
-    B = coefficient_set(phi, alpha, k_terms - 1, ctx).B
-    series = sum(B[k] / absz**k for k in range(k_terms))
-    # erfc(zeta) = e^{-zeta^2} erfcx(zeta), and zeta^2 = z + |z| - i phi |z|
-    # is also the exponent of the correction series
-    val = mctx.exp(-zeta * zeta) * (
-        erfcx(zeta, mctx) / 2 - mctx.mpc(0, 1) * series / mctx.sqrt(2 * mctx.pi * absz)
+    total, _ = _remainder_series(
+        phi, mctx.sqrt(absz), nu, alpha, k_terms, region == "uniform", ctx
     )
-    return ctx.mp().mpc(val)
+    return ctx.mp().mpc(mctx.exp(-zz - absz) / (2 * mctx.sqrt(2 * mctx.pi)) * total)
 
 
 def _exp_prefactor(mctx, arg: VoigtArgument):
     r = mctx.convert(arg.r)
     return mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
+
+
+def _scaled_estimate(arg, series, k_terms: int, method: str, ctx) -> RemainderEstimate:
+    # hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times the kernel's sum
+    total, omitted = series
+    pref = _exp_prefactor(ctx.mp(extra=GUARD_DIGITS), arg)
+    out = ctx.mp()
+    return RemainderEstimate(
+        Khat=out.mpf((pref * total).real),
+        Lhat=out.mpf(-(pref * total).imag),
+        k_used=k_terms,
+        method=method,
+        err_estimate=out.mpf(EST_SAFETY * pref * omitted),
+    )
 
 
 def theorem1(
@@ -242,15 +289,8 @@ def theorem1(
     prefactor through a pole; a warning marks the band where accuracy decays.
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
-    theta = mctx.convert(arg.theta)
-    slack = mctx.mpf(10) ** (-12)
-    limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
-    if theta > limit + slack:
-        raise DomainError(
-            "theta = %s is inside the Stokes collar; the non-uniform estimate "
-            "diverges there, use theorem2" % (theta,)
-        )
-    _check_k_terms(k_terms)
+    theta = _check_collar(mctx, arg)
+    series = _remainder_series(arg.phi, arg.r, plan.nu, plan.alpha, k_terms, False, ctx)
     if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
         warnings.warn(
             "theta is close to the Stokes line; the non-uniform estimate is "
@@ -258,26 +298,7 @@ def theorem1(
             StokesCollarWarning,
             stacklevel=2,
         )
-    phi = mctx.convert(arg.phi)
-    r = mctx.convert(arg.r)
-    alpha = mctx.convert(plan.alpha)
-    rot = mctx.expj(plan.m * phi)
-    pref = _exp_prefactor(mctx, arg) / mctx.cos(theta)
-    A = coefficient_set(phi, alpha, k_terms, ctx).A
-    total = mctx.mpc(0)
-    rpow = 1 / r
-    for k in range(k_terms):
-        total += rot * A[k] * rpow
-        rpow /= r * r
-    omitted = abs(A[k_terms]) * rpow
-    out = ctx.mp()
-    return RemainderEstimate(
-        Khat=out.mpf((pref * total).real),
-        Lhat=out.mpf(-(pref * total).imag),
-        k_used=k_terms,
-        method="eq41",
-        err_estimate=out.mpf(EST_SAFETY * abs(pref) * omitted),
-    )
+    return _scaled_estimate(arg, series, k_terms, "eq41", ctx)
 
 
 def theorem2(
@@ -291,36 +312,8 @@ def theorem2(
     + sum_k e^{i m phi} B^_2k(phi, alpha) / r^{2k+1} }, with the error
     function inside E(phi) carrying the smoothed Stokes jump.
     """
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    phi = mctx.convert(arg.phi)
-    r = mctx.convert(arg.r)
-    on_line = phi == 0
-    _check_k_terms(k_terms, on_line)
-    alpha = mctx.convert(plan.alpha)
-    E = E_of_phi(phi, r, ctx)
-    # e^{i (m + 1/2 - alpha) phi} = e^{i r^2 phi}
-    head = mctx.expj((plan.m + mctx.mpf(1) / 2 - alpha) * phi) * E
-    rot = mctx.expj(plan.m * phi)
-    # the omitted term has order k_terms, which the stored limits lack when
-    # k_terms = 3 on the line
-    k_top = min(k_terms, max(B_LIMIT_POLYNOMIALS)) if on_line else k_terms
-    Bhat = coefficient_set(phi, alpha, k_top, ctx).Bhat
-    total = mctx.mpc(head)
-    rpow = 1 / r
-    for k in range(k_terms):
-        term = rot * Bhat[k] * rpow
-        total += term
-        rpow /= r * r
-    omitted = abs(Bhat[k_terms]) * rpow if k_terms <= k_top else abs(term) / (r * r)
-    pref = _exp_prefactor(mctx, arg)
-    out = ctx.mp()
-    return RemainderEstimate(
-        Khat=out.mpf((pref * total).real),
-        Lhat=out.mpf(-(pref * total).imag),
-        k_used=k_terms,
-        method="eq42",
-        err_estimate=out.mpf(EST_SAFETY * pref * omitted),
-    )
+    series = _remainder_series(arg.phi, arg.r, plan.nu, plan.alpha, k_terms, True, ctx)
+    return _scaled_estimate(arg, series, k_terms, "eq42", ctx)
 
 
 def leading_remainder(
@@ -335,17 +328,11 @@ def leading_remainder(
     E(phi) plus the first correction linearized in phi.
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
-    theta = mctx.convert(arg.theta)
     r = mctx.convert(arg.r)
     out = ctx.mp()
     sgn = -1 if plan.m % 2 else 1
     if regime == "away":
-        slack = mctx.mpf(10) ** (-12)
-        limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
-        if theta > limit + slack:
-            raise DomainError(
-                "theta = %s is inside the Stokes collar; use regime=\"near\"" % (theta,)
-            )
+        theta = _check_collar(mctx, arg)
         pref = sgn * _exp_prefactor(mctx, arg) / mctx.convert(arg.y)
         est_next = abs(pref) * mctx.mpf(3) / (2 * r * r)  # next term is O(A_2/r^2)
         return RemainderEstimate(

@@ -66,23 +66,16 @@ class PrecisionContext:
     """Requested precision for a computation.
 
     ``digits`` is the number of decimal significant digits results are good
-    to; ``quad_tol`` is the absolute tolerance quadratures are driven to,
-    defaulting to 10^(6-digits) as an mpf (a float would underflow to 0 from
-    330 digits on). Operations run internally with guard digits
-    (and, where a formula cancels, with explicitly widened precision) so that
-    well-conditioned results carry relative error at most 10^(1-digits).
+    to. Operations run internally with guard digits (and, where a formula
+    cancels, with explicitly widened precision) so that well-conditioned
+    results carry relative error at most 10^(1-digits).
     """
 
     digits: int = 40
-    quad_tol: object = None
 
     def __post_init__(self):
         if self.digits < 16:
             raise DomainError("digits must be at least 16, got %r" % (self.digits,))
-        if self.quad_tol is None:
-            object.__setattr__(self, "quad_tol", self.mp().mpf(10) ** (6 - self.digits))
-        elif not self.quad_tol > 0:
-            raise DomainError("quad_tol must be positive, got %r" % (self.quad_tol,))
 
     def mp(self, extra: int = 0):
         """Working mpmath context: guard digits plus ``extra`` widening."""
@@ -291,7 +284,7 @@ class QuadratureResult(NamedTuple):
 
 
 # Error estimates reported by the double-exponential rule are scaled by this
-# factor before being compared with quad_tol, so that reported <= actual
+# factor before being compared with the tolerance, so that reported <= actual
 # never happens on reasonable integrands.
 QUAD_SAFETY = 10
 
@@ -310,7 +303,6 @@ def integrate_semi_infinite(
     *,
     pole_hints: Sequence = (),
     extra_points: Sequence = (),
-    quad_tol=None,
     extra_dps: int = 0,
 ) -> QuadratureResult:
     """Integral of ``f`` over (0, inf) by double-exponential quadrature.
@@ -324,11 +316,12 @@ def integrate_semi_infinite(
     rule to converge; all integrands in this package decay exponentially.
 
     Returns the value together with a conservative absolute error estimate.
-    If the estimate cannot be driven below ``quad_tol`` (default: the
-    context's), raises QuadratureError carrying the best value and the gap.
+    If the estimate cannot be driven below the absolute tolerance
+    10^(6-digits), raises QuadratureError carrying the best value and the gap.
     """
     tol_ctx = ctx.mp(extra_dps)
-    tol = tol_ctx.mpf(ctx.quad_tol if quad_tol is None else quad_tol)
+    # an mpf: as a float it would underflow to 0 from 330 digits on
+    tol = tol_ctx.mpf(10) ** (6 - ctx.digits)
 
     splits = set()
     for p in pole_hints:

@@ -48,6 +48,14 @@ from .numerics import (
 # collar of the Stokes line.
 EPS_POLE = 0.05
 
+# A nonzero coordinate must have a binary exponent within this bound:
+# 2^-2048 (about 3.1e-617) <= |v| < 2^2048 (about 3.2e616). The work grows without limit
+# past it: the erfc oracle widens by 2 log10 x digits (11 s at x = 1e800 and
+# 57 s at 1e1500, against 2 s at 1e400), theorem2 widens its coefficients by
+# about 9 log10(1/phi) digits (24 s at y = 1e-20000, x = 1), and mpmath's
+# exact squaring fails outright near 1e(+-)1e21.
+COORDINATE_MAG_MAX = 2048
+
 
 def _finite_pair(mctx, a, b, name_a: str, name_b: str):
     # NaN passes every ordering test and infinity has no polar form, so
@@ -56,6 +64,12 @@ def _finite_pair(mctx, a, b, name_a: str, name_b: str):
     for name, v in zip((name_a, name_b), pair):
         if not mctx.isfinite(v):
             raise DomainError("%s must be finite, got %s" % (name, v))
+        # 2^(mag - 1) <= |v| < 2^mag
+        if v and not -COORDINATE_MAG_MAX < mctx.mag(v) <= COORDINATE_MAG_MAX:
+            raise DomainError(
+                "%s = %s is outside the supported range 2^-%d <= |%s| < 2^%d"
+                % (name, mctx.nstr(v, 5), COORDINATE_MAG_MAX, name, COORDINATE_MAG_MAX)
+            )
     return pair
 
 
@@ -154,7 +168,7 @@ def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
     about 2 log10(x) digits of K and L at large x."""
     mctx = ctx.mp(extra=GUARD_DIGITS)
     out = ctx.mp()
-    eps = out.mpf(10) ** (1 - ctx.digits)
+    eps = ctx.eps(out)
     if arg.x == 0:
         # w real: K = e^{y^2} erfc(y), L = 0 identically
         K = mctx.exp(mctx.fmul(arg.y, arg.y, exact=True)) * mctx.erfc(arg.y)
@@ -348,7 +362,7 @@ def _gamma_remainders(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):
     ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
     inv_sqrtpi = 1 / mctx.sqrt(mctx.pi)
     out = ctx.mp()
-    eps = out.mpf(10) ** (1 - ctx.digits)
+    eps = ctx.eps(out)
 
     def remainder(m: int) -> Evaluation:
         # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, where the ladder

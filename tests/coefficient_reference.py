@@ -1,7 +1,9 @@
 """Published reference data for the coefficient tests.
 
 The library derives gamma_k and c_{j,k} from the series reversion at run
-time; the values below are the published tables those must equal, exactly.
+time; the values below are the published tables those must equal, exactly,
+and the phi-slope of B_0 at the Stokes line, which the finite-difference
+slope of the library's coefficients must match.
 ``bhat2k_alt`` is the second closed form of the hatted coefficient, kept
 here as an independent check on the one the library evaluates.
 """
@@ -54,6 +56,10 @@ CJK_TABLE = {
         10: Fraction(945),
     },
 }
+
+# Coefficient of the O(phi) imaginary term of B_0 near phi = 0, constant
+# coefficient first: B_0 = 2/3 - alpha - (i/12)(1 - 6 alpha + 6 alpha^2) phi + ...
+B0_SLOPE_POLYNOMIAL = (Fraction(-1, 12), Fraction(1, 2), Fraction(-1, 2))
 
 
 def h_power_sum(mctx, phi, alpha, j):

@@ -367,6 +367,22 @@ def test_non_finite_coordinates_exit_2(capsys):
             assert "domain error" in err and out == ""
 
 
+def test_coordinates_past_the_exponent_bound_exit_2(capsys):
+    # these ended in mpmath's OverflowError from an exact square, or (the
+    # last) ran for minutes; coordinates just inside the bound still answer
+    for argv in (
+        ("--x", "1", "--y=1e999999999999999999999"),
+        ("--x", "1", "--y=1e-999999999999999999999"),
+        ("--x", "1e100000", "--y", "1", "--method", "theorem2"),
+    ):
+        rc, out, err = run(capsys, "eval", *argv)
+        assert rc == EXIT_DOMAIN, argv
+        assert "domain error" in err and out == ""
+    for argv in (("--x", "3.2e616", "--y", "2"), ("--x", "1", "--y", "3.1e-617")):
+        rc, out, err = run(capsys, "eval", *argv, "--method", "theorem2")
+        assert rc == EXIT_OK, (argv, err)
+
+
 def test_precision_error_maps_to_exit_3(capsys, monkeypatch):
     # no healthy input trips the precision path, so drive the dispatcher
     # directly: any command raising PrecisionError must exit 3

@@ -214,6 +214,18 @@ def test_bounded_partial_sum_matches_full_sum(digits, r, theta_over_pi, m):
     assert abs(ev.L + want.imag) <= ev.err_estimate
 
 
+def test_partial_sum_estimate_scales_with_the_values():
+    # at x = 1e400, K ~ 1e-800 and L ~ 6e-401: an absolute floor in the
+    # estimate would claim that no digit of K, or even of L, is right
+    for digits in (16, 40):
+        ctx = PrecisionContext(digits=digits)
+        arg = VoigtArgument.from_xy("1e400", 2, ctx)
+        sums = algebraic_partial_sums(arg, optimal_truncation(arg.r, ctx).m, ctx)
+        ev = evaluate_via_expansion(arg, "eq42", 3, None, ctx)
+        for e in (sums, ev):
+            assert 0 < e.err_estimate <= ctx.eps() * (abs(e.K) + abs(e.L)), digits
+
+
 def test_partial_sum_length_rule():
     from voigt_asym.numerics import _series_length
 
@@ -321,6 +333,44 @@ def test_terminant_validation(ctx40):
         omitted = abs(coefficient_set(phi, mctx.mpf("0.5"), k_terms, ctx40).B[k_terms])
         # the same bound theorem2 reports: three first omitted terms
         assert abs(T_est - T_exact) <= 3 * pref * omitted / mctx.mpf(9) ** k_terms
+
+
+def _identity_cases():
+    # seeded (r, theta/pi) per precision: theta at both ends, near the
+    # Stokes line and in between; eq41 stops below its collar
+    rng = random.Random(20260609)
+    cases = []
+    for digits in (16, 40, 100):
+        thetas = ["0", "0.5", "%.6f" % ((1 - rng.uniform(0, 0.15) / math.pi) / 2)]
+        thetas += ["%.6f" % rng.uniform(0, 0.48) for _ in range(2)]
+        for t in thetas:
+            cases.append((digits, "%.6f" % rng.uniform(2, 12), t))
+    return cases
+
+
+@pytest.mark.parametrize("digits, r, theta_over_pi", _identity_cases())
+def test_theorems_are_twice_e_z_times_the_terminant(digits, r, theta_over_pi):
+    # the remainder after m terms is 2 e^z T_nu(z) with nu = m + 1/2, so each
+    # theorem is that multiple of the terminant estimate of its own kind
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    ref = PrecisionContext(digits=digits + 10)
+    arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+    plan = optimal_truncation(arg.r, ctx)
+    z = arg.z(ref)
+    on_line = arg.phi == 0
+    kinds = [(theorem2, "uniform")]
+    if float(theta_over_pi) < 0.48:
+        kinds.append((theorem1, "away"))
+    for theorem, region in kinds:
+        for k_terms in range(1, 4 if on_line else 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StokesCollarWarning)
+                est = theorem(arg, plan, k_terms, ctx)
+            got = ref.mp().mpc(est.Khat, -est.Lhat)
+            T = terminant_asymptotic(z, plan.nu, region, k_terms, ctx)
+            want = 2 * ref.mp().exp(z) * T
+            assert abs(got - want) <= ctx.eps(ref.mp()) * abs(want), (region, k_terms)
 
 
 # ------------------------------------------------------------- theorem 1

@@ -24,6 +24,7 @@ from voigt_asym import (
     voigt_quadrature,
 )
 from voigt_asym.numerics import GAMMA_RECURRENCE_CAP
+from voigt_asym.oracle import COORDINATE_MAG_MAX
 
 # exact remainders at |w| = 3.5 with the m = 12 cut, frozen from the
 # high-precision subtraction oracle before the terminant routes existed
@@ -73,6 +74,28 @@ def test_non_finite_input_is_a_domain_error(ctx40, bad):
     for r, theta in ((bad, "0.3"), ("2", bad)):
         with pytest.raises(DomainError):
             VoigtArgument.from_polar(r, theta, ctx40)
+
+
+def test_coordinate_exponent_bound_on_both_sides(ctx40):
+    # 2^-B <= |v| < 2^B is answered; just past either end, and the literals
+    # whose exact squares no longer fit in memory, are refused
+    mctx = ctx40.mp()
+    top = mctx.ldexp(1, COORDINATE_MAG_MAX)
+    inside = (top * (1 - mctx.eps), 1 / top)
+    outside = (top, (1 - mctx.eps) / top, "1e999999999999999999999", "1e-999999999999999999999")
+    for v in inside:
+        for a, b in ((v, 1), (1, v), (-v, -v)):
+            arg, _, _ = reduce_to_first_quadrant(a, b, ctx40)
+            assert arg.r > 0
+    for v in outside:
+        for a, b in ((v, 1), (1, v)):
+            with pytest.raises(DomainError):
+                VoigtArgument.from_xy(a, b, ctx40)
+            with pytest.raises(DomainError):
+                reduce_to_first_quadrant(a, b, ctx40)
+        with pytest.raises(DomainError):
+            VoigtArgument.from_polar(v, "0.3", ctx40)
+    assert VoigtArgument.from_xy(0, 0, ctx40).r == 0  # zero is not bounded
 
 
 def test_reduce_examples(ctx40):
