@@ -19,11 +19,12 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import tables
 from .coefficients import c_of_phi, coefficient_set
-from .exceptions import DomainError, PrecisionError
+from .exceptions import BelowAsymptoticRangeWarning, DomainError, PrecisionError
 from .expansions import (
     THETA_COLLAR_OVER_PI,
     TruncationPlan,
@@ -192,12 +193,16 @@ def cmd_eval(args) -> int:
     method = args.method
     k_terms = m_used = alpha = None
     if method in ("algebraic", "theorem1", "theorem2"):
-        # one plan per evaluation, and with it one below-range warning
-        plan = (
-            optimal_truncation(arg.r, ctx)
-            if args.m is None
-            else TruncationPlan.for_m(args.m, arg.r, ctx)
-        )
+        # one below-range warning per evaluation: evaluate_via_expansion
+        # plans the same cut again and warns itself
+        with warnings.catch_warnings():
+            if method != "algebraic":
+                warnings.simplefilter("ignore", BelowAsymptoticRangeWarning)
+            plan = (
+                optimal_truncation(arg.r, ctx)
+                if args.m is None
+                else TruncationPlan.for_m(args.m, arg.r, ctx)
+            )
         m_used, alpha = plan.m, plan.alpha
     if method == "oracle":
         ev = voigt_exact_erfc(arg, ctx)
@@ -214,7 +219,8 @@ def cmd_eval(args) -> int:
     elif method in ("theorem1", "theorem2"):
         variant = "eq41" if method == "theorem1" else "eq42"
         k_terms = args.k_terms
-        ev = evaluate_via_expansion(arg, variant, k_terms, plan.m, ctx)
+        # the optimal cut only when --m is not given
+        ev = evaluate_via_expansion(arg, variant, k_terms, args.m, ctx)
     else:
         raise _UsageError("unknown method %r" % (method,))
 
@@ -256,13 +262,11 @@ def _table1_cells(ctx: PrecisionContext):
 
 
 def _table2_cells(ctx: PrecisionContext):
-    import warnings as _w
-
     mctx = ctx.mp()
     plan = TruncationPlan.for_m(tables.TABLE2_M, tables.TABLE2_R, ctx)
     rows = {}
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         for key in tables.TABLE2_ANGLES:
             th = mctx.mpf(key) * mctx.pi
             a = VoigtArgument.from_polar(tables.TABLE2_R, th, ctx)
@@ -419,11 +423,9 @@ def cmd_scan(args) -> int:
         top = top - mctx.mpf(THETA_COLLAR_OVER_PI)
     plan = optimal_truncation(r, ctx)
 
-    import warnings as _w
-
     lines = ["theta_over_pi,rel_err_K,rel_err_L"]
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         for j in range(args.n):
             frac = top * j / (args.n - 1)
             a = VoigtArgument.from_polar(r, frac * mctx.pi, ctx)

@@ -41,10 +41,17 @@ from .numerics import (
     round_widening,
     to_mpf,
 )
+from .oracle import COORDINATE_MAG_MAX
 
 # Below this phi (radians) the B-coefficient closed form needs widened
 # precision; at phi = 0 exactly the stored limits take over.
 PHI_SWITCH = 0.15
+
+# A positive phi below 2^PHI_MIN_EXP (about 9.5e-1234) is refused: the B
+# widening grows as (2 k_max + 3) log10(1/phi) digits, some 16,000 at this
+# bound and without limit below it, while phi = 2 atan2(y, x) of supported
+# coordinates stays above 2^(PHI_MIN_EXP + 1).
+PHI_MIN_EXP = -2 * COORDINATE_MAG_MAX
 
 # Coefficient tables stop here; beyond is an error, never an extrapolation.
 K_MAX = 5
@@ -71,6 +78,11 @@ def _check_phi(mctx, phi):
     p = to_mpf(mctx, phi)
     if p < 0 or p > mctx.pi * (1 + mctx.mpf(10) ** (-10)):
         raise DomainError("phi must lie in [0, pi], got %s" % (p,))
+    if 0 < p < mctx.ldexp(1, PHI_MIN_EXP):
+        raise DomainError(
+            "phi = %s is below the supported 2^%d; use phi = 0 for the Stokes line"
+            % (mctx.nstr(p, 5), PHI_MIN_EXP)
+        )
     return p
 
 

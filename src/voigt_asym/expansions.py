@@ -17,13 +17,18 @@ Both are e^{-r^2}/sqrt(2 pi) times one bracketed sum, which a single
 private kernel computes together with its first omitted term, the basis of
 ``err_estimate``. ``terminant_asymptotic`` reads the same kernel: its "away"
 and "uniform" regions are e^{-z}/2 times theorem1 and theorem2. Only
-``leading_remainder`` keeps closed one-term forms of its own. All estimates
-here are asymptotic, not exact; the matching exact quantities live in
+``leading_remainder`` keeps closed one-term forms of its own. Every
+estimate runs its refusals and warnings in one private check before any of
+its work, so ``evaluate_via_expansion``, which at the optimal cut runs an
+estimate only to the digits it adds to the partial sums (or not at all),
+refuses and warns as the estimate would. All estimates here are
+asymptotic, not exact; the matching exact quantities live in
 ``oracle.remainder_exact``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +66,16 @@ MAX_K_TERMS = K_MAX
 # the first omitted term estimates the truncation error but does not bound
 # it; this margin absorbs the O(1) wobble so err_estimate can be trusted
 EST_SAFETY = 3
+
+# for r >= 1 the exact remainder at the optimal cut obeys
+# |hat-K - i hat-L| <= OPTIMAL_REMAINDER_BOUND e^{-r^2}; the ratio peaks on
+# the Stokes line, at 1.08 near r = 1.2 and at 1.003 over r in [3, 13.5]
+OPTIMAL_REMAINDER_BOUND = 2
+
+# evaluate_via_expansion runs a remainder estimate at the digits it adds to
+# K and L, rounded up to a multiple of this: every precision caches its own
+# mpmath contexts
+REMAINDER_DIGITS_STEP = 20
 
 
 @dataclass(frozen=True)
@@ -171,6 +186,17 @@ def _check_collar(mctx, arg: VoigtArgument):
     return theta
 
 
+def _check_k_terms(phi, k_terms: int):
+    # on the Stokes line only the stored limits B_0, B_2, B_4 exist
+    on_line = phi == 0
+    cap = len(B_LIMIT_POLYNOMIALS) if on_line else MAX_K_TERMS
+    if not 1 <= k_terms <= cap:
+        raise UnsupportedOrderError(
+            "k_terms must lie in [1, %d]%s, got %r"
+            % (cap, " on the Stokes line" if on_line else "", k_terms)
+        )
+
+
 def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: PrecisionContext):
     """The bracketed sum shared by every remainder estimate, with the
     modulus of its first omitted term.
@@ -184,14 +210,7 @@ def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: Preci
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
     phi, r, nu, alpha = (mctx.convert(v) for v in (phi, r, nu, alpha))
-    # on the Stokes line only the stored limits B_0, B_2, B_4 exist
     on_line = phi == 0
-    cap = len(B_LIMIT_POLYNOMIALS) if on_line else MAX_K_TERMS
-    if not 1 <= k_terms <= cap:
-        raise UnsupportedOrderError(
-            "k_terms must lie in [1, %d]%s, got %r"
-            % (cap, " on the Stokes line" if on_line else "", k_terms)
-        )
     # the omitted term has order k_terms, which the stored limits lack when
     # k_terms = 3 on the line
     k_top = min(k_terms, max(B_LIMIT_POLYNOMIALS)) if on_line else k_terms
@@ -252,6 +271,7 @@ def terminant_asymptotic(
             )
     elif region != "uniform":
         raise DomainError("unknown terminant region %r" % (region,))
+    _check_k_terms(phi, k_terms)
     total, _ = _remainder_series(
         phi, mctx.sqrt(absz), nu, alpha, k_terms, region == "uniform", ctx
     )
@@ -263,18 +283,95 @@ def _exp_prefactor(mctx, arg: VoigtArgument):
     return mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
 
 
-def _scaled_estimate(arg, series, k_terms: int, method: str, ctx) -> RemainderEstimate:
+def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEstimate:
     # hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times the kernel's sum
-    total, omitted = series
+    total, omitted = _remainder_series(
+        arg.phi, arg.r, plan.nu, plan.alpha, k_terms, uniform, ctx
+    )
     pref = _exp_prefactor(ctx.mp(extra=GUARD_DIGITS), arg)
     out = ctx.mp()
     return RemainderEstimate(
         Khat=out.mpf((pref * total).real),
         Lhat=out.mpf(-(pref * total).imag),
         k_used=k_terms,
-        method=method,
+        method="eq42" if uniform else "eq41",
         err_estimate=out.mpf(EST_SAFETY * pref * omitted),
     )
+
+
+def _leading_away(arg, plan, ctx) -> RemainderEstimate:
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    r = mctx.convert(arg.r)
+    theta = mctx.convert(arg.theta)
+    out = ctx.mp()
+    sgn = -1 if plan.m % 2 else 1
+    pref = sgn * _exp_prefactor(mctx, arg) / mctx.convert(arg.y)
+    est_next = abs(pref) * mctx.mpf(3) / (2 * r * r)  # next term is O(A_2/r^2)
+    return RemainderEstimate(
+        Khat=out.mpf(pref * mctx.cos(2 * plan.m * theta)),
+        Lhat=out.mpf(pref * mctx.sin(2 * plan.m * theta)),
+        k_used=1,
+        method="leading-away",
+        err_estimate=out.mpf(est_next),
+    )
+
+
+def _leading_near(arg, plan, ctx) -> RemainderEstimate:
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    r = mctx.convert(arg.r)
+    phi = mctx.convert(arg.phi)
+    alpha = mctx.convert(plan.alpha)
+    E = E_of_phi(phi, r, ctx)
+    head = mctx.expj((plan.m + mctx.mpf(1) / 2 - alpha) * phi) * E
+    a43 = mctx.mpf(4) / 3 - 2 * alpha
+    poly = mctx.mpf(1) / 2 - 4 * alpha / 3 + alpha * alpha
+    smphi = mctx.sin(plan.m * phi)
+    cmphi = mctx.cos(plan.m * phi)
+    pref = _exp_prefactor(mctx, arg)
+    Khat = pref * (head.real + (a43 * smphi + poly * phi * cmphi) / r)
+    Lhat = pref * (-head.imag + (a43 * cmphi - poly * phi * smphi) / r)
+    est_next = abs(pref) * (phi * phi + 1 / (r * r))
+    out = ctx.mp()
+    return RemainderEstimate(
+        Khat=out.mpf(Khat), Lhat=out.mpf(Lhat), k_used=1,
+        method="leading-near", err_estimate=out.mpf(est_next),
+    )
+
+
+def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext):
+    """Refuse or warn as the remainder estimate ``variant`` does at arg and
+    k_terms, and return that estimate as a function of (plan, ctx).
+
+    Every estimate passes its checks here, before any of its work, so a
+    caller that skips the work meets the same refusals and warnings.
+    """
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    if variant == "eq41":
+        theta = _check_collar(mctx, arg)
+        _check_k_terms(arg.phi, k_terms)
+        if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
+            warnings.warn(
+                "theta is close to the Stokes line; the non-uniform estimate is "
+                "degrading, prefer theorem2",
+                StokesCollarWarning,
+                stacklevel=3,
+            )
+        return lambda plan, c: _series_estimate(arg, plan, k_terms, False, c)
+    if variant == "eq42":
+        _check_k_terms(arg.phi, k_terms)
+        return lambda plan, c: _series_estimate(arg, plan, k_terms, True, c)
+    if variant == "leading-away":
+        _check_collar(mctx, arg)
+        return lambda plan, c: _leading_away(arg, plan, c)
+    if variant == "leading-near":
+        phi = mctx.convert(arg.phi)
+        if phi >= NEAR_PHI_MAX:
+            raise DomainError(
+                "phi = %s is too far from the Stokes line for the linearized "
+                "near form; use regime=\"away\" or theorem2" % (phi,)
+            )
+        return lambda plan, c: _leading_near(arg, plan, c)
+    raise DomainError("unknown expansion variant %r" % (variant,))
 
 
 def theorem1(
@@ -288,17 +385,7 @@ def theorem1(
     THETA_COLLAR_OVER_PI of the Stokes line, where cos theta sends the
     prefactor through a pole; a warning marks the band where accuracy decays.
     """
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    theta = _check_collar(mctx, arg)
-    series = _remainder_series(arg.phi, arg.r, plan.nu, plan.alpha, k_terms, False, ctx)
-    if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
-        warnings.warn(
-            "theta is close to the Stokes line; the non-uniform estimate is "
-            "degrading, prefer theorem2",
-            StokesCollarWarning,
-            stacklevel=2,
-        )
-    return _scaled_estimate(arg, series, k_terms, "eq41", ctx)
+    return _admit(arg, "eq41", k_terms, ctx)(plan, ctx)
 
 
 def theorem2(
@@ -312,8 +399,7 @@ def theorem2(
     + sum_k e^{i m phi} B^_2k(phi, alpha) / r^{2k+1} }, with the error
     function inside E(phi) carrying the smoothed Stokes jump.
     """
-    series = _remainder_series(arg.phi, arg.r, plan.nu, plan.alpha, k_terms, True, ctx)
-    return _scaled_estimate(arg, series, k_terms, "eq42", ctx)
+    return _admit(arg, "eq42", k_terms, ctx)(plan, ctx)
 
 
 def leading_remainder(
@@ -327,44 +413,9 @@ def leading_remainder(
     regime="near" (phi < NEAR_PHI_MAX): the uniform head e^{i r^2 phi}
     E(phi) plus the first correction linearized in phi.
     """
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    r = mctx.convert(arg.r)
-    out = ctx.mp()
-    sgn = -1 if plan.m % 2 else 1
-    if regime == "away":
-        theta = _check_collar(mctx, arg)
-        pref = sgn * _exp_prefactor(mctx, arg) / mctx.convert(arg.y)
-        est_next = abs(pref) * mctx.mpf(3) / (2 * r * r)  # next term is O(A_2/r^2)
-        return RemainderEstimate(
-            Khat=out.mpf(pref * mctx.cos(2 * plan.m * theta)),
-            Lhat=out.mpf(pref * mctx.sin(2 * plan.m * theta)),
-            k_used=1,
-            method="leading-away",
-            err_estimate=out.mpf(est_next),
-        )
-    if regime != "near":
+    if regime not in ("away", "near"):
         raise DomainError("unknown leading-remainder regime %r" % (regime,))
-    phi = mctx.convert(arg.phi)
-    if phi >= NEAR_PHI_MAX:
-        raise DomainError(
-            "phi = %s is too far from the Stokes line for the linearized "
-            "near form; use regime=\"away\" or theorem2" % (phi,)
-        )
-    alpha = mctx.convert(plan.alpha)
-    E = E_of_phi(phi, r, ctx)
-    head = mctx.expj((plan.m + mctx.mpf(1) / 2 - alpha) * phi) * E
-    a43 = mctx.mpf(4) / 3 - 2 * alpha
-    poly = mctx.mpf(1) / 2 - 4 * alpha / 3 + alpha * alpha
-    smphi = mctx.sin(plan.m * phi)
-    cmphi = mctx.cos(plan.m * phi)
-    pref = _exp_prefactor(mctx, arg)
-    Khat = pref * (head.real + (a43 * smphi + poly * phi * cmphi) / r)
-    Lhat = pref * (-head.imag + (a43 * cmphi - poly * phi * smphi) / r)
-    est_next = abs(pref) * (phi * phi + 1 / (r * r))
-    return RemainderEstimate(
-        Khat=out.mpf(Khat), Lhat=out.mpf(Lhat), k_used=1,
-        method="leading-near", err_estimate=out.mpf(est_next),
-    )
+    return _admit(arg, "leading-" + regime, 1, ctx)(plan, ctx)
 
 
 def hat_expansion(
@@ -375,15 +426,41 @@ def hat_expansion(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> RemainderEstimate:
     """Dispatch to the requested remainder estimate by variant name."""
-    if variant == "eq41":
-        return theorem1(arg, plan, k_terms, ctx)
-    if variant == "eq42":
-        return theorem2(arg, plan, k_terms, ctx)
-    if variant == "leading-away":
-        return leading_remainder(arg, plan, "away", ctx)
-    if variant == "leading-near":
-        return leading_remainder(arg, plan, "near", ctx)
-    raise DomainError("unknown expansion variant %r" % (variant,))
+    return _admit(arg, variant, k_terms, ctx)(plan, ctx)
+
+
+def _visible_remainder(arg, plan, sums, estimate, ctx) -> RemainderEstimate:
+    """The remainder estimate at the optimal cut, run only to the digits it
+    adds to the partial sums K_m and L_m.
+
+    There the remainder is at most B = OPTIMAL_REMAINDER_BOUND e^{-r^2}, so
+    a component S of the sums takes d = digits - floor(log10(|S| / B))
+    digits from it. The smaller component decides, never |K_m| + |L_m|:
+    near the Stokes line K ~ e^{-x^2} is the remainder itself. Where
+    d <= 0 the estimate is skipped and B is its error estimate; otherwise
+    it runs at d + 2 digits, rounded up to a multiple of
+    REMAINDER_DIGITS_STEP and at most ``ctx.digits``. A zero component, or
+    r < 1 (where m = 0 falls), keeps the full precision.
+    """
+    small = min(abs(sums.K), abs(sums.L))
+    if arg.r < 1 or not small:
+        return estimate(plan, ctx)
+    r2 = ctx.mp().fmul(arg.r, arg.r, exact=True)
+    # ln(|S| / B) = r^2 - gap; r^2 may pass the float range, so it meets the
+    # skip threshold through its log, as in numerics._series_length
+    ln2 = math.log(2)
+    gap = math.log(OPTIMAL_REMAINDER_BOUND) - (math.log(small.man) + small.exp * ln2)
+    room = ctx.digits * math.log(10) + gap
+    if room <= 0 or math.log(r2.man) + r2.exp * ln2 >= math.log(room):
+        low = PrecisionContext(digits=REMAINDER_DIGITS_STEP).mp()
+        bound = OPTIMAL_REMAINDER_BOUND * low.exp(low.fneg(r2, exact=True))
+        return RemainderEstimate(
+            Khat=0, Lhat=0, k_used=0, method="bound", err_estimate=bound
+        )
+    d = ctx.digits - math.floor((float(r2) - gap) / math.log(10))
+    step = REMAINDER_DIGITS_STEP
+    digits = min(ctx.digits, max(step, -(-(d + 2) // step) * step))
+    return estimate(plan, PrecisionContext(digits=digits))
 
 
 def evaluate_via_expansion(
@@ -398,10 +475,21 @@ def evaluate_via_expansion(
     The workhorse behind the CLI expansion methods: cut at m (optimal when
     not given), sum the algebraic terms exactly, and add the asymptotic
     remainder estimate of the requested variant.
+
+    At the optimal cut (m not given) with r >= 1 the remainder is at most
+    2 e^{-r^2}, and its estimate runs only to the digits it adds to K_m and
+    to L_m: at a reduced precision, or not at all once 2 e^{-r^2} is below
+    the last digit of both, when that bound joins err_estimate instead.
+    Refusals and warnings are the same either way. A given m, the optimal
+    one included, always runs the estimate at full precision.
     """
     plan = optimal_truncation(arg.r, ctx) if m is None else TruncationPlan.for_m(m, arg.r, ctx)
     sums = algebraic_partial_sums(arg, plan.m, ctx)
-    est = hat_expansion(arg, plan, variant, k_terms, ctx)
+    estimate = _admit(arg, variant, k_terms, ctx)
+    if m is None:
+        est = _visible_remainder(arg, plan, sums, estimate, ctx)
+    else:
+        est = estimate(plan, ctx)
     out = ctx.mp()
     return Evaluation(
         K=out.mpf(sums.K + est.Khat),

@@ -57,6 +57,11 @@ EPS_POLE = 0.05
 COORDINATE_MAG_MAX = 2048
 
 
+def _in_range(mctx, v) -> bool:
+    # zero, or 2^(mag - 1) <= |v| < 2^mag within the bound
+    return not v or -COORDINATE_MAG_MAX < mctx.mag(v) <= COORDINATE_MAG_MAX
+
+
 def _finite_pair(mctx, a, b, name_a: str, name_b: str):
     # NaN passes every ordering test and infinity has no polar form, so
     # both are refused before any sign or range check
@@ -64,8 +69,7 @@ def _finite_pair(mctx, a, b, name_a: str, name_b: str):
     for name, v in zip((name_a, name_b), pair):
         if not mctx.isfinite(v):
             raise DomainError("%s must be finite, got %s" % (name, v))
-        # 2^(mag - 1) <= |v| < 2^mag
-        if v and not -COORDINATE_MAG_MAX < mctx.mag(v) <= COORDINATE_MAG_MAX:
+        if not _in_range(mctx, v):
             raise DomainError(
                 "%s = %s is outside the supported range 2^-%d <= |%s| < 2^%d"
                 % (name, mctx.nstr(v, 5), COORDINATE_MAG_MAX, name, COORDINATE_MAG_MAX)
@@ -122,7 +126,16 @@ class VoigtArgument:
             return cls.from_xy(0, rr, ctx)
         if th == mctx.pi / 2:
             return cls.from_xy(rr, 0, ctx)
-        return cls.from_xy(rr * mctx.sin(th), rr * mctx.cos(th), ctx)
+        x, y = rr * mctx.sin(th), rr * mctx.cos(th)
+        # a radius near the lower bound can put x or y below it; the
+        # refusal names the r and theta the caller gave
+        if not (_in_range(mctx, x) and _in_range(mctx, y)):
+            raise DomainError(
+                "r = %s at theta = %s is outside the supported range: x = r sin theta "
+                "and y = r cos theta must each be 0 or within 2^-%d <= |v| < 2^%d"
+                % (mctx.nstr(rr, 5), mctx.nstr(th, 5), COORDINATE_MAG_MAX, COORDINATE_MAG_MAX)
+            )
+        return cls.from_xy(x, y, ctx)
 
     def z(self, ctx: PrecisionContext = DEFAULT_CONTEXT):
         """z = w^2 rounded at the context precision."""

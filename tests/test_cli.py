@@ -383,6 +383,43 @@ def test_coordinates_past_the_exponent_bound_exit_2(capsys):
         assert rc == EXIT_OK, (argv, err)
 
 
+def test_polar_radius_refusal_names_r_and_theta(capsys):
+    # y = r cos theta = 2.35e-617 is past the bound, but the caller gave r
+    # and theta, and the refusal speaks of those
+    rc, out, err = run(capsys, "eval", "--r", "4e-617", "--theta-over-pi", "0.3")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert "r = 4.0e-617 at theta = 0.94248" in err
+    assert "y = 2.35" not in err
+
+
+def test_coeffs_phi_bound_on_both_sides(capsys):
+    # 2^-4096 ~ 9.5e-1234: just above it the widened pass still answers,
+    # below it the refusal comes before any widening
+    rc, out, err = run(capsys, "coeffs", "--phi", "1e-1233", "--alpha", "0.5",
+                       "--kmax", "5", "--format", "json")
+    assert rc == EXIT_OK, err
+    assert len(json.loads(out)["coefficients"]) == 6
+    for phi in ("1e-1234", "1e-20000"):
+        rc, out, err = run(capsys, "coeffs", "--phi", phi, "--alpha", "0.5", "--kmax", "5")
+        assert rc == EXIT_DOMAIN and out == "", phi
+        assert "domain error" in err and "2^-4096" in err
+
+
+def test_eval_m_runs_the_remainder_in_full(capsys, estimate_digits):
+    # at r = 20 and 100 digits e^{-400} is below the last printed digit, so
+    # the optimal cut skips the estimate; --m, even the optimal 400, runs it
+    base = ("eval", "--r", "20", "--theta-over-pi", "0.3", "--method", "theorem1",
+            "--precision", "100", "--format", "json")
+    rc, skipped, err = run(capsys, *base)
+    assert rc == EXIT_OK, err
+    assert estimate_digits == []
+    rc, full, err = run(capsys, *base, "--m", "400")
+    assert rc == EXIT_OK, err
+    assert estimate_digits == [100]
+    skipped, full = json.loads(skipped), json.loads(full)
+    assert (skipped["K"], skipped["L"], skipped["m"]) == (full["K"], full["L"], full["m"])
+
+
 def test_precision_error_maps_to_exit_3(capsys, monkeypatch):
     # no healthy input trips the precision path, so drive the dispatcher
     # directly: any command raising PrecisionError must exit 3

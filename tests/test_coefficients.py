@@ -29,15 +29,18 @@ from voigt_asym import (
     coefficient_set,
     pochhammer,
     reversion_series,
+    VoigtArgument,
 )
 from voigt_asym.coefficients import (
     B_LIMIT_POLYNOMIALS,
     K_MAX,
+    PHI_MIN_EXP,
     PHI_SWITCH,
     _b_widening,
     _h_sums,
     _laplace_tables,
 )
+from voigt_asym.oracle import COORDINATE_MAG_MAX
 
 
 def _u(mctx, phi):
@@ -321,6 +324,25 @@ def test_c_of_phi_tiny_phi_keeps_every_digit():
             want = ref.sqrt(2 * (1 - 1j * phi - ref.expj(-phi)))
             got = ref.mpc(c_of_phi(text, ctx))
             assert abs(got - want) <= ref.mpf(10) ** (1 - digits) * abs(want), (digits, text)
+
+
+def test_phi_below_the_bound_is_refused(ctx40):
+    # phi = 2 atan2(y, x) of supported coordinates stays above 2^(PHI_MIN_EXP
+    # + 1); a smaller positive phi would widen the B pass without limit
+    mctx = ctx40.mp()
+    low = mctx.ldexp(1, PHI_MIN_EXP)
+    assert PHI_MIN_EXP == -2 * COORDINATE_MAG_MAX
+    assert c_of_phi(low, ctx40) != 0
+    for phi in (low * (1 - mctx.eps), "1e-20000"):
+        for call in (lambda: c_of_phi(phi, ctx40), lambda: E_of_phi(phi, 5, ctx40),
+                     lambda: coefficient_set(phi, "0.5", 5, ctx40)):
+            with pytest.raises(DomainError, match="below the supported"):
+                call()
+    # the smallest phi a supported point can have is inside, by a factor 2
+    arg = VoigtArgument.from_xy(mctx.ldexp(1, COORDINATE_MAG_MAX) * (1 - mctx.eps),
+                                mctx.ldexp(1, -COORDINATE_MAG_MAX), ctx40)
+    assert 2 * low * (1 - mctx.eps) < arg.phi
+    assert E_of_phi(arg.phi, 5, ctx40) != 0
 
 
 def test_c_of_phi_on_stokes_line(ctx40):

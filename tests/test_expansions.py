@@ -35,6 +35,7 @@ from voigt_asym import (
     theorem2,
     voigt_exact_erfc,
 )
+from voigt_asym.expansions import OPTIMAL_REMAINDER_BOUND
 from voigt_asym.tables import (
     TABLE1_FOOT,
     TABLE1_M,
@@ -701,6 +702,142 @@ def test_evaluate_via_expansion_m_override(ctx40):
     # off-optimum cuts still reconstruct the function, just less accurately
     assert abs(ev_off.K - ex.K) < mctx.mpf(10) ** (-8)
     assert abs(ev_opt.K - ex.K) <= abs(ev_off.K - ex.K) * 100
+
+
+# ---------------------------------------- remainder at the digits it adds
+
+def test_optimal_cut_remainder_bound():
+    # the bound the optimal-cut rule of evaluate_via_expansion rests on:
+    # |hat-K - i hat-L| <= 2 e^{-r^2} for r >= 1, largest on the Stokes line
+    ctx = PrecisionContext(digits=30)
+    mctx = ctx.mp()
+    worst = 0
+    for r in ("1", "1.2", "1.5", "2", "3", "5", "8", "11", "14"):
+        plan = optimal_truncation(r, ctx)
+        for theta_over_pi in ("0", "0.1", "0.25", "0.4", "0.48", "0.5"):
+            arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+            ex = remainder_exact(arg, plan.m, ctx, route="gamma")
+            ratio = abs(mctx.mpc(ex.K, ex.L)) * mctx.exp(arg.r * arg.r)
+            worst = max(worst, ratio)
+    assert 1 < worst <= OPTIMAL_REMAINDER_BOUND
+
+
+def test_optimal_cut_matches_full_precision_grid():
+    # seeded r log-uniform within a factor 2 of sqrt(digits ln 10), where
+    # e^{-r^2} crosses the last digit; theta at both ends, uniform, and
+    # within 0.01 pi of the Stokes line. Every answer matches the estimate
+    # run at full precision, component by component, and every refusal too
+    rng = random.Random(20261018)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StokesCollarWarning)
+        for digits in (16, 40, 100):
+            ctx = PrecisionContext(digits=digits)
+            mctx = ctx.mp()
+            tol = ctx.eps()
+            exact_ctx = PrecisionContext(digits=digits + 10)
+            r_mid = math.sqrt(digits * math.log(10))
+            for i in range(10):
+                r = "%.6f" % (r_mid * 2 ** rng.uniform(-1, 1))
+                if i < 2:
+                    theta_over_pi = ("0", "0.5")[i]
+                else:
+                    theta_over_pi = "%.6f" % rng.uniform(*((0, 0.5) if i < 6 else (0.49, 0.5)))
+                arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+                exact = voigt_exact_erfc(arg, exact_ctx)
+                plan = optimal_truncation(arg.r, ctx)
+                sums = algebraic_partial_sums(arg, plan.m, ctx)
+                for variant in ("eq41", "eq42"):
+                    for k_terms in (1, 3, 5):
+                        case = (digits, r, theta_over_pi, variant, k_terms)
+                        try:
+                            est = hat_expansion(arg, plan, variant, k_terms, ctx)
+                        except (DomainError, UnsupportedOrderError) as refused:
+                            with pytest.raises(type(refused)) as same:
+                                evaluate_via_expansion(arg, variant, k_terms, None, ctx)
+                            assert str(same.value) == str(refused), case
+                            continue
+                        ev = evaluate_via_expansion(arg, variant, k_terms, None, ctx)
+                        K = mctx.mpf(sums.K + est.Khat)
+                        L = mctx.mpf(sums.L + est.Lhat)
+                        assert abs(ev.K - K) <= tol * abs(K), case
+                        assert abs(ev.L - L) <= tol * abs(L), case
+                        if variant == "eq41" and float(theta_over_pi) >= 0.45:
+                            continue  # eq41 degrades there, warned and untrusted
+                        assert abs(ev.K - exact.K) <= ev.err_estimate, case
+                        assert abs(ev.L - exact.L) <= ev.err_estimate, case
+
+
+@pytest.mark.parametrize("x, y, digits", (("20", "1e-600", 100), ("14", "1e-200", 40)))
+def test_stokes_line_K_is_the_remainder(x, y, digits):
+    # L_m ~ 1/(x sqrt(pi)) dwarfs e^{-x^2}, but K ~ e^{-x^2} is the remainder
+    # itself: the smaller component decides the precision, never the sum
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    arg = VoigtArgument.from_xy(x, y, ctx)
+    want = mctx.exp(-mctx.mpf(x) ** 2)
+    for k_terms in (1, 3):
+        ev = evaluate_via_expansion(arg, "eq42", k_terms, None, ctx)
+        assert abs(ev.K - want) <= ctx.eps() * want, k_terms
+
+
+def test_optimal_cut_skips_or_narrows_the_estimate(estimate_digits):
+    ctx = PrecisionContext(digits=100)
+    mctx = ctx.mp()
+    # (16, 5): r^2 = 281 and 2 e^{-r^2} ~ 1e-122, below the last digit of
+    # K ~ 1e-2 and L ~ 6e-2: the partial sums are the answer
+    arg = VoigtArgument.from_xy(16, 5, ctx)
+    plan = optimal_truncation(arg.r, ctx)
+    sums = algebraic_partial_sums(arg, plan.m, ctx)
+    ev = evaluate_via_expansion(arg, "eq42", 3, None, ctx)
+    assert estimate_digits == []
+    assert (ev.K, ev.L) == (sums.K, sums.L)
+    bound = OPTIMAL_REMAINDER_BOUND * mctx.exp(-mctx.mpf(281))
+    assert abs((ev.err_estimate - sums.err_estimate) / bound - 1) < mctx.mpf(10) ** -15
+    # a given m, the optimal one included, runs the estimate in full
+    evaluate_via_expansion(arg, "eq42", 3, plan.m, ctx)
+    assert estimate_digits == [100]
+    # (12, 5): r^2 = 169, so the estimate adds 27 digits to K and L and
+    # runs at 40
+    estimate_digits.clear()
+    evaluate_via_expansion(VoigtArgument.from_xy(12, 5, ctx), "eq41", 3, None, ctx)
+    assert estimate_digits == [40]
+    # a zero component keeps the full precision: K_m = 0 on the Stokes line
+    estimate_digits.clear()
+    evaluate_via_expansion(VoigtArgument.from_xy(16, 0, ctx), "eq42", 3, None, ctx)
+    assert estimate_digits == [100]
+
+
+def test_refusals_and_warnings_past_the_skip_threshold(estimate_digits):
+    # r = 20 at 100 digits: e^{-400} ~ 1e-174 is below the last digit of
+    # every answer off the axes, yet each input is refused or warned about
+    # exactly as the estimate itself does
+    ctx = PrecisionContext(digits=100)
+    mctx = ctx.mp()
+    plan = optimal_truncation(20, ctx)
+
+    def at(theta_over_pi):
+        return VoigtArgument.from_polar(20, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
+
+    refused = (
+        (at("0.3"), "eq43", 3),
+        (at("0.3"), "eq41", 0),
+        (at("0.3"), "eq42", 6),
+        (at("0.5"), "eq42", 4),  # the Stokes-line cap
+        (at("0.49"), "eq41", 3),  # the eq41 collar
+        (at("0.49"), "leading-away", 1),
+        (at("0.3"), "leading-near", 1),  # too far from the line
+    )
+    for arg, variant, k_terms in refused:
+        with pytest.raises((DomainError, UnsupportedOrderError)) as want:
+            hat_expansion(arg, plan, variant, k_terms, ctx)
+        with pytest.raises(type(want.value)) as got:
+            evaluate_via_expansion(arg, variant, k_terms, None, ctx)
+        assert str(got.value) == str(want.value), (variant, k_terms)
+    estimate_digits.clear()
+    with pytest.warns(StokesCollarWarning):
+        ev = evaluate_via_expansion(at("0.45"), "eq41", 3, None, ctx)
+    assert estimate_digits == []
+    assert mctx.isfinite(ev.K) and mctx.isfinite(ev.L)
 
 
 def test_below_range_warning_propagates(ctx40):

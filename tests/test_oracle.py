@@ -98,6 +98,20 @@ def test_coordinate_exponent_bound_on_both_sides(ctx40):
     assert VoigtArgument.from_xy(0, 0, ctx40).r == 0  # zero is not bounded
 
 
+def test_polar_refusal_names_the_polar_inputs(ctx40):
+    # r = 4e-617 is inside the bound, but y = r cos(0.3 pi) is not; the
+    # refusal is about r and theta, which the caller gave, not about y
+    mctx = ctx40.mp()
+    with pytest.raises(DomainError) as refused:
+        VoigtArgument.from_polar("4e-617", mctx.pi * mctx.mpf("0.3"), ctx40)
+    message = str(refused.value)
+    assert message.startswith("r = 4.0e-617 at theta = 0.94248 ")
+    assert "y = 2.35" not in message
+    # at the endpoints of theta x or y is zero, and r alone is checked
+    assert VoigtArgument.from_polar("4e-617", 0, ctx40).y > 0
+    assert VoigtArgument.from_polar("4e-617", mctx.pi / 2, ctx40).x > 0
+
+
 def test_reduce_examples(ctx40):
     a, sK, sL = reduce_to_first_quadrant(-2, 3, ctx40)
     assert (a.x, a.y, sK, sL) == (2, 3, 1, -1)

@@ -6,11 +6,15 @@ k = 3, algebraic_partial_sums at optimal m, evaluate_via_expansion (eq42,
 k = 3) and voigt_exact_erfc at 40 and 100 digits, each next to the digits it
 attains against an mpmath reference at 20 more digits (for the partial sum,
 the full m-term sum there). The points are (x, y) = (3, 4), where r = 5 and
-m = 25, and (12, 5), where r = 13 and m = 169: there the partial sum stops
-early at 40 digits but needs every term at 100. Two source trees are timed
-in alternating child processes, so that host drift hits both alike:
+m = 25; (12, 5), where r = 13 and m = 169: there the partial sum stops
+early at 40 digits but needs every term at 100; and (16, 5), where
+r^2 = 281 puts e^{-r^2} ~ 1e-122 below the last digit of K and L at both
+precisions, so evaluate_via_expansion skips the remainder estimate. m = 281
+is past the incomplete-gamma ladder's depth cap, so that point has no
+remainder_exact row. Two source trees are timed in alternating child
+processes, so that host drift hits both alike:
 
-    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_7.json
+    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_10.json
 
 Each time is the median over rounds of the mean of ``--calls`` calls.
 """
@@ -27,7 +31,7 @@ import sys
 import warnings
 from time import perf_counter
 
-POINTS = ((3, 4), (12, 5))
+POINTS = ((3, 4), (12, 5), (16, 5))
 DIGITS = (40, 100)
 REF_EXTRA = 20
 
@@ -87,6 +91,8 @@ def _measure_point(va, X, Y, digits, calls):
             lambda: va.evaluate_via_expansion(arg, "eq42", 3, None, ctx), pair, voigt_ref),
         "voigt_exact_erfc": (lambda: va.voigt_exact_erfc(arg, ctx), pair, voigt_ref),
     }
+    if m > va.numerics.GAMMA_RECURRENCE_CAP:
+        del paths["remainder_exact_gamma"]
     row = {}
     for name, (call, value, want) in paths.items():
         got = value(call())  # warm-up, and the value judged
