@@ -27,7 +27,6 @@ from .numerics import (
     PrecisionContext,
     integrate_semi_infinite,
     mp_context,
-    pochhammer,
     upper_incomplete_gamma_half_ladder,
 )
 from .oracle import (
@@ -43,7 +42,6 @@ from .coefficients import (
     CoefficientSet,
     E_of_phi,
     ReversionSeries,
-    b2k_limit,
     c_of_phi,
     coefficient_set,
     reversion_series,
@@ -53,7 +51,6 @@ from .expansions import (
     TruncationPlan,
     algebraic_partial_sums,
     evaluate_via_expansion,
-    hat_expansion,
     leading_remainder,
     optimal_truncation,
     terminant_asymptotic,
@@ -81,16 +78,13 @@ __all__ = [
     "VoigtArgument",
     "VoigtError",
     "algebraic_partial_sums",
-    "b2k_limit",
     "c_of_phi",
     "coefficient_set",
     "evaluate_via_expansion",
-    "hat_expansion",
     "integrate_semi_infinite",
     "leading_remainder",
     "optimal_truncation",
     "mp_context",
-    "pochhammer",
     "reduce_to_first_quadrant",
     "remainder_exact",
     "remainder_ladder",

@@ -21,8 +21,9 @@ between its A-part and its c(phi)^{-2k-1} part, even though B_2k itself stays
 bounded. Below PHI_SWITCH the pass therefore runs with explicitly widened
 internal precision sized to the cancellation depth of its highest order,
 which keeps both branches in agreement to full context precision across the
-switch. At phi = 0 exactly, the limits are served from stored polynomials in
-alpha (available for B_0, B_2, B_4 only; higher orders are refused there).
+switch. At phi = 0 exactly, B_2k is its limit, a polynomial in alpha for
+every k <= K_MAX, derived once per process from the same reversion tables
+as an exact Laurent expansion whose pole is checked to cancel.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .numerics import (
 from .oracle import COORDINATE_MAG_MAX
 
 # Below this phi (radians) the B-coefficient closed form needs widened
-# precision; at phi = 0 exactly the stored limits take over.
+# precision; at phi = 0 exactly the derived limits take over.
 PHI_SWITCH = 0.15
 
 # A positive phi below 2^PHI_MIN_EXP (about 9.5e-1234) is refused: the B
@@ -56,22 +57,8 @@ PHI_MIN_EXP = -2 * COORDINATE_MAG_MAX
 # Coefficient tables stop here; beyond is an error, never an extrapolation.
 K_MAX = 5
 
-# phi -> 0 limits of B_2k as polynomials in alpha (constant coefficients
-# first). Only k = 0, 1, 2 are known; the values are real.
-B_LIMIT_POLYNOMIALS = {
-    0: (Fraction(2, 3), Fraction(-1)),
-    1: (Fraction(23, 270), Fraction(-5, 12), Fraction(1, 2), Fraction(-1, 6)),
-    2: (
-        Fraction(23, 3024),
-        Fraction(-21, 160),
-        Fraction(3, 8),
-        Fraction(-7, 18),
-        Fraction(1, 6),
-        Fraction(-1, 40),
-    ),
-}
-
-_DOUBLE_FACTORIAL = (1, 1, 3, 15, 105, 945)  # (2k-1)!! = 2^k (1/2)_k for k = 0..5
+# (2k-1)!! = 2^k (1/2)_k for k = 0..K_MAX
+_DOUBLE_FACTORIAL = tuple(math.prod(range(1, 2 * k, 2)) for k in range(K_MAX + 1))
 
 
 def _check_phi(mctx, phi):
@@ -178,8 +165,8 @@ def coefficient_set(
     B_2k = e^{i phi alpha} A_2k / (1 - e^{i phi})
     - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1}, run with widened internal
     precision below PHI_SWITCH where its two parts cancel;
-    B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0 the stored limit
-    polynomials give B for k_max <= 2; higher orders are refused there.
+    B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0, B_2k is its
+    limit, a real polynomial in alpha derived exactly for every k <= K_MAX.
     """
     if not 0 <= k_max <= K_MAX:
         raise UnsupportedOrderError(
@@ -189,15 +176,7 @@ def coefficient_set(
     p = _check_phi(mctx, phi)
     a = to_mpf(mctx, alpha)
     if p == 0:
-        if k_max not in B_LIMIT_POLYNOMIALS:
-            raise UnsupportedOrderError(
-                "B_%d at phi = 0 is not tabulated (limits exist for B_0, B_2, B_4 only)"
-                % (2 * k_max,)
-            )
-        B = tuple(
-            mctx.mpc(_polynomial(mctx, B_LIMIT_POLYNOMIALS[k], a), 0)
-            for k in range(k_max + 1)
-        )
+        B = tuple(mctx.mpc(_polynomial(mctx, poly, a)) for poly in _stokes_limits()[: k_max + 1])
         return CoefficientSet(
             phi=p, alpha=a, k_max=k_max, A=None, B=B, Bhat=tuple(-2j * b for b in B)
         )
@@ -241,21 +220,6 @@ def _closed_forms(mctx, phi, alpha, k_max: int):
         Bhat.append(to_Bhat * b_k)
         c_pow *= c_sq
     return A, B, Bhat
-
-
-def b2k_limit(alpha, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT, probe_phi: str = "1e-14"):
-    """Numerical phi -> 0+ probe of B_2k, for auditing the reality
-    conjecture at orders whose exact limits are not tabulated.
-
-    Evaluates the closed form at a tiny positive phi, where the pass widens
-    its precision to cover the full cancellation depth; the result differs
-    from the true limit by O(probe_phi). Not a substitute for the stored
-    phi = 0 data.
-    """
-    phi_f = float(probe_phi)
-    if not 0 < phi_f < PHI_SWITCH:
-        raise DomainError("probe_phi must be a small positive angle")
-    return coefficient_set(probe_phi, alpha, k, ctx).B[k]
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +324,67 @@ def _laplace_tables() -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...],
         for k in range(K_MAX + 1)
     )
     return gamma, cjk
+
+
+@lru_cache(maxsize=None)
+def _stokes_limits() -> Tuple[Tuple[Fraction, ...], ...]:
+    """The phi -> 0 limits of B_0..B_{2 K_MAX} as polynomials in alpha,
+    constant coefficient first, exact. Built once per process, on the first
+    phi = 0 request.
+
+    With phi = i t every factor of B_2k is a real rational series in t:
+    u = 1/(e^t - 1), e^{i phi alpha}/(1 - e^{i phi}) = e^{-t alpha}/(1 - e^{-t})
+    and c = i t sqrt(S(t)) with S(t) = 2(e^t - 1 - t)/t^2, so
+    t^{2k+1} B_2k = (t/(1 - e^{-t})) e^{-t alpha} t^{2k} A_2k
+    - (2k-1)!! S(t)^{-k-1/2}. Its coefficients of t^0..t^{2k} are the pole
+    and must cancel; that of t^{2k+1} is the constant term of the Laurent
+    series, which the substitution leaves unchanged, so the limit is real.
+    It has degree 2k+1 in alpha, so its values at alpha = 0..2k+1 fix it.
+    """
+    gamma, cjk = _laplace_tables()
+    n = 2 * K_MAX + 2  # t^0..t^{2 K_MAX + 1}
+    exp_t = [Fraction(1, math.factorial(i)) for i in range(n + 2)]
+    t_u = _series_recip(exp_t[1:], n)  # t u = t/(e^t - 1)
+    to_B = _series_mul(exp_t, t_u, n)  # t/(1 - e^{-t})
+    S = [2 * e for e in exp_t[2:]]
+    poles = [_series_recip(_series_sqrt(S, n), n)]  # S^{-k-1/2}
+    inv_S = _series_recip(S, n)
+    for _ in range(K_MAX):
+        poles.append(_series_mul(poles[-1], inv_S, n))
+    values = [[] for _ in range(K_MAX + 1)]  # values[k][alpha]
+    for alpha in range(n):
+        # t^j h_j = C(alpha, j) t^j + (t u) t^{j-1} h_{j-1}
+        h = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+        for j in range(1, 2 * K_MAX + 1):
+            h.append(_series_mul(t_u, h[-1], n))
+            h[-1][j] += math.comb(alpha, j)
+        head = _series_mul(to_B, [Fraction((-alpha) ** i, math.factorial(i)) for i in range(n)], n)
+        for k in range(K_MAX + 1):
+            t_A = [Fraction(0)] * n  # t^{2k} A_2k
+            t_A[2 * k] = (-1) ** k * gamma[k]
+            for j, c in enumerate(cjk[k], start=2):
+                for i, v in enumerate(h[j][: n - 2 * k + j]):
+                    t_A[i + 2 * k - j] += c * v
+            t_B = _series_mul(head, t_A, 2 * k + 2)
+            t_B = [b - _DOUBLE_FACTORIAL[k] * s for b, s in zip(t_B, poles[k])]
+            if any(t_B[:-1]):
+                raise ArithmeticError(
+                    "the pole of B_%d does not cancel at phi = 0 (alpha = %d)" % (2 * k, alpha)
+                )
+            values[k].append(t_B[-1])
+    return tuple(_interpolate(v[: 2 * k + 2]) for k, v in enumerate(values))
+
+
+def _interpolate(values: List[Fraction]) -> Tuple[Fraction, ...]:
+    # coefficients of the polynomial of least degree through (x, values[x]),
+    # x = 0..len - 1, by Lagrange's formula
+    n = len(values)
+    poly = [Fraction(0)] * n
+    for x, y in enumerate(values):
+        basis = [Fraction(1)]
+        for node in range(n):
+            if node != x:
+                factor = [Fraction(-node, x - node), Fraction(1, x - node)]
+                basis = _series_mul(basis, factor, len(basis) + 1)
+        poly = [p + y * b for p, b in zip(poly, basis)]
+    return tuple(poly)

@@ -32,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .coefficients import B_LIMIT_POLYNOMIALS, K_MAX, E_of_phi, coefficient_set
+from .coefficients import K_MAX, E_of_phi, coefficient_set
 from .exceptions import (
     BelowAsymptoticRangeWarning,
     DomainError,
@@ -59,9 +59,6 @@ STOKES_WARN_OVER_PI = 0.40
 # the uniform leading-order display linearized in phi holds only near the
 # Stokes line
 NEAR_PHI_MAX = 0.5
-
-# the error estimate reads the first omitted coefficient, of order k_terms
-MAX_K_TERMS = K_MAX
 
 # the first omitted term estimates the truncation error but does not bound
 # it; this margin absorbs the O(1) wobble so err_estimate can be trusted
@@ -186,15 +183,10 @@ def _check_collar(mctx, arg: VoigtArgument):
     return theta
 
 
-def _check_k_terms(phi, k_terms: int):
-    # on the Stokes line only the stored limits B_0, B_2, B_4 exist
-    on_line = phi == 0
-    cap = len(B_LIMIT_POLYNOMIALS) if on_line else MAX_K_TERMS
-    if not 1 <= k_terms <= cap:
-        raise UnsupportedOrderError(
-            "k_terms must lie in [1, %d]%s, got %r"
-            % (cap, " on the Stokes line" if on_line else "", k_terms)
-        )
+def _check_k_terms(k_terms: int):
+    # the error estimate reads the first omitted coefficient, of order k_terms
+    if not 1 <= k_terms <= K_MAX:
+        raise UnsupportedOrderError("k_terms must lie in [1, %d], got %r" % (K_MAX, k_terms))
 
 
 def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: PrecisionContext):
@@ -210,11 +202,7 @@ def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: Preci
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
     phi, r, nu, alpha = (mctx.convert(v) for v in (phi, r, nu, alpha))
-    on_line = phi == 0
-    # the omitted term has order k_terms, which the stored limits lack when
-    # k_terms = 3 on the line
-    k_top = min(k_terms, max(B_LIMIT_POLYNOMIALS)) if on_line else k_terms
-    coeffs = coefficient_set(phi, alpha, k_top, ctx)
+    coeffs = coefficient_set(phi, alpha, k_terms, ctx)
     if uniform:
         C = coeffs.Bhat
         total = mctx.expj((nu - alpha) * phi) * E_of_phi(phi, r, ctx)
@@ -224,11 +212,9 @@ def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: Preci
     # the away series' division by sin(phi/2) rides on the powers of r
     rpow = 1 / r if uniform else 1 / (r * mctx.sin(phi / 2))
     for k in range(k_terms):
-        term = rot * C[k] * rpow
-        total += term
+        total += rot * C[k] * rpow
         rpow /= r * r
-    omitted = abs(C[k_terms]) * rpow if k_terms <= k_top else abs(term) / (r * r)
-    return total, omitted
+    return total, abs(C[k_terms]) * rpow
 
 
 def terminant_asymptotic(
@@ -271,7 +257,7 @@ def terminant_asymptotic(
             )
     elif region != "uniform":
         raise DomainError("unknown terminant region %r" % (region,))
-    _check_k_terms(phi, k_terms)
+    _check_k_terms(k_terms)
     total, _ = _remainder_series(
         phi, mctx.sqrt(absz), nu, alpha, k_terms, region == "uniform", ctx
     )
@@ -348,7 +334,7 @@ def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext
     mctx = ctx.mp(extra=GUARD_DIGITS)
     if variant == "eq41":
         theta = _check_collar(mctx, arg)
-        _check_k_terms(arg.phi, k_terms)
+        _check_k_terms(k_terms)
         if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
             warnings.warn(
                 "theta is close to the Stokes line; the non-uniform estimate is "
@@ -358,7 +344,7 @@ def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext
             )
         return lambda plan, c: _series_estimate(arg, plan, k_terms, False, c)
     if variant == "eq42":
-        _check_k_terms(arg.phi, k_terms)
+        _check_k_terms(k_terms)
         return lambda plan, c: _series_estimate(arg, plan, k_terms, True, c)
     if variant == "leading-away":
         _check_collar(mctx, arg)
@@ -416,17 +402,6 @@ def leading_remainder(
     if regime not in ("away", "near"):
         raise DomainError("unknown leading-remainder regime %r" % (regime,))
     return _admit(arg, "leading-" + regime, 1, ctx)(plan, ctx)
-
-
-def hat_expansion(
-    arg: VoigtArgument,
-    plan: TruncationPlan,
-    variant: str = "eq42",
-    k_terms: int = 3,
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-) -> RemainderEstimate:
-    """Dispatch to the requested remainder estimate by variant name."""
-    return _admit(arg, variant, k_terms, ctx)(plan, ctx)
 
 
 def _visible_remainder(arg, plan, sums, estimate, ctx) -> RemainderEstimate:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -103,21 +102,6 @@ def to_mpc(ctx, z):
     if isinstance(z, str):
         return ctx.mpc(ctx.mpf(z))
     return ctx.mpc(ctx.convert(z))
-
-
-def pochhammer(a, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1).
-
-    Exact: the result is a Fraction whenever ``a`` is an int, Fraction, or
-    float (floats are dyadic rationals, so half-integers stay exact).
-    """
-    if k < 0:
-        raise DomainError("pochhammer order must be nonnegative, got %r" % (k,))
-    a = Fraction(a)
-    acc = Fraction(1)
-    for j in range(k):
-        acc *= a + j
-    return acc
 
 
 def _series_length(r2, m, prec: int) -> int:

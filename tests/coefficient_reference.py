@@ -1,9 +1,11 @@
 """Published reference data for the coefficient tests.
 
 The library derives gamma_k and c_{j,k} from the series reversion at run
-time; the values below are the published tables those must equal, exactly,
-and the phi-slope of B_0 at the Stokes line, which the finite-difference
-slope of the library's coefficients must match.
+time; the values below are the published tables those must equal, exactly:
+gamma_k, c_{j,k}, and the Stokes-line limits of B_0, B_2 and B_4. The
+phi-slope of B_0 at the Stokes line is here too, which the finite-difference
+slope of the library's coefficients must match. ``pochhammer`` gives the
+exact rising factorials, (1/2)_k among them, that the checks use.
 ``bhat2k_alt`` is the second closed form of the hatted coefficient, kept
 here as an independent check on the one the library evaluates.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from voigt_asym import c_of_phi, coefficient_set, pochhammer
+from voigt_asym import c_of_phi, coefficient_set
 
 # Stirling coefficients gamma_0..gamma_5.
 STIRLING_GAMMA = (
@@ -57,9 +59,33 @@ CJK_TABLE = {
     },
 }
 
+# phi -> 0 limits of B_0, B_2, B_4 as polynomials in alpha, constant
+# coefficient first; the limits are real.
+B_LIMIT_POLYNOMIALS = {
+    0: (Fraction(2, 3), Fraction(-1)),
+    1: (Fraction(23, 270), Fraction(-5, 12), Fraction(1, 2), Fraction(-1, 6)),
+    2: (
+        Fraction(23, 3024),
+        Fraction(-21, 160),
+        Fraction(3, 8),
+        Fraction(-7, 18),
+        Fraction(1, 6),
+        Fraction(-1, 40),
+    ),
+}
+
 # Coefficient of the O(phi) imaginary term of B_0 near phi = 0, constant
 # coefficient first: B_0 = 2/3 - alpha - (i/12)(1 - 6 alpha + 6 alpha^2) phi + ...
 B0_SLOPE_POLYNOMIAL = (Fraction(-1, 12), Fraction(1, 2), Fraction(-1, 2))
+
+
+def pochhammer(a, k: int) -> Fraction:
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1), exact for an int,
+    Fraction or dyadic float ``a``."""
+    acc = Fraction(1)
+    for j in range(k):
+        acc *= Fraction(a) + j
+    return acc
 
 
 def h_power_sum(mctx, phi, alpha, j):

@@ -129,8 +129,8 @@ def test_eval_far_out_returns_finite(capsys):
 
 
 def test_eval_off_the_stokes_line_at_huge_x(capsys):
-    # phi = 2 atan2(2, 1e60) = 4e-60 is not the Stokes line, so theorem2 is
-    # not held to the three stored limit terms there
+    # phi = 2 atan2(2, 1e60) = 4e-60 is not the Stokes line: theorem2 reads
+    # the widened closed form there, at every order
     rc, out, err = run(capsys, "eval", "--x", "1e60", "--y", "2", "--method", "theorem2",
                        "--k-terms", "5")
     assert rc == EXIT_OK, err
@@ -320,10 +320,18 @@ def test_coeffs_order_cap(capsys):
                      "--kmax", "6")
     assert rc == EXIT_DOMAIN
     assert "domain error" in err
-    # at phi = 0 the B limits stop at k = 2, and the CLI surfaces that too
+    # at phi = 0 every order up to 5 answers with a real limit, and past
+    # it the refusal is the same
+    rc, out, err = run(capsys, "coeffs", "--phi", "0", "--alpha", "0.5",
+                       "--kmax", "5", "--format", "json")
+    assert rc == EXIT_OK, err
+    rows = json.loads(out)["coefficients"]
+    assert len(rows) == 6
+    assert all(float(row["B"]["im"]) == 0 for row in rows)
     rc, _, err = run(capsys, "coeffs", "--phi", "0", "--alpha", "0.5",
-                     "--kmax", "5")
+                     "--kmax", "6")
     assert rc == EXIT_DOMAIN
+    assert "domain error" in err
 
 
 # -------------------------------------------------------------- exit codes

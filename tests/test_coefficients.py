@@ -13,10 +13,12 @@ import pytest
 
 from coefficient_reference import (
     B0_SLOPE_POLYNOMIAL,
+    B_LIMIT_POLYNOMIALS,
     CJK_TABLE,
     STIRLING_GAMMA,
     bhat2k_alt,
     h_power_sum,
+    pochhammer,
 )
 from voigt_asym import (
     DomainError,
@@ -24,21 +26,20 @@ from voigt_asym import (
     mp_context,
     UnsupportedOrderError,
     E_of_phi,
-    b2k_limit,
     c_of_phi,
     coefficient_set,
-    pochhammer,
     reversion_series,
     VoigtArgument,
 )
+from voigt_asym import coefficients
 from voigt_asym.coefficients import (
-    B_LIMIT_POLYNOMIALS,
     K_MAX,
     PHI_MIN_EXP,
     PHI_SWITCH,
     _b_widening,
     _h_sums,
     _laplace_tables,
+    _stokes_limits,
 )
 from voigt_asym.oracle import COORDINATE_MAG_MAX
 
@@ -219,7 +220,7 @@ def test_one_pass_serves_every_order(ctx40):
 
 def test_tiny_phi_widens_from_its_own_exponent(ctx40):
     # 1e-400 is below the float range: the widening is read from the mpf,
-    # and B_2k sits within O(phi) of its stored limit
+    # and B_2k sits within O(phi) of its limit
     mctx = ctx40.mp()
     coeffs = coefficient_set("1e-400", "0.5", 2, ctx40)
     limits = coefficient_set(0, "0.5", 2, ctx40)
@@ -427,27 +428,41 @@ def test_B4_limit_polynomial(ctx40):
 
 
 def test_B2k_limit_order_error_at_phi_zero(ctx40):
-    for k in (3, 4, 5):
-        with pytest.raises(UnsupportedOrderError):
-            coefficient_set(0, "0.5", k, ctx40)
+    # at phi = 0 every order up to K_MAX answers with a real limit, and the
+    # orders past it are refused there as everywhere else
+    mctx = ctx40.mp()
+    B = coefficient_set(0, "0.5", K_MAX, ctx40).B
+    assert len(B) == K_MAX + 1
+    assert all(b.imag == 0 and mctx.isfinite(b.real) for b in B)
+    with pytest.raises(UnsupportedOrderError):
+        coefficient_set(0, "0.5", K_MAX + 1, ctx40)
 
 
 def test_b2k_limit_probe_matches_stored_polynomials(ctx40):
+    # the closed form at a tiny phi probes the published limits, which the
+    # derived ones equal exactly
     mctx = ctx40.mp()
-    for k in range(3):
+    for k, poly in B_LIMIT_POLYNOMIALS.items():
+        assert _stokes_limits()[k] == poly
         for alpha in ("0.1", "0.5", "0.95"):
             a = mctx.mpf(alpha)
-            probe = b2k_limit(a, k, ctx40)
-            stored = _limit(a, k, ctx40)
+            probe = coefficient_set("1e-14", a, k, ctx40).B[k]
+            stored = sum(mctx.convert(c) * a**i for i, c in enumerate(poly))
             assert abs(probe - stored) < mctx.mpf(10) ** (-12)
 
 
 def test_b2k_limit_covers_higher_orders(ctx40):
+    # B_2k(0) has degree 2k + 1 in alpha with leading coefficient
+    # -(2k-1)!!/(2k+1)!, which only c_{2k,k} h_{2k} reaches; the limits past
+    # the published ones meet that and the closed form at a tiny phi
     mctx = ctx40.mp()
-    for k in (3, 4, 5):
-        v = b2k_limit(mctx.mpf("0.4"), k, ctx40)
-        assert mctx.isfinite(v.real) and mctx.isfinite(v.imag)
-        assert abs(v) < 10  # the limits are O(1) numbers
+    a = mctx.mpf("0.4")
+    for k in range(3, K_MAX + 1):
+        poly = _stokes_limits()[k]
+        assert len(poly) == 2 * k + 2
+        assert poly[-1] == -(2**k) * pochhammer(Fraction(1, 2), k) / math.factorial(2 * k + 1)
+        probe = coefficient_set("1e-14", a, k, ctx40).B[k]
+        assert abs(probe - _limit(a, k, ctx40)) < mctx.mpf(10) ** (-12)
 
 
 def test_B2k_branch_agreement_at_switch(ctx40):
@@ -498,14 +513,27 @@ def test_b0_slope_matches_finite_difference(ctx40):
     mctx = ctx40.mp()
     a = mctx.mpf("0.3")
     h = mctx.mpf(10) ** (-8)
-    fd = (b2k_limit(a, 0, ctx40, probe_phi="1e-8") - _limit(a, 0, ctx40)) / h
+    fd = (coefficient_set(h, a, 0, ctx40).B[0] - _limit(a, 0, ctx40)) / h
     slope = mctx.mpc(0, sum(mctx.convert(c) * a**i for i, c in enumerate(B0_SLOPE_POLYNOMIAL)))
     assert abs(fd - slope) < mctx.mpf(10) ** (-6) * max(1, abs(slope))
 
 
+def test_stokes_limits_refuse_a_pole_that_does_not_cancel(monkeypatch):
+    # a wrong c_{2k,k} leaves a pole in B_2k at phi = 0, which raises rather
+    # than asserts, so it holds under -O too
+    gamma, cjk = _laplace_tables()
+    wrong = cjk[:-1] + (tuple(2 * c for c in cjk[-1]),)
+    monkeypatch.setattr(coefficients, "_laplace_tables", lambda: (gamma, wrong))
+    with pytest.raises(ArithmeticError, match="pole of B_%d" % (2 * K_MAX,)):
+        _stokes_limits.__wrapped__()
+
+
 def test_B_limit_polynomial_table_shape():
-    assert set(B_LIMIT_POLYNOMIALS) == {0, 1, 2}
-    assert B_LIMIT_POLYNOMIALS[0][0] == Fraction(2, 3)
+    # one limit per order up to K_MAX, of degree 2k + 1 in alpha, exact
+    limits = _stokes_limits()
+    assert [len(poly) for poly in limits] == [2 * k + 2 for k in range(K_MAX + 1)]
+    assert all(isinstance(c, Fraction) for poly in limits for c in poly)
+    assert limits[0][0] == Fraction(2, 3)
 
 
 # ------------------------------------------------------------------- Bhat

@@ -26,7 +26,6 @@ from voigt_asym import (
     algebraic_partial_sums,
     coefficient_set,
     evaluate_via_expansion,
-    hat_expansion,
     leading_remainder,
     optimal_truncation,
     remainder_exact,
@@ -35,6 +34,7 @@ from voigt_asym import (
     theorem2,
     voigt_exact_erfc,
 )
+from voigt_asym.coefficients import K_MAX
 from voigt_asym.expansions import OPTIMAL_REMAINDER_BOUND
 from voigt_asym.tables import (
     TABLE1_FOOT,
@@ -316,24 +316,22 @@ def test_terminant_validation(ctx40):
     with pytest.raises(DomainError):
         terminant_asymptotic(z, 9.5, "smooth", 2, ctx40)
     with pytest.raises(UnsupportedOrderError):
-        terminant_asymptotic(z, 9.5, "uniform", 6, ctx40)
-    with pytest.raises(UnsupportedOrderError):
-        # on the Stokes line itself only the limits B_0, B_2, B_4 exist
-        terminant_asymptotic(mctx.mpf(-9), 9.5, "uniform", 4, ctx40)
-    # just off the line all five orders are there: |z| = r^2 = 9 and
-    # nu = 9.5 put the exact terminant at the m = 9 remainder of the point
-    # with phi = pi - 2 theta = 0.01
-    arg = VoigtArgument.from_polar(3, (mctx.pi - mctx.mpf("0.01")) / 2, ctx40)
-    near = arg.z(ctx40)
-    rem = remainder_exact(arg, 9, ctx40, route="gamma")
-    T_exact = mctx.mpc(rem.K, -rem.L) * mctx.exp(-near) / 2
-    phi = mctx.pi - mctx.arg(near)
-    pref = abs(mctx.exp(-near - 9)) / mctx.sqrt(18 * mctx.pi)
-    for k_terms in (4, 5):
-        T_est = terminant_asymptotic(near, 9.5, "uniform", k_terms, ctx40)
-        omitted = abs(coefficient_set(phi, mctx.mpf("0.5"), k_terms, ctx40).B[k_terms])
-        # the same bound theorem2 reports: three first omitted terms
-        assert abs(T_est - T_exact) <= 3 * pref * omitted / mctx.mpf(9) ** k_terms
+        terminant_asymptotic(z, 9.5, "uniform", K_MAX + 1, ctx40)
+    # on the line and just off it all five orders are there: |z| = r^2 = 9
+    # and nu = 9.5 put the exact terminant at the m = 9 remainder of the
+    # point with phi = pi - 2 theta
+    for phi in (mctx.mpf(0), mctx.mpf("0.01")):
+        arg = VoigtArgument.from_polar(3, (mctx.pi - phi) / 2, ctx40)
+        assert (arg.phi == 0) == (phi == 0)
+        near = arg.z(ctx40)
+        rem = remainder_exact(arg, 9, ctx40, route="gamma")
+        T_exact = mctx.mpc(rem.K, -rem.L) * mctx.exp(-near) / 2
+        pref = abs(mctx.exp(-near - 9)) / mctx.sqrt(18 * mctx.pi)
+        for k_terms in (4, 5):
+            T_est = terminant_asymptotic(near, 9.5, "uniform", k_terms, ctx40)
+            omitted = abs(coefficient_set(arg.phi, mctx.mpf("0.5"), k_terms, ctx40).B[k_terms])
+            # the same bound theorem2 reports: three first omitted terms
+            assert abs(T_est - T_exact) <= 3 * pref * omitted / mctx.mpf(9) ** k_terms, phi
 
 
 def _identity_cases():
@@ -359,12 +357,11 @@ def test_theorems_are_twice_e_z_times_the_terminant(digits, r, theta_over_pi):
     arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
     plan = optimal_truncation(arg.r, ctx)
     z = arg.z(ref)
-    on_line = arg.phi == 0
     kinds = [(theorem2, "uniform")]
     if float(theta_over_pi) < 0.48:
         kinds.append((theorem1, "away"))
     for theorem, region in kinds:
-        for k_terms in range(1, 4 if on_line else 6):
+        for k_terms in range(1, K_MAX + 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", StokesCollarWarning)
                 est = theorem(arg, plan, k_terms, ctx)
@@ -550,22 +547,41 @@ def test_theorem2_on_stokes_line_recovers_real_axis_value(ctx40):
 
 
 def test_theorem2_k_terms_cap_near_stokes(ctx40):
-    # only phi = 0 itself lacks B_6 and up; just off the line all five
-    # orders are there and the answer stays within its err_estimate
+    # on the line and just off it all K_MAX orders are there and the answer
+    # stays within its err_estimate; past K_MAX is refused on the line too
     mctx = ctx40.mp()
     plan = optimal_truncation(6, ctx40)
     on_line = VoigtArgument.from_polar(6, mctx.pi / 2, ctx40)
     assert on_line.phi == 0
     with pytest.raises(UnsupportedOrderError):
-        theorem2(on_line, plan, 4, ctx40)
-    theorem2(on_line, plan, 3, ctx40)
+        theorem2(on_line, plan, K_MAX + 1, ctx40)
     near = VoigtArgument.from_polar(6, (mctx.pi - mctx.mpf("0.01")) / 2, ctx40)
-    ex = remainder_exact(near, plan.m, ctx40, route="gamma")
-    for k_terms in (4, 5):
-        est = theorem2(near, plan, k_terms, ctx40)
-        assert abs(mctx.mpc(est.Khat - ex.K, est.Lhat - ex.L)) <= est.err_estimate
+    for arg in (on_line, near):
+        ex = remainder_exact(arg, plan.m, ctx40, route="gamma")
+        for k_terms in (4, 5):
+            est = theorem2(arg, plan, k_terms, ctx40)
+            assert abs(mctx.mpc(est.Khat - ex.K, est.Lhat - ex.L)) <= est.err_estimate
     far = VoigtArgument.from_polar(6, mctx.pi / 4, ctx40)
     theorem2(far, plan, 5, ctx40)  # five terms fine away from the line
+
+
+@pytest.mark.parametrize("digits", (40, 100))
+def test_theorem2_estimate_bounds_the_error_on_the_line(digits):
+    # on the Stokes line every order reads its own first omitted B^_2k; the
+    # estimate bounds the exact remainder error with room to spare (the
+    # largest error/estimate seen is 0.37)
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    for half_r in range(4, 29):
+        r = mctx.mpf(half_r) / 2
+        arg = VoigtArgument.from_polar(r, mctx.pi / 2, ctx)
+        assert arg.phi == 0
+        plan = optimal_truncation(r, ctx)
+        ex = remainder_exact(arg, plan.m, ctx, route="gamma")
+        for k_terms in range(1, K_MAX + 1):
+            est = theorem2(arg, plan, k_terms, ctx)
+            err = abs(mctx.mpc(est.Khat - ex.K, est.Lhat - ex.L))
+            assert err <= est.err_estimate, (float(r), k_terms)
 
 
 # ------------------------------------------------------- leading remainders
@@ -639,22 +655,31 @@ def test_leading_regime_validation(ctx40):
 
 # ------------------------------------------------------------- full evaluator
 
-def test_hat_expansion_dispatch(ctx40):
+# the remainder estimate each variant of evaluate_via_expansion names,
+# through its public function
+ESTIMATES = {
+    "eq41": theorem1,
+    "eq42": theorem2,
+    "leading-away": lambda arg, plan, k_terms, ctx: leading_remainder(arg, plan, "away", ctx),
+    "leading-near": lambda arg, plan, k_terms, ctx: leading_remainder(arg, plan, "near", ctx),
+}
+
+
+def test_variant_dispatch(ctx40):
+    # evaluate_via_expansion adds the estimate its variant names to the
+    # partial sums, and refuses a variant it does not know
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar(4, mctx.pi / 5, ctx40)
     plan = optimal_truncation(4, ctx40)
-    for variant, method in (
-        ("eq41", "eq41"),
-        ("eq42", "eq42"),
-        ("leading-away", "leading-away"),
-        ("leading-near", None),  # pi/5 is outside the near regime
-    ):
-        if method is None:
-            continue
-        est = hat_expansion(arg, plan, variant, 2, ctx40)
-        assert est.method == method
-    with pytest.raises(DomainError):
-        hat_expansion(arg, plan, "eq43", 2, ctx40)
+    sums = algebraic_partial_sums(arg, plan.m, ctx40)
+    for variant in ("eq41", "eq42", "leading-away"):  # pi/5 is outside the near regime
+        est = ESTIMATES[variant](arg, plan, 2, ctx40)
+        assert est.method == variant
+        ev = evaluate_via_expansion(arg, variant, 2, plan.m, ctx40)
+        assert ev.method == variant
+        assert (ev.K, ev.L) == (mctx.mpf(sums.K + est.Khat), mctx.mpf(sums.L + est.Lhat))
+    with pytest.raises(DomainError, match="unknown expansion variant"):
+        evaluate_via_expansion(arg, "eq43", 2, None, ctx40)
 
 
 def test_evaluate_via_expansion_tracks_oracle(ctx40):
@@ -750,7 +775,7 @@ def test_optimal_cut_matches_full_precision_grid():
                     for k_terms in (1, 3, 5):
                         case = (digits, r, theta_over_pi, variant, k_terms)
                         try:
-                            est = hat_expansion(arg, plan, variant, k_terms, ctx)
+                            est = ESTIMATES[variant](arg, plan, k_terms, ctx)
                         except (DomainError, UnsupportedOrderError) as refused:
                             with pytest.raises(type(refused)) as same:
                                 evaluate_via_expansion(arg, variant, k_terms, None, ctx)
@@ -818,18 +843,19 @@ def test_refusals_and_warnings_past_the_skip_threshold(estimate_digits):
     def at(theta_over_pi):
         return VoigtArgument.from_polar(20, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
 
+    with pytest.raises(DomainError, match="unknown expansion variant"):
+        evaluate_via_expansion(at("0.3"), "eq43", 3, None, ctx)
     refused = (
-        (at("0.3"), "eq43", 3),
         (at("0.3"), "eq41", 0),
         (at("0.3"), "eq42", 6),
-        (at("0.5"), "eq42", 4),  # the Stokes-line cap
+        (at("0.5"), "eq42", 6),  # past K_MAX on the Stokes line too
         (at("0.49"), "eq41", 3),  # the eq41 collar
         (at("0.49"), "leading-away", 1),
         (at("0.3"), "leading-near", 1),  # too far from the line
     )
     for arg, variant, k_terms in refused:
         with pytest.raises((DomainError, UnsupportedOrderError)) as want:
-            hat_expansion(arg, plan, variant, k_terms, ctx)
+            ESTIMATES[variant](arg, plan, k_terms, ctx)
         with pytest.raises(type(want.value)) as got:
             evaluate_via_expansion(arg, variant, k_terms, None, ctx)
         assert str(got.value) == str(want.value), (variant, k_terms)

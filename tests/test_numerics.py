@@ -1,6 +1,7 @@
-"""Extended-precision kernel tests: Pochhammer symbols, the scaled
-complementary error function erfcx and its asymptotic series, the scaled
-incomplete-gamma ladder, and the semi-infinite quadrature engine. Expected
+"""Extended-precision kernel tests: the exact Pochhammer symbols the checks
+use, the scaled complementary error function erfcx and its asymptotic
+series, the scaled incomplete-gamma ladder, and the semi-infinite
+quadrature engine. Expected
 values are trivial identities, values frozen from independent oracle
 evaluations before the implementation existed, or mpmath's own erfc and
 gammainc at 20 more digits.
@@ -21,11 +22,12 @@ from voigt_asym import (
     QuadratureError,
     VoigtArgument,
     integrate_semi_infinite,
-    pochhammer,
     remainder_exact,
     upper_incomplete_gamma_half_ladder,
 )
+from coefficient_reference import pochhammer
 from voigt_asym import numerics
+from voigt_asym.coefficients import _DOUBLE_FACTORIAL
 from voigt_asym.numerics import _gamma_widening, erfcx, mp_context
 
 HALF = Fraction(1, 2)
@@ -44,8 +46,8 @@ def test_pochhammer_half_two():
 
 def test_pochhammer_half_five_and_diagonal_cross_check():
     assert pochhammer(HALF, 5) == Fraction(945, 32)
-    # the same number scaled by 2^5 appears as a stored table diagonal
-    assert 2**5 * pochhammer(HALF, 5) == 945
+    # scaled by 2^k these are the double factorials the library generates
+    assert [2**k * pochhammer(HALF, k) for k in range(6)] == list(_DOUBLE_FACTORIAL)
 
 
 def test_pochhammer_integer_start_is_factorial():

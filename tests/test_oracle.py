@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
+from coefficient_reference import pochhammer
 from voigt_asym import (
     DomainError,
     PrecisionContext,
     VoigtArgument,
     algebraic_partial_sums,
     mp_context,
-    pochhammer,
     reduce_to_first_quadrant,
     remainder_exact,
     remainder_ladder,
