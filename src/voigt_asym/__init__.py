@@ -51,7 +51,6 @@ from .expansions import (
     TruncationPlan,
     algebraic_partial_sums,
     evaluate_via_expansion,
-    leading_remainder,
     optimal_truncation,
     terminant_asymptotic,
     theorem1,
@@ -82,7 +81,6 @@ __all__ = [
     "coefficient_set",
     "evaluate_via_expansion",
     "integrate_semi_infinite",
-    "leading_remainder",
     "optimal_truncation",
     "mp_context",
     "reduce_to_first_quadrant",

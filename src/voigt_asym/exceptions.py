@@ -21,8 +21,8 @@ class DomainError(VoigtError):
 class UnsupportedOrderError(DomainError):
     """A coefficient or term order beyond the tabulated data was requested.
 
-    The coefficient tables stop at k = 5; orders past that are an error,
-    never an extrapolation.
+    The coefficient tables stop at k = ``coefficients.K_MAX``; orders past
+    that are an error, never an extrapolation.
     """
 
 

@@ -15,9 +15,9 @@ ways:
 
 Both are e^{-r^2}/sqrt(2 pi) times one bracketed sum, which a single
 private kernel computes together with its first omitted term, the basis of
-``err_estimate``. ``terminant_asymptotic`` reads the same kernel: its "away"
-and "uniform" regions are e^{-z}/2 times theorem1 and theorem2. Only
-``leading_remainder`` keeps closed one-term forms of its own. Every
+every ``err_estimate``; at k_terms = 1 either is the leading-order
+remainder. ``terminant_asymptotic`` reads the same kernel: its "away"
+and "uniform" regions are e^{-z}/2 times theorem1 and theorem2. Every
 estimate runs its refusals and warnings in one private check before any of
 its work, so ``evaluate_via_expansion``, which at the optimal cut runs an
 estimate only to the digits it adds to the partial sums (or not at all),
@@ -55,10 +55,6 @@ THETA_COLLAR_OVER_PI = 0.02
 # past this theta the non-uniform expansion still evaluates but its accuracy
 # is visibly degrading; callers get a warning rather than a refusal
 STOKES_WARN_OVER_PI = 0.40
-
-# the uniform leading-order display linearized in phi holds only near the
-# Stokes line
-NEAR_PHI_MAX = 0.5
 
 # the first omitted term estimates the truncation error but does not bound
 # it; this margin absorbs the O(1) wobble so err_estimate can be trusted
@@ -169,20 +165,6 @@ class RemainderEstimate:
     err_estimate: object = None
 
 
-def _check_collar(mctx, arg: VoigtArgument):
-    # theorem1 and the leading "away" form share the non-uniform prefactor
-    # 1/cos theta, and with it this refusal
-    theta = mctx.convert(arg.theta)
-    slack = mctx.mpf(10) ** (-12)
-    limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
-    if theta > limit + slack:
-        raise DomainError(
-            "theta = %s is inside the Stokes collar; the non-uniform estimate "
-            "diverges there, use theorem2" % (theta,)
-        )
-    return theta
-
-
 def _check_k_terms(k_terms: int):
     # the error estimate reads the first omitted coefficient, of order k_terms
     if not 1 <= k_terms <= K_MAX:
@@ -264,17 +246,14 @@ def terminant_asymptotic(
     return ctx.mp().mpc(mctx.exp(-zz - absz) / (2 * mctx.sqrt(2 * mctx.pi)) * total)
 
 
-def _exp_prefactor(mctx, arg: VoigtArgument):
-    r = mctx.convert(arg.r)
-    return mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
-
-
 def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEstimate:
     # hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times the kernel's sum
     total, omitted = _remainder_series(
         arg.phi, arg.r, plan.nu, plan.alpha, k_terms, uniform, ctx
     )
-    pref = _exp_prefactor(ctx.mp(extra=GUARD_DIGITS), arg)
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    r = mctx.convert(arg.r)
+    pref = mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
     out = ctx.mp()
     return RemainderEstimate(
         Khat=out.mpf((pref * total).real),
@@ -285,79 +264,37 @@ def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEs
     )
 
 
-def _leading_away(arg, plan, ctx) -> RemainderEstimate:
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    r = mctx.convert(arg.r)
-    theta = mctx.convert(arg.theta)
-    out = ctx.mp()
-    sgn = -1 if plan.m % 2 else 1
-    pref = sgn * _exp_prefactor(mctx, arg) / mctx.convert(arg.y)
-    est_next = abs(pref) * mctx.mpf(3) / (2 * r * r)  # next term is O(A_2/r^2)
-    return RemainderEstimate(
-        Khat=out.mpf(pref * mctx.cos(2 * plan.m * theta)),
-        Lhat=out.mpf(pref * mctx.sin(2 * plan.m * theta)),
-        k_used=1,
-        method="leading-away",
-        err_estimate=out.mpf(est_next),
-    )
-
-
-def _leading_near(arg, plan, ctx) -> RemainderEstimate:
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    r = mctx.convert(arg.r)
-    phi = mctx.convert(arg.phi)
-    alpha = mctx.convert(plan.alpha)
-    E = E_of_phi(phi, r, ctx)
-    head = mctx.expj((plan.m + mctx.mpf(1) / 2 - alpha) * phi) * E
-    a43 = mctx.mpf(4) / 3 - 2 * alpha
-    poly = mctx.mpf(1) / 2 - 4 * alpha / 3 + alpha * alpha
-    smphi = mctx.sin(plan.m * phi)
-    cmphi = mctx.cos(plan.m * phi)
-    pref = _exp_prefactor(mctx, arg)
-    Khat = pref * (head.real + (a43 * smphi + poly * phi * cmphi) / r)
-    Lhat = pref * (-head.imag + (a43 * cmphi - poly * phi * smphi) / r)
-    est_next = abs(pref) * (phi * phi + 1 / (r * r))
-    out = ctx.mp()
-    return RemainderEstimate(
-        Khat=out.mpf(Khat), Lhat=out.mpf(Lhat), k_used=1,
-        method="leading-near", err_estimate=out.mpf(est_next),
-    )
-
-
-def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext):
+def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext) -> bool:
     """Refuse or warn as the remainder estimate ``variant`` does at arg and
-    k_terms, and return that estimate as a function of (plan, ctx).
+    k_terms, and return whether its series is the uniform one (eq42).
 
     Every estimate passes its checks here, before any of its work, so a
     caller that skips the work meets the same refusals and warnings.
     """
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    if variant == "eq41":
-        theta = _check_collar(mctx, arg)
-        _check_k_terms(k_terms)
-        if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
-            warnings.warn(
-                "theta is close to the Stokes line; the non-uniform estimate is "
-                "degrading, prefer theorem2",
-                StokesCollarWarning,
-                stacklevel=3,
-            )
-        return lambda plan, c: _series_estimate(arg, plan, k_terms, False, c)
     if variant == "eq42":
         _check_k_terms(k_terms)
-        return lambda plan, c: _series_estimate(arg, plan, k_terms, True, c)
-    if variant == "leading-away":
-        _check_collar(mctx, arg)
-        return lambda plan, c: _leading_away(arg, plan, c)
-    if variant == "leading-near":
-        phi = mctx.convert(arg.phi)
-        if phi >= NEAR_PHI_MAX:
-            raise DomainError(
-                "phi = %s is too far from the Stokes line for the linearized "
-                "near form; use regime=\"away\" or theorem2" % (phi,)
-            )
-        return lambda plan, c: _leading_near(arg, plan, c)
-    raise DomainError("unknown expansion variant %r" % (variant,))
+        return True
+    if variant != "eq41":
+        raise DomainError("unknown expansion variant %r" % (variant,))
+    # the non-uniform prefactor 1/cos theta has its pole on the Stokes line
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    theta = mctx.convert(arg.theta)
+    slack = mctx.mpf(10) ** (-12)
+    limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
+    if theta > limit + slack:
+        raise DomainError(
+            "theta = %s is inside the Stokes collar; the non-uniform estimate "
+            "diverges there, use theorem2" % (theta,)
+        )
+    _check_k_terms(k_terms)
+    if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
+        warnings.warn(
+            "theta is close to the Stokes line; the non-uniform estimate is "
+            "degrading, prefer theorem2",
+            StokesCollarWarning,
+            stacklevel=3,
+        )
+    return False
 
 
 def theorem1(
@@ -371,7 +308,8 @@ def theorem1(
     THETA_COLLAR_OVER_PI of the Stokes line, where cos theta sends the
     prefactor through a pole; a warning marks the band where accuracy decays.
     """
-    return _admit(arg, "eq41", k_terms, ctx)(plan, ctx)
+    _admit(arg, "eq41", k_terms, ctx)
+    return _series_estimate(arg, plan, k_terms, False, ctx)
 
 
 def theorem2(
@@ -385,26 +323,11 @@ def theorem2(
     + sum_k e^{i m phi} B^_2k(phi, alpha) / r^{2k+1} }, with the error
     function inside E(phi) carrying the smoothed Stokes jump.
     """
-    return _admit(arg, "eq42", k_terms, ctx)(plan, ctx)
+    _admit(arg, "eq42", k_terms, ctx)
+    return _series_estimate(arg, plan, k_terms, True, ctx)
 
 
-def leading_remainder(
-    arg: VoigtArgument, plan: TruncationPlan, regime: str = "away",
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-) -> RemainderEstimate:
-    """Leading-order remainder in closed trigonometric form.
-
-    regime="away" (theta below the Stokes collar):
-    hat-K, hat-L ~ (-1)^m e^{-r^2}/(sqrt(2 pi) y) {cos, sin}(2 m theta).
-    regime="near" (phi < NEAR_PHI_MAX): the uniform head e^{i r^2 phi}
-    E(phi) plus the first correction linearized in phi.
-    """
-    if regime not in ("away", "near"):
-        raise DomainError("unknown leading-remainder regime %r" % (regime,))
-    return _admit(arg, "leading-" + regime, 1, ctx)(plan, ctx)
-
-
-def _visible_remainder(arg, plan, sums, estimate, ctx) -> RemainderEstimate:
+def _visible_remainder(arg, plan, sums, k_terms, uniform, ctx) -> RemainderEstimate:
     """The remainder estimate at the optimal cut, run only to the digits it
     adds to the partial sums K_m and L_m.
 
@@ -419,7 +342,7 @@ def _visible_remainder(arg, plan, sums, estimate, ctx) -> RemainderEstimate:
     """
     small = min(abs(sums.K), abs(sums.L))
     if arg.r < 1 or not small:
-        return estimate(plan, ctx)
+        return _series_estimate(arg, plan, k_terms, uniform, ctx)
     r2 = ctx.mp().fmul(arg.r, arg.r, exact=True)
     # ln(|S| / B) = r^2 - gap; r^2 may pass the float range, so it meets the
     # skip threshold through its log, as in numerics._series_length
@@ -435,7 +358,7 @@ def _visible_remainder(arg, plan, sums, estimate, ctx) -> RemainderEstimate:
     d = ctx.digits - math.floor((float(r2) - gap) / math.log(10))
     step = REMAINDER_DIGITS_STEP
     digits = min(ctx.digits, max(step, -(-(d + 2) // step) * step))
-    return estimate(plan, PrecisionContext(digits=digits))
+    return _series_estimate(arg, plan, k_terms, uniform, PrecisionContext(digits=digits))
 
 
 def evaluate_via_expansion(
@@ -460,11 +383,11 @@ def evaluate_via_expansion(
     """
     plan = optimal_truncation(arg.r, ctx) if m is None else TruncationPlan.for_m(m, arg.r, ctx)
     sums = algebraic_partial_sums(arg, plan.m, ctx)
-    estimate = _admit(arg, variant, k_terms, ctx)
+    uniform = _admit(arg, variant, k_terms, ctx)
     if m is None:
-        est = _visible_remainder(arg, plan, sums, estimate, ctx)
+        est = _visible_remainder(arg, plan, sums, k_terms, uniform, ctx)
     else:
-        est = estimate(plan, ctx)
+        est = _series_estimate(arg, plan, k_terms, uniform, ctx)
     out = ctx.mp()
     return Evaluation(
         K=out.mpf(sums.K + est.Khat),

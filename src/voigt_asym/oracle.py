@@ -283,16 +283,16 @@ def _quad_fourier(arg: VoigtArgument, ctx: PrecisionContext):
 
 
 def voigt_quadrature(
-    arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT, route: str = "auto"
+    arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT, route: str = "convolution"
 ) -> Evaluation:
     """(K, L) by direct integration of the defining integrals.
 
-    route: "convolution" integrates the Gaussian-against-Cauchy forms over
-    the real line (this is the default under "auto" and the only route valid
-    at y = 0); "fourier" integrates the damped half-line cosine/sine forms,
-    valid for y > 0.
+    route: "convolution" (the default) integrates the Gaussian-against-Cauchy
+    forms over the real line, and is the only route valid at y = 0;
+    "fourier" integrates the damped half-line cosine/sine forms, valid for
+    y > 0.
     """
-    if route not in ("auto", "convolution", "fourier"):
+    if route not in ("convolution", "fourier"):
         raise DomainError("unknown quadrature route %r" % (route,))
     out = ctx.mp()
     if route == "fourier":

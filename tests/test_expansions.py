@@ -1,8 +1,8 @@
 """Expansion-layer tests: truncation planning, algebraic partial sums, the
-two terminant estimates, both compound remainder expansions, the leading-order
-closed forms, and the full evaluator built from them. Golden digits come from
-the frozen reference tables; everything else is checked against the exact
-remainder oracles.
+two terminant estimates, both compound remainder expansions (their leading
+terms included), and the full evaluator built from them. Golden digits come
+from the frozen reference tables; everything else is checked against the
+exact remainder oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from voigt_asym import (
     algebraic_partial_sums,
     coefficient_set,
     evaluate_via_expansion,
-    leading_remainder,
     optimal_truncation,
     remainder_exact,
     terminant_asymptotic,
@@ -535,13 +534,14 @@ def test_theorem2_goes_over_into_theorem1(ctx40):
 
 def test_theorem2_on_stokes_line_recovers_real_axis_value(ctx40):
     # at theta = pi/2 the exact remainder K-part is e^{-r^2} itself and the
-    # smoothed expansion reproduces it structurally
+    # smoothed expansion reproduces it structurally, from its first term on
     mctx = ctx40.mp()
     r = mctx.mpf("3.5")
     arg = VoigtArgument.from_polar(r, mctx.pi / 2, ctx40)
     plan = optimal_truncation(r, ctx40)
-    est = theorem2(arg, plan, 3, ctx40)
-    assert abs(est.Khat - mctx.exp(-r * r)) < mctx.mpf(10) ** (-40)
+    for k_terms in (1, 3):
+        est = theorem2(arg, plan, k_terms, ctx40)
+        assert abs(est.Khat - mctx.exp(-r * r)) < mctx.mpf(10) ** (-40), k_terms
     ex = remainder_exact(arg, plan.m, ctx40)
     assert abs(est.Lhat - ex.L) < mctx.mpf(10) ** (-4) * abs(ex.L)
 
@@ -586,71 +586,33 @@ def test_theorem2_estimate_bounds_the_error_on_the_line(digits):
 
 # ------------------------------------------------------- leading remainders
 
-def test_leading_away_equals_first_theorem1_term(ctx40):
-    mctx = ctx40.mp()
-    arg = VoigtArgument.from_polar(4, mctx.pi / 5, ctx40)
-    plan = optimal_truncation(4, ctx40)
-    lead = leading_remainder(arg, plan, "away", ctx40)
-    t1 = theorem1(arg, plan, 1, ctx40)
-    scale = abs(t1.Khat) + abs(t1.Lhat)
-    assert abs(lead.Khat - t1.Khat) < mctx.mpf(10) ** (-42) * scale
-    assert abs(lead.Lhat - t1.Lhat) < mctx.mpf(10) ** (-42) * scale
-
-
-def test_leading_away_within_five_percent_of_exact(ctx40):
-    mctx = ctx40.mp()
-    arg = VoigtArgument.from_polar("3.5", mctx.pi / 10, ctx40)
-    plan = optimal_truncation("3.5", ctx40)
-    lead = leading_remainder(arg, plan, "away", ctx40)
-    ex = remainder_exact(arg, plan.m, ctx40)
-    assert abs(lead.Khat - ex.K) < mctx.mpf("0.05") * abs(ex.K)
-    assert abs(lead.Lhat - ex.L) < mctx.mpf("0.05") * abs(ex.L)
-
-
-def test_leading_away_L_vanishes_on_imaginary_axis(ctx40):
+def test_theorem1_leading_term_on_imaginary_axis(ctx40):
+    # on x = 0 the first A-term is (-1)^m e^{-r^2}/(sqrt(2 pi) r), real; the
+    # kernel leaves L-hat at rounding level, not exactly 0
     mctx = ctx40.mp()
     arg = VoigtArgument.from_xy(0, 4, ctx40)
     plan = optimal_truncation(4, ctx40)
-    lead = leading_remainder(arg, plan, "away", ctx40)
-    assert lead.Lhat == 0
+    est = theorem1(arg, plan, 1, ctx40)
     sgn = -1 if plan.m % 2 else 1
     want = sgn * mctx.exp(-16) / (mctx.sqrt(2 * mctx.pi) * 4)
-    assert abs(lead.Khat - want) < mctx.mpf(10) ** (-38) * abs(want)
+    assert abs(est.Khat - want) < mctx.mpf(10) ** (-38) * abs(want)
+    assert abs(est.Lhat) <= mctx.mpf(10) ** (-40) * abs(est.Khat)
 
 
-def test_leading_near_recovers_real_axis_exactly(ctx40):
-    # on the Stokes line the head is E(0) = sqrt(2 pi) and the correction
-    # term dies, leaving exactly e^{-r^2}
+@pytest.mark.parametrize(
+    "estimate, r, theta_over_pi, tol",
+    ((theorem1, "3.5", "0.1", "0.05"), (theorem2, "6", "0.48", "0.01")),
+)
+def test_leading_term_tracks_exact_remainder(estimate, r, theta_over_pi, tol, ctx40):
+    # one term of eq41 away from the Stokes line, and of eq42 close to it,
+    # already gives each component of the exact remainder to a few percent
     mctx = ctx40.mp()
-    r = mctx.mpf("3.5")
-    arg = VoigtArgument.from_polar(r, mctx.pi / 2, ctx40)
+    arg = VoigtArgument.from_polar(r, mctx.pi * mctx.mpf(theta_over_pi), ctx40)
     plan = optimal_truncation(r, ctx40)
-    lead = leading_remainder(arg, plan, "near", ctx40)
-    assert abs(lead.Khat - mctx.exp(-r * r)) < mctx.mpf(10) ** (-40)
-
-
-def test_leading_near_accuracy_near_stokes(ctx40):
-    mctx = ctx40.mp()
-    arg = VoigtArgument.from_polar(6, mctx.pi * mctx.mpf("0.48"), ctx40)
-    plan = optimal_truncation(6, ctx40)
-    lead = leading_remainder(arg, plan, "near", ctx40)
+    est = estimate(arg, plan, 1, ctx40)
     ex = remainder_exact(arg, plan.m, ctx40)
-    scale = abs(mctx.mpc(ex.K, -ex.L))
-    assert abs(lead.Khat - ex.K) < mctx.mpf("0.01") * scale
-    assert abs(lead.Lhat - ex.L) < mctx.mpf("0.01") * scale
-
-
-def test_leading_regime_validation(ctx40):
-    mctx = ctx40.mp()
-    plan = optimal_truncation(4, ctx40)
-    inside = VoigtArgument.from_polar(4, mctx.pi * mctx.mpf("0.49"), ctx40)
-    with pytest.raises(DomainError):
-        leading_remainder(inside, plan, "away", ctx40)
-    far = VoigtArgument.from_polar(4, mctx.pi / 10, ctx40)
-    with pytest.raises(DomainError):
-        leading_remainder(far, plan, "near", ctx40)
-    with pytest.raises(DomainError):
-        leading_remainder(far, plan, "middle", ctx40)
+    assert abs(est.Khat - ex.K) < mctx.mpf(tol) * abs(ex.K)
+    assert abs(est.Lhat - ex.L) < mctx.mpf(tol) * abs(ex.L)
 
 
 # ------------------------------------------------------------- full evaluator
@@ -660,8 +622,6 @@ def test_leading_regime_validation(ctx40):
 ESTIMATES = {
     "eq41": theorem1,
     "eq42": theorem2,
-    "leading-away": lambda arg, plan, k_terms, ctx: leading_remainder(arg, plan, "away", ctx),
-    "leading-near": lambda arg, plan, k_terms, ctx: leading_remainder(arg, plan, "near", ctx),
 }
 
 
@@ -672,14 +632,15 @@ def test_variant_dispatch(ctx40):
     arg = VoigtArgument.from_polar(4, mctx.pi / 5, ctx40)
     plan = optimal_truncation(4, ctx40)
     sums = algebraic_partial_sums(arg, plan.m, ctx40)
-    for variant in ("eq41", "eq42", "leading-away"):  # pi/5 is outside the near regime
+    for variant in ("eq41", "eq42"):
         est = ESTIMATES[variant](arg, plan, 2, ctx40)
         assert est.method == variant
         ev = evaluate_via_expansion(arg, variant, 2, plan.m, ctx40)
         assert ev.method == variant
         assert (ev.K, ev.L) == (mctx.mpf(sums.K + est.Khat), mctx.mpf(sums.L + est.Lhat))
-    with pytest.raises(DomainError, match="unknown expansion variant"):
-        evaluate_via_expansion(arg, "eq43", 2, None, ctx40)
+    for unknown in ("eq43", "leading-away"):
+        with pytest.raises(DomainError, match="unknown expansion variant"):
+            evaluate_via_expansion(arg, unknown, 1, None, ctx40)
 
 
 def test_evaluate_via_expansion_tracks_oracle(ctx40):
@@ -843,15 +804,15 @@ def test_refusals_and_warnings_past_the_skip_threshold(estimate_digits):
     def at(theta_over_pi):
         return VoigtArgument.from_polar(20, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
 
-    with pytest.raises(DomainError, match="unknown expansion variant"):
-        evaluate_via_expansion(at("0.3"), "eq43", 3, None, ctx)
+    for unknown in ("eq43", "leading-away", "leading-near"):
+        with pytest.raises(DomainError, match="unknown expansion variant"):
+            evaluate_via_expansion(at("0.3"), unknown, 1, None, ctx)
     refused = (
         (at("0.3"), "eq41", 0),
         (at("0.3"), "eq42", 6),
         (at("0.5"), "eq42", 6),  # past K_MAX on the Stokes line too
         (at("0.49"), "eq41", 3),  # the eq41 collar
-        (at("0.49"), "leading-away", 1),
-        (at("0.3"), "leading-near", 1),  # too far from the line
+        (at("0.49"), "eq41", 1),
     )
     for arg, variant, k_terms in refused:
         with pytest.raises((DomainError, UnsupportedOrderError)) as want:

@@ -255,8 +255,10 @@ def test_quadrature_routes_agree(ctx40):
     assert abs(conv.L - four.L) < 1e-30
     with pytest.raises(DomainError):
         voigt_quadrature(VoigtArgument.from_xy(1, 0, ctx40), ctx40, route="fourier")
-    with pytest.raises(DomainError):
-        voigt_quadrature(a, ctx40, route="simpson")
+    assert voigt_quadrature(a, ctx40) == conv  # the default route
+    for unknown in ("simpson", "auto"):
+        with pytest.raises(DomainError):
+            voigt_quadrature(a, ctx40, route=unknown)
 
 
 def test_route_agreement_grid(ctx40):
