@@ -158,15 +158,21 @@ def asymptotic_series(w, r2, mctx, m=None):
 
 def erfcx(z, mctx):
     """e^{z^2} erfc(z) for Re z >= 0, at the precision of the mpmath
-    context ``mctx``, by one of three branches picked from z and mctx.dps:
+    context ``mctx``, by one of two branches picked from z and mctx.dps:
 
     * |z|^2 > dps ln 10: ``asymptotic_series`` U(1/2, 1/2, z^2)/sqrt(pi)
       = (1/(z sqrt(pi))) sum (-1)^k (1/2)_k z^{-2k}, whose least term is
       below 10^-dps there at every arg z; it stops at the first term below
       the working precision, or at the least term;
-    * Re z <= 2: mpmath's erfc(z) times e^{z^2};
-    * otherwise e^{z^2} (1 - erf z), at a precision widened by the
-      Re(z^2) log10(e) digits the difference cancels (fewer than dps).
+    * otherwise e^{z^2} - (2z/sqrt(pi)) 1F1(1; 3/2; z^2), the second term
+      being e^{z^2} erf z (DLMF 7.11.4). The Kummer series is summed by
+      mpmath's ``hypsum``, at a precision widened by the Re(z^2) log10(e)
+      digits the difference cancels (fewer than dps); ``hypsum`` raises
+      its own precision for the cancellation inside the series when
+      Re(z^2) < 0. A series that does not converge is a PrecisionError.
+
+    mpmath's erf and erfc are used by neither branch, so the oracle
+    ``voigt_exact_erfc``, which uses them, shares no code with this kernel.
     """
     zz = to_mpc(mctx, z)
     if not (mctx.isfinite(zz) and zz.real >= 0):
@@ -175,12 +181,18 @@ def erfcx(z, mctx):
                    mctx.fmul(zz.imag, zz.imag, exact=True), exact=True)
     if float(r2) > mctx.dps * math.log(10):  # inf past the float range
         return asymptotic_series(zz, r2, mctx)
-    if zz.real <= 2:
-        return mctx.exp(zz * zz) * mctx.erfc(zz)
     cancel = max(0, math.ceil(float((zz * zz).real) * math.log10(math.e)))
     wctx = mp_context(mctx.dps + round_widening(cancel + 10))
     zw = wctx.convert(zz)
-    return mctx.mpc(wctx.exp(zw * zw) * (1 - wctx.erf(zw)))
+    z2 = zw * zw
+    try:
+        kummer = wctx.hypsum(1, 1, ("Z", "Q"), (1, wctx.mpq(3, 2)), z2)
+    except (ValueError, wctx.NoConvergence) as exc:
+        raise PrecisionError(
+            "erfcx: the Kummer series 1F1(1; 3/2; z^2) at z = %s did not "
+            "converge (%s)" % (mctx.nstr(zz, 8), exc)
+        ) from exc
+    return mctx.mpc(wctx.exp(z2) - 2 * zw / wctx.sqrt(wctx.pi) * kummer)
 
 
 def _gamma_widening(absz: float, digits: int) -> int:

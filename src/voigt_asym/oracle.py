@@ -56,6 +56,14 @@ EPS_POLE = 0.05
 # exact squaring fails outright near 1e(+-)1e21.
 COORDINATE_MAG_MAX = 2048
 
+# voigt_quadrature refuses more digits than this. Its work grows steeply
+# past it: at (3, 4), on a 2-vCPU host with Python 3.11 and pure-Python
+# mpmath 1.3, the convolution route took 0.47 s at 100 digits, 1.1 s at
+# 150, 8.9 s at 175, 12.8 s at 200 and 4 min 12 s at 400, and the Fourier
+# route 2.1, 4.7 and 10.1 s at 100, 150 and 200; at (3, 0) the y = 0 form
+# took 0.29, 0.96 and 7.6 s.
+QUADRATURE_DIGITS_MAX = 150
+
 
 def _in_range(mctx, v) -> bool:
     # zero, or 2^(mag - 1) <= |v| < 2^mag within the bound
@@ -290,10 +298,16 @@ def voigt_quadrature(
     route: "convolution" (the default) integrates the Gaussian-against-Cauchy
     forms over the real line, and is the only route valid at y = 0;
     "fourier" integrates the damped half-line cosine/sine forms, valid for
-    y > 0.
+    y > 0. More than ``QUADRATURE_DIGITS_MAX`` digits is a DomainError,
+    because the work grows steeply past it.
     """
     if route not in ("convolution", "fourier"):
         raise DomainError("unknown quadrature route %r" % (route,))
+    if ctx.digits > QUADRATURE_DIGITS_MAX:
+        raise DomainError(
+            "quadrature covers at most %d digits (QUADRATURE_DIGITS_MAX), got %d; "
+            "voigt_exact_erfc has no such cap" % (QUADRATURE_DIGITS_MAX, ctx.digits)
+        )
     out = ctx.mp()
     if route == "fourier":
         res_K, res_L = _quad_fourier(arg, ctx)

@@ -8,6 +8,7 @@ import json
 import warnings
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 import voigt_asym.cli as cli
 from voigt_asym import BelowAsymptoticRangeWarning, PrecisionError, mp_context
@@ -428,6 +429,14 @@ def test_eval_m_runs_the_remainder_in_full(capsys, estimate_digits):
     assert (skipped["K"], skipped["L"], skipped["m"]) == (full["K"], full["L"], full["m"])
 
 
+def test_quadrature_past_its_digit_cap_exits_2(capsys):
+    # 400 digits of quadrature is minutes of work; the cap refuses it at once
+    rc, out, err = run(capsys, "eval", "--x", "3", "--y", "4", "--method", "quadrature",
+                       "--precision", "400")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert "at most 150 digits" in err
+
+
 def test_precision_error_maps_to_exit_3(capsys, monkeypatch):
     # no healthy input trips the precision path, so drive the dispatcher
     # directly: any command raising PrecisionError must exit 3
@@ -438,6 +447,18 @@ def test_precision_error_maps_to_exit_3(capsys, monkeypatch):
     rc, _, err = run(capsys, "eval", "--x", "1", "--y", "2")
     assert rc == EXIT_PRECISION
     assert "precision failure" in err
+
+
+def test_erfcx_series_failure_exits_3(capsys, monkeypatch):
+    # at (3, 4) E(phi) sums erfcx's Kummer series through hypsum; mpmath's
+    # convergence failure there must reach the caller as a precision failure
+    def fail(ctx, *args, **kwargs):
+        raise ValueError("hypsum() failed to converge")
+
+    monkeypatch.setattr(MPContext, "hypsum", fail)
+    rc, out, err = run(capsys, "eval", "--x", "3", "--y", "4", "--method", "theorem2")
+    assert rc == EXIT_PRECISION and out == ""
+    assert "Kummer series" in err
 
 
 def test_library_value_error_is_not_a_usage_error(capsys, monkeypatch):

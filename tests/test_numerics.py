@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from voigt_asym import (
     DomainError,
@@ -148,7 +149,8 @@ def test_erfc_asymptotic_domain_checks(ctx40):
 def _erfcx_grid(seed):
     # (digits, z) over digits 16..400, |z| in [0.1, 40], arg z in
     # [-pi/2, pi/2]: a log-uniform draw in |z|, plus points just either
-    # side of the asymptotic threshold |z|^2 = dps ln 10 and of Re z = 2
+    # side of the asymptotic threshold |z|^2 = dps ln 10 and of Re z = 2,
+    # where mpmath's erfc, the reference, changes form
     rng = random.Random(seed)
     cases = []
     for digits in (16, 40, 100, 400):
@@ -170,8 +172,8 @@ def _erfcx_grid(seed):
 
 
 def test_erfcx_matches_mpmath_on_seeded_grid():
-    # every branch, and both sides of each threshold, against mpmath's
-    # e^{z^2} erfc(z) at 20 more digits
+    # both branches, and both sides of the threshold between them, against
+    # mpmath's e^{z^2} erfc(z) at 20 more digits
     seen = set()
     for digits, re, im in _erfcx_grid(2606):
         ctx = PrecisionContext(digits=digits)
@@ -182,11 +184,34 @@ def test_erfcx_matches_mpmath_on_seeded_grid():
         want = ref_ctx.exp(zr * zr) * ref_ctx.erfc(zr)
         got = ref_ctx.mpc(erfcx(z, mctx))
         assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (digits, z)
-        if abs(z) ** 2 > mctx.dps * math.log(10):
-            seen.add("asymptotic")
-        else:
-            seen.add("mpmath" if z.real <= 2 else "widened")
-    assert seen == {"asymptotic", "mpmath", "widened"}
+        seen.add("asymptotic" if abs(z) ** 2 > mctx.dps * math.log(10) else "kummer")
+    assert seen == {"asymptotic", "kummer"}
+
+
+def test_erfcx_uses_no_mpmath_error_function(monkeypatch):
+    # the kernel must share no code with the erfc oracle that judges it
+    def refuse(ctx, z):
+        raise AssertionError("erfcx called mpmath's erf or erfc at %s" % (z,))
+
+    monkeypatch.setattr(MPContext, "erf", refuse)
+    monkeypatch.setattr(MPContext, "erfc", refuse)
+    for digits, re, im in _erfcx_grid(2606):
+        mctx = PrecisionContext(digits=digits).mp()
+        assert mctx.isfinite(erfcx(mctx.mpc(re, im), mctx))
+
+
+def test_erfcx_series_failure_is_precision_error(monkeypatch):
+    # a Kummer series that hypsum cannot sum is a typed error, never a bare
+    # mpmath exception; the asymptotic branch does not use hypsum
+    def fail(ctx, *args, **kwargs):
+        raise ValueError("hypsum() failed to converge")
+
+    monkeypatch.setattr(MPContext, "hypsum", fail)
+    mctx = PrecisionContext(digits=40).mp()
+    for z in (mctx.mpc(3, 4), mctx.mpc("0.3", 7), mctx.mpc(1, 0)):
+        with pytest.raises(PrecisionError, match="Kummer series"):
+            erfcx(z, mctx)
+    assert mctx.isfinite(erfcx(mctx.mpc(20, 1), mctx))
 
 
 # ------------------------------------------------------ incomplete gamma
@@ -325,7 +350,8 @@ def test_quadrature_unit_exponential(ctx40):
 
 def test_quadrature_default_tolerance_past_double_range():
     # 10^(6-digits) is below the smallest double from 330 digits on; the
-    # tolerance must stay positive there, or no estimate could meet it
+    # tolerance must stay positive there, or no estimate could meet it. The
+    # engine itself has no digit cap; voigt_quadrature's is its own
     ctx = PrecisionContext(digits=330)
     mctx = ctx.mp()
     res = integrate_semi_infinite(lambda t: mctx.exp(-t), ctx)

@@ -24,7 +24,7 @@ from voigt_asym import (
     voigt_quadrature,
 )
 from voigt_asym.numerics import GAMMA_RECURRENCE_CAP
-from voigt_asym.oracle import COORDINATE_MAG_MAX
+from voigt_asym.oracle import COORDINATE_MAG_MAX, QUADRATURE_DIGITS_MAX
 
 # exact remainders at |w| = 3.5 with the m = 12 cut, frozen from the
 # high-precision subtraction oracle before the terminant routes existed
@@ -259,6 +259,16 @@ def test_quadrature_routes_agree(ctx40):
     for unknown in ("simpson", "auto"):
         with pytest.raises(DomainError):
             voigt_quadrature(a, ctx40, route=unknown)
+
+
+def test_quadrature_refuses_digits_past_its_cap():
+    # the work grows steeply with the digits (minutes at 400); each route,
+    # and the y = 0 form, refuses past the cap by name
+    ctx = PrecisionContext(digits=QUADRATURE_DIGITS_MAX + 1)
+    msg = "at most %d digits" % QUADRATURE_DIGITS_MAX
+    for x, y, route in ((3, 4, "convolution"), (3, 0, "convolution"), (3, 4, "fourier")):
+        with pytest.raises(DomainError, match=msg):
+            voigt_quadrature(VoigtArgument.from_xy(x, y, ctx), ctx, route=route)
 
 
 def test_route_agreement_grid(ctx40):
