@@ -63,7 +63,7 @@ _DOUBLE_FACTORIAL = tuple(math.prod(range(1, 2 * k, 2)) for k in range(K_MAX + 1
 
 def _check_phi(mctx, phi):
     p = to_mpf(mctx, phi)
-    if p < 0 or p > mctx.pi * (1 + mctx.mpf(10) ** (-10)):
+    if not 0 <= p <= mctx.pi * (1 + mctx.mpf(10) ** (-10)):  # NaN fails too
         raise DomainError("phi must lie in [0, pi], got %s" % (p,))
     if 0 < p < mctx.ldexp(1, PHI_MIN_EXP):
         raise DomainError(
@@ -148,9 +148,6 @@ class CoefficientSet:
     ``A`` is None at phi = 0, where h_j and with them the A_2k are singular.
     """
 
-    phi: object
-    alpha: object
-    k_max: int
     A: Optional[Tuple]
     B: Tuple
     Bhat: Tuple
@@ -175,15 +172,14 @@ def coefficient_set(
     mctx = ctx.mp()
     p = _check_phi(mctx, phi)
     a = to_mpf(mctx, alpha)
+    if not mctx.isfinite(a):
+        raise DomainError("alpha must be finite, got %s" % (a,))
     if p == 0:
         B = tuple(mctx.mpc(_polynomial(mctx, poly, a)) for poly in _stokes_limits()[: k_max + 1])
-        return CoefficientSet(
-            phi=p, alpha=a, k_max=k_max, A=None, B=B, Bhat=tuple(-2j * b for b in B)
-        )
+        return CoefficientSet(A=None, B=B, Bhat=tuple(-2j * b for b in B))
     wctx = ctx.mp(extra=_b_widening(mctx, p, k_max)) if p < PHI_SWITCH else mctx
     A, B, Bhat = _closed_forms(wctx, wctx.convert(p), wctx.convert(a), k_max)
     return CoefficientSet(
-        phi=p, alpha=a, k_max=k_max,
         A=tuple(mctx.mpc(v) for v in A),
         B=tuple(mctx.mpc(v) for v in B),
         Bhat=tuple(mctx.mpc(v) for v in Bhat),

@@ -16,14 +16,14 @@ ways:
 Both are e^{-r^2}/sqrt(2 pi) times one bracketed sum, which a single
 private kernel computes together with its first omitted term, the basis of
 every ``err_estimate``; at k_terms = 1 either is the leading-order
-remainder. ``terminant_asymptotic`` reads the same kernel: its "away"
-and "uniform" regions are e^{-z}/2 times theorem1 and theorem2. Every
-estimate runs its refusals and warnings in one private check before any of
-its work, so ``evaluate_via_expansion``, which at the optimal cut runs an
-estimate only to the digits it adds to the partial sums (or not at all),
-refuses and warns as the estimate would. All estimates here are
-asymptotic, not exact; the matching exact quantities live in
-``oracle.remainder_exact``.
+remainder. ``terminant_asymptotic`` is e^{-z}/2 times theorem1 (region
+"away") or theorem2 (region "uniform"), so "away" is refused in theorem1's
+Stokes collar and warns where theorem1 warns. Every estimate runs its
+refusals and warnings in one private check before any of its work, so
+``evaluate_via_expansion``, which at the optimal cut runs an estimate only
+to the digits it adds to the partial sums (or not at all), refuses and
+warns as the estimate would. All estimates here are asymptotic, not exact;
+the matching exact quantities live in ``oracle.remainder_exact``.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def optimal_truncation(r, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Truncation
     """The least-term cut m = floor(r^2 + 1/2), giving alpha in (0, 1]."""
     mctx = ctx.mp()
     rr = to_mpf(mctx, r)
-    if not rr > 0:
-        raise DomainError("optimal truncation needs r > 0, got %s" % (rr,))
+    if not 0 < rr < mctx.inf:
+        raise DomainError("optimal truncation needs a finite r > 0, got %s" % (rr,))
     if rr < 1:
         warnings.warn(
             "r = %s is below the asymptotic range; the truncated expansion "
@@ -160,30 +160,58 @@ class RemainderEstimate:
 
     Khat: object
     Lhat: object
-    k_used: int
     method: str
     err_estimate: object = None
 
 
-def _check_k_terms(k_terms: int):
+def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext) -> bool:
+    """Refuse or warn as the remainder estimate ``variant`` does at arg and
+    k_terms, and return whether its series is the uniform one (eq42).
+
+    Every estimate passes its checks here, before any of its work, so a
+    caller that skips the work meets the same refusals and warnings.
+    """
+    uniform = variant == "eq42"
+    if not uniform:
+        if variant != "eq41":
+            raise DomainError("unknown expansion variant %r" % (variant,))
+        # the non-uniform prefactor 1/cos theta has its pole on the Stokes line
+        mctx = ctx.mp(extra=GUARD_DIGITS)
+        theta = mctx.convert(arg.theta)
+        slack = mctx.mpf(10) ** (-12)
+        limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
+        if theta > limit + slack:
+            raise DomainError(
+                "theta = %s is inside the Stokes collar; the non-uniform estimate "
+                "diverges there, use theorem2" % (theta,)
+            )
     # the error estimate reads the first omitted coefficient, of order k_terms
     if not 1 <= k_terms <= K_MAX:
         raise UnsupportedOrderError("k_terms must lie in [1, %d], got %r" % (K_MAX, k_terms))
+    if not uniform and theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
+        warnings.warn(
+            "theta is close to the Stokes line; the non-uniform estimate is "
+            "degrading, prefer theorem2",
+            StokesCollarWarning,
+            stacklevel=3,
+        )
+    return uniform
 
 
-def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: PrecisionContext):
-    """The bracketed sum shared by every remainder estimate, with the
-    modulus of its first omitted term.
+def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEstimate:
+    """The remainder estimate of every entry point, from one bracketed sum
+    and its first omitted term.
 
     Both series are sum_{k < k_terms} e^{i (nu - 1/2) phi} C_2k / r^{2k+1}.
     uniform: C = B^, after the head e^{i (nu - alpha) phi} E(phi) that
     carries the smoothed Stokes jump (eq42). away: C = A, and the sum is
     divided by sin(phi/2) = cos theta (eq41). The remainder after m terms,
-    2 e^z T_nu(z) at z = w^2, |z| = r^2 and nu = m + 1/2, is e^{-r^2}/sqrt(2 pi)
-    times this sum.
+    2 e^z T_nu(z) at z = w^2, |z| = r^2 and nu = m + 1/2, is
+    hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times this sum; err_estimate is
+    EST_SAFETY times the modulus of the first omitted term.
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
-    phi, r, nu, alpha = (mctx.convert(v) for v in (phi, r, nu, alpha))
+    phi, r, nu, alpha = (mctx.convert(v) for v in (arg.phi, arg.r, plan.nu, plan.alpha))
     coeffs = coefficient_set(phi, alpha, k_terms, ctx)
     if uniform:
         C = coeffs.Bhat
@@ -196,7 +224,15 @@ def _remainder_series(phi, r, nu, alpha, k_terms: int, uniform: bool, ctx: Preci
     for k in range(k_terms):
         total += rot * C[k] * rpow
         rpow /= r * r
-    return total, abs(C[k_terms]) * rpow
+    pref = mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
+    total *= pref
+    out = ctx.mp()
+    return RemainderEstimate(
+        Khat=out.mpf(total.real),
+        Lhat=out.mpf(-total.imag),
+        method="eq42" if uniform else "eq41",
+        err_estimate=out.mpf(EST_SAFETY * pref * (abs(C[k_terms]) * rpow)),
+    )
 
 
 def terminant_asymptotic(
@@ -205,13 +241,15 @@ def terminant_asymptotic(
 ):
     """Asymptotic value of the terminant T_nu(z) near optimal order.
 
-    Requires nu = |z| + alpha with |alpha| <= 1 and 0 <= arg z <= pi.
-    region="away" uses the A-coefficient series (invalid as arg z -> pi,
-    where its prefactor pole sits); region="uniform" smooths the Stokes
-    jump with an error function and uses the B-coefficient series. On the
-    Stokes line arg z = pi the uniform form gives T = 1/2 + O(|z|^{-1/2}).
-    Either is e^{-z}/2 times the matching remainder estimate, theorem1 or
-    theorem2, at r = sqrt|z| and phi = pi - arg z.
+    Requires nu = |z| + alpha with |alpha| <= 1 and 0 <= arg z <= pi. The
+    remainder after m terms is 2 e^z T_{m+1/2}(z), so region="away" is
+    e^{-z}/2 times theorem1 and region="uniform" e^{-z}/2 times theorem2,
+    at w = sqrt z: r = sqrt|z|, theta = arg z / 2 and phi = pi - arg z.
+    Each refuses and warns as its theorem does. "away" is refused within
+    THETA_COLLAR_OVER_PI of the Stokes line in theta, that is for
+    arg z > 0.96 pi, where its prefactor pole sits, and warns with
+    StokesCollarWarning past STOKES_WARN_OVER_PI (arg z > 0.8 pi). "uniform"
+    holds up to and on the Stokes line arg z = pi, where T = 1/2 + O(|z|^{-1/2}).
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
     zz = mctx.mpc(z)
@@ -228,73 +266,17 @@ def terminant_asymptotic(
         raise DomainError(
             "nu must sit within one unit of |z| (|alpha| <= 1), got alpha = %s" % (alpha,)
         )
-    phi = mctx.pi - argz
-    if phi < 0:
-        phi = mctx.mpf(0)
-    if region == "away":
-        if phi < mctx.mpf(10) ** (-8):
-            raise DomainError(
-                "the non-uniform terminant estimate has a pole at arg z = pi; "
-                "use region=\"uniform\""
-            )
-    elif region != "uniform":
-        raise DomainError("unknown terminant region %r" % (region,))
-    _check_k_terms(k_terms)
-    total, _ = _remainder_series(
-        phi, mctx.sqrt(absz), nu, alpha, k_terms, region == "uniform", ctx
+    # w = y + ix; the slack lets arg z, and with it x, dip just below zero.
+    # A negative real z has arg z = pi exactly, so phi = 0 exactly
+    w = mctx.sqrt(zz)
+    arg = VoigtArgument(
+        x=abs(w.imag), y=w.real, r=mctx.sqrt(absz), theta=argz / 2, phi=mctx.pi - argz
     )
-    return ctx.mp().mpc(mctx.exp(-zz - absz) / (2 * mctx.sqrt(2 * mctx.pi)) * total)
-
-
-def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEstimate:
-    # hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times the kernel's sum
-    total, omitted = _remainder_series(
-        arg.phi, arg.r, plan.nu, plan.alpha, k_terms, uniform, ctx
-    )
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    r = mctx.convert(arg.r)
-    pref = mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
-    out = ctx.mp()
-    return RemainderEstimate(
-        Khat=out.mpf((pref * total).real),
-        Lhat=out.mpf(-(pref * total).imag),
-        k_used=k_terms,
-        method="eq42" if uniform else "eq41",
-        err_estimate=out.mpf(EST_SAFETY * pref * omitted),
-    )
-
-
-def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext) -> bool:
-    """Refuse or warn as the remainder estimate ``variant`` does at arg and
-    k_terms, and return whether its series is the uniform one (eq42).
-
-    Every estimate passes its checks here, before any of its work, so a
-    caller that skips the work meets the same refusals and warnings.
-    """
-    if variant == "eq42":
-        _check_k_terms(k_terms)
-        return True
-    if variant != "eq41":
-        raise DomainError("unknown expansion variant %r" % (variant,))
-    # the non-uniform prefactor 1/cos theta has its pole on the Stokes line
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    theta = mctx.convert(arg.theta)
-    slack = mctx.mpf(10) ** (-12)
-    limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
-    if theta > limit + slack:
-        raise DomainError(
-            "theta = %s is inside the Stokes collar; the non-uniform estimate "
-            "diverges there, use theorem2" % (theta,)
-        )
-    _check_k_terms(k_terms)
-    if theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
-        warnings.warn(
-            "theta is close to the Stokes line; the non-uniform estimate is "
-            "degrading, prefer theorem2",
-            StokesCollarWarning,
-            stacklevel=3,
-        )
-    return False
+    uniform = _admit(arg, {"away": "eq41", "uniform": "eq42"}.get(region, region), k_terms, ctx)
+    # T_nu for any real nu: the cut m = nu - 1/2 need not be an integer
+    plan = TruncationPlan(m=nu - 0.5, alpha=alpha, nu=nu)
+    est = _series_estimate(arg, plan, k_terms, uniform, ctx)
+    return ctx.mp().mpc(mctx.exp(-zz) / 2 * mctx.mpc(est.Khat, -est.Lhat))
 
 
 def theorem1(
@@ -352,9 +334,7 @@ def _visible_remainder(arg, plan, sums, k_terms, uniform, ctx) -> RemainderEstim
     if room <= 0 or math.log(r2.man) + r2.exp * ln2 >= math.log(room):
         low = PrecisionContext(digits=REMAINDER_DIGITS_STEP).mp()
         bound = OPTIMAL_REMAINDER_BOUND * low.exp(low.fneg(r2, exact=True))
-        return RemainderEstimate(
-            Khat=0, Lhat=0, k_used=0, method="bound", err_estimate=bound
-        )
+        return RemainderEstimate(Khat=0, Lhat=0, method="bound", err_estimate=bound)
     d = ctx.digits - math.floor((float(r2) - gap) / math.log(10))
     step = REMAINDER_DIGITS_STEP
     digits = min(ctx.digits, max(step, -(-(d + 2) // step) * step))

@@ -111,10 +111,7 @@ class VoigtArgument:
     def from_xy(cls, x, y, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "VoigtArgument":
         mctx = ctx.mp()
         xx, yy = _finite_pair(mctx, x, y, "x", "y")
-        if xx < 0 or yy < 0:
-            raise DomainError(
-                "VoigtArgument lives in the first quadrant; reduce (x, y) first"
-            )
+        # a point outside the first quadrant is refused on construction
         r = mctx.hypot(xx, yy)
         if r == 0:
             return cls(x=xx, y=yy, r=r, theta=mctx.mpf(0), phi=mctx.pi)
@@ -339,6 +336,14 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
             "use the gamma route there"
         )
     mctx = ctx.mp(extra=GUARD_DIGITS)
+    # every integrand evaluation reduces an exponent of order |z| modulo
+    # ln 2, so past |z| = 10^digits the work grows without bound: at 40
+    # digits r = 1e50 took 13 s to fail, and r = 1e300 ran past 100 s
+    if 2 * mctx.log10(arg.r) >= ctx.digits:
+        raise DomainError(
+            "the remainder quadrature covers |z| = r^2 < 10^%d at %d digits, got r = %s"
+            % (ctx.digits, ctx.digits, mctx.nstr(arg.r, 5))
+        )
     absz, nu, alpha = _remainder_prefactors(mctx, arg, m)
     psi = 2 * mctx.convert(arg.theta)
     phi = mctx.convert(arg.phi)
@@ -350,7 +355,9 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
     a_f = float(alpha)
     z_f = float(absz)
     tau_star = max(1.0, 1.0 + (a_f - 1.0) / z_f)
-    peak = -z_f * (tau_star - 1.0 - math.log(tau_star)) + (a_f - 1.0) * math.log(tau_star)
+    peak = 0.0  # at tau = 1, also where |z| passes the float range
+    if tau_star > 1:
+        peak = -z_f * (tau_star - 1.0 - math.log(tau_star)) + (a_f - 1.0) * math.log(tau_star)
     extra = max(0, int(math.ceil(peak * math.log10(math.e)))) + 5
 
     wctx = mp_context(ctx.digits + GUARD_DIGITS + extra)
@@ -414,9 +421,9 @@ def remainder_exact(
     algebraic partial sum; see ``expansions.algebraic_partial_sums``.
 
     route: "quadrature" evaluates a contour-rotated real integral (pole off
-    the path only for theta < pi/2, and m >= 1); "gamma" evaluates
-    (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi by backward recurrence
-    (m <= GAMMA_RECURRENCE_CAP); "auto" picks gamma whenever
+    the path only for theta < pi/2; m >= 1 and |z| = r^2 < 10^digits);
+    "gamma" evaluates (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi by
+    backward recurrence (m <= GAMMA_RECURRENCE_CAP); "auto" picks gamma whenever
     m <= GAMMA_RECURRENCE_CAP, and past the cap quadrature away from the
     Stokes line, gamma (which then refuses the depth) within EPS_POLE of it.
     At m = 0 the remainder is the whole K - iL.

@@ -333,6 +333,68 @@ def test_terminant_validation(ctx40):
             assert abs(T_est - T_exact) <= 3 * pref * omitted / mctx.mpf(9) ** k_terms, phi
 
 
+def test_terminant_away_is_refused_in_theorem1_collar(ctx40):
+    # arg z within 0.04 pi of pi puts theta = arg z / 2 inside theorem1's
+    # collar; the away series there gave 1163.8 + 49.5i against an exact
+    # 0.401 - 0.012i at pi - 0.05, and 3.8e26 at pi - 1e-6
+    mctx = ctx40.mp()
+    for phi in ("0.05", "1e-6"):
+        z = 25 * mctx.expj(mctx.pi - mctx.mpf(phi))
+        with pytest.raises(DomainError):
+            terminant_asymptotic(z, 25.5, "away", 3, ctx40)
+
+
+def test_terminant_away_warns_where_theorem1_does(ctx40):
+    # arg z = pi - 0.2 is past the warning band's edge, 0.8 pi, and outside
+    # the collar: the value the away series always gave, now with the warning
+    mctx = ctx40.mp()
+    z = 25 * mctx.expj(mctx.pi - mctx.mpf("0.2"))
+    with pytest.warns(StokesCollarWarning):
+        T = terminant_asymptotic(z, 25.5, "away", 3, ctx40)
+    want = mctx.mpc(
+        "0.716639474357379658990099141619341903757580476",
+        "0.120650462821018960285775714316612587770046517",
+    )
+    assert abs(T - want) <= ctx40.eps(mctx) * abs(want)
+
+
+def _admission(call):
+    # the refusal type, or None, and the warning categories of one call
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+        except DomainError as exc:
+            return type(exc), ()
+    return None, tuple(sorted({w.category.__name__ for w in caught}))
+
+
+def test_terminant_admits_as_its_theorem_does(ctx40):
+    # on a seeded grid, with the edges of the warning band (arg z = 0.8 pi)
+    # and of the collar (0.96 pi) and both ends of [0, pi], each region
+    # refuses and warns exactly where its theorem does at the same point
+    rng = random.Random(20261019)
+    mctx = ctx40.mp()
+    fracs = [0, 1, 0.8 - 1e-6, 0.8 + 1e-6, 0.96 - 1e-6, 0.96 + 1e-6]
+    fracs += [rng.uniform(0, 1) for _ in range(10)]
+    orders = (1, 3, 5, 0, K_MAX + 1)
+    seen = set()
+    for i, frac in enumerate(fracs):
+        arg = VoigtArgument.from_polar(rng.uniform(2, 12), mctx.mpf(frac) * mctx.pi / 2, ctx40)
+        plan = optimal_truncation(arg.r, ctx40)
+        z = arg.z(ctx40)
+        for j, (region, theorem) in enumerate((("away", theorem1), ("uniform", theorem2))):
+            k_terms = orders[(2 * i + j) % len(orders)]
+            want = _admission(lambda: theorem(arg, plan, k_terms, ctx40))
+            got = _admission(lambda: terminant_asymptotic(z, plan.nu, region, k_terms, ctx40))
+            assert got == want, (frac, region, k_terms)
+            seen.add(want)
+    assert seen == {
+        (None, ()), (None, ("StokesCollarWarning",)), (DomainError, ()),
+        (UnsupportedOrderError, ()),
+    }
+
+
 def _identity_cases():
     # seeded (r, theta/pi) per precision: theta at both ends, near the
     # Stokes line and in between; eq41 stops below its collar

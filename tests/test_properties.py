@@ -1,6 +1,6 @@
 """Property tests: the reflection symmetry of the CLI output, the exact
 decomposition K - iL = S_m + remainder, and the CLI exit-code contract on
-arbitrary coordinate strings.
+arbitrary option strings for ``eval``, ``coeffs`` and ``scan``.
 
 Hypothesis runs derandomized and keeps no example database, so every run
 draws the same cases and no failure is replayed from an earlier one.
@@ -43,14 +43,18 @@ def _decimal(exponents, signs=("", "-")):
     )
 
 
-def _eval(*argv):
+def _run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BelowAsymptoticRangeWarning)
             warnings.simplefilter("ignore", StokesCollarWarning)
-            rc = main(["eval", *argv])
+            rc = main(list(argv))
     return rc, out.getvalue(), err.getvalue()
+
+
+def _eval(*argv):
+    return _run("eval", *argv)
 
 
 # --------------------------------------------------------------- reflections
@@ -118,6 +122,21 @@ _coordinate = st.one_of(
 )
 
 
+def _answered(rc, err) -> bool:
+    # a documented exit code and no traceback; True when the run answered.
+    # An uncaught exception, a traceback from the console script, fails the
+    # calling test on its own
+    assert rc in (EXIT_OK, EXIT_DOMAIN, EXIT_PRECISION, EXIT_USAGE), (rc, err)
+    assert "Traceback" not in err
+    return rc == EXIT_OK
+
+
+def _finite(*values):
+    mctx = mp_context(50)
+    for v in values:
+        assert mctx.isfinite(mctx.mpf(v)), v
+
+
 @settings(deterministic, max_examples=60)
 @given(
     x=_coordinate,
@@ -127,13 +146,79 @@ _coordinate = st.one_of(
 )
 def test_eval_answers_or_refuses_by_exit_code(x, y, method, k_terms):
     # every coordinate pair, past the 2^+-2048 bound and not a number at all
-    # included, ends in a finite answer or a documented exit code; an
-    # uncaught exception (a traceback from the console script) fails here
+    # included, ends in a finite answer or a documented exit code
     rc, out, err = _eval("--x=" + x, "--y=" + y, "--method", method, "--k-terms", str(k_terms))
-    assert rc in (EXIT_OK, EXIT_DOMAIN, EXIT_PRECISION, EXIT_USAGE), (rc, err)
-    assert "Traceback" not in err
-    if rc == EXIT_OK:
+    if _answered(rc, err):
         rec = json.loads(out)
-        mctx = mp_context(50)
-        for field in ("K", "L", "err_estimate"):
-            assert mctx.isfinite(mctx.mpf(rec[field])), (field, rec[field])
+        _finite(rec["K"], rec["L"], rec["err_estimate"])
+
+
+# Draw bounds, for run time: precision at most 120 digits and m at most 400
+# terms (a cut past the least term sums all m); the quadrature method, which
+# takes seconds past 100 digits, is not drawn.
+@settings(deterministic, max_examples=40)
+@given(
+    x=_decimal(st.integers(-1, 1)),
+    y=_decimal(st.integers(-1, 1)),
+    method=st.sampled_from(("oracle", "algebraic", "theorem1", "theorem2")),
+    m=st.integers(-3, 400),
+    precision=st.integers(-2, 120),
+)
+def test_eval_with_cut_and_precision_answers_or_refuses(x, y, method, m, precision):
+    rc, out, err = _eval(
+        "--x=" + x, "--y=" + y, "--method", method, "--m=%d" % m, "--precision=%d" % precision
+    )
+    if _answered(rc, err):
+        rec = json.loads(out)
+        _finite(rec["K"], rec["L"], rec["err_estimate"])
+
+
+# Draw bounds, for run time: a drawn phi is at least 1e-60, so the widening
+# below PHI_SWITCH, (2 kmax + 3) log10(1/phi) digits, stays under 800; the
+# sampled 1e-20000 is refused before any widening.
+@settings(deterministic, max_examples=60)
+@given(
+    phi=st.one_of(
+        _decimal(st.integers(-60, 0), signs=("",)),
+        st.sampled_from(("0", "-0", "-0.5", "3.14159265358979", "3.1416", "1e-20000",
+                         "nan", "inf", "")),
+    ),
+    alpha=st.one_of(
+        _decimal(st.integers(-3, 3)),
+        st.sampled_from(("0", "1e700", "nan", "inf", "-inf", "x")),
+    ),
+    kmax=st.sampled_from(("-1", "0", "1", "2", "3", "4", "5", "6", "", "x", "2.5")),
+)
+def test_coeffs_answers_or_refuses_by_exit_code(phi, alpha, kmax):
+    rc, out, err = _run(
+        "coeffs", "--phi=" + phi, "--alpha=" + alpha, "--kmax=" + kmax, "--format", "json"
+    )
+    if _answered(rc, err):
+        rec = json.loads(out)
+        pairs = [rec["c"]] + [c[name] for c in rec["coefficients"] for name in ("A", "B", "Bhat")]
+        for pair in pairs:
+            if pair is not None:  # A is singular at phi = 0
+                _finite(pair["re"], pair["im"])
+
+
+# Draw bounds, for run time: r below 1000 besides the sampled 1e300, and at
+# most 5 angles; past r = 14.1 an eq42 scan runs quadrature at every angle
+# before the Stokes line refuses the gamma ladder's depth (exit 2).
+@settings(deterministic, max_examples=40)
+@given(
+    r=st.one_of(
+        _decimal(st.integers(-3, 2), signs=("",)),
+        st.sampled_from(("0", "-3", "14.1", "14.2", "20", "1e300", "nan", "inf", "")),
+    ),
+    n=st.integers(-1, 5),
+    variant=st.sampled_from(("eq41", "eq42")),
+)
+def test_scan_answers_or_refuses_by_exit_code(r, n, variant):
+    rc, out, err = _run("scan", "--r=" + r, "--n=%d" % n, "--variant", variant)
+    if _answered(rc, err):
+        header, *rows = out.splitlines()
+        assert header == "theta_over_pi,rel_err_K,rel_err_L"
+        for row in rows:
+            theta_over_pi, rel_K, rel_L = row.split(",")
+            # L vanishes identically at theta = 0, where its error is nan
+            _finite(theta_over_pi, rel_K, *([rel_L] if float(theta_over_pi) else []))

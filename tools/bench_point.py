@@ -16,7 +16,10 @@ processes, so that host drift hits both alike:
 
     python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_10.json
 
-Each time is the median over rounds of the mean of ``--calls`` calls.
+Each time is the median over rounds of the mean of ``--calls`` calls, scaled
+to a reference machine speed by the ``SpeedProbe`` of ``benchmarks/run.py``
+timed in the same child process right after those calls, so that drift of a
+shared host between the two trees' processes cancels.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import sys
 import warnings
 from time import perf_counter
 
+BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 POINTS = ((3, 4), (12, 5), (16, 5))
 DIGITS = (40, 100)
 REF_EXTRA = 20
@@ -44,19 +48,23 @@ def _digits(mctx, got, want, cap):
 
 
 def measure(src, calls):
-    """{"x,y": {digits: {path: (ms per call, digits attained)}}} for the tree
-    at src."""
-    sys.path.insert(0, src)
+    """{"x,y": {digits: {path: (scaled ms per call, digits attained)}}} for
+    the tree at src."""
+    sys.path[:0] = [src, BENCHMARKS]
     import voigt_asym as va
+    from run import SpeedProbe
 
     warnings.simplefilter("ignore")
+    probes = {d: SpeedProbe(d) for d in DIGITS}
     out = {}
     for X, Y in POINTS:
-        out["%d,%d" % (X, Y)] = {str(d): _measure_point(va, X, Y, d, calls) for d in DIGITS}
+        out["%d,%d" % (X, Y)] = {
+            str(d): _measure_point(va, X, Y, d, calls, probes[d]) for d in DIGITS
+        }
     return out
 
 
-def _measure_point(va, X, Y, digits, calls):
+def _measure_point(va, X, Y, digits, calls, probe):
     ctx = va.PrecisionContext(digits=digits)
     arg = va.VoigtArgument.from_xy(X, Y, ctx)
     plan = va.optimal_truncation(arg.r, ctx)
@@ -99,7 +107,8 @@ def _measure_point(va, X, Y, digits, calls):
         t0 = perf_counter()
         for _ in range(calls):
             call()
-        row[name] = ((perf_counter() - t0) * 1e3 / calls, _digits(ref, got, want, digits))
+        ms = (perf_counter() - t0) * 1e3 / calls * probe.factor()
+        row[name] = (ms, _digits(ref, got, want, digits))
     return row
 
 
@@ -128,6 +137,7 @@ def main(argv=None):
     report = {"points": [{"x": x, "y": y} for x, y in POINTS],
               "rounds": args.rounds, "calls": args.calls,
               "reference": "mpmath at %d more digits" % REF_EXTRA,
+              "times": "scaled to the reference speed of benchmarks/run.py's SpeedProbe",
               "host": {"python": platform.python_version(), "mpmath": mpmath.__version__,
                        "mpmath_backend": mpmath.libmp.BACKEND, "cpus": os.cpu_count(),
                        "machine": platform.machine()},
