@@ -12,6 +12,8 @@ C(alpha, n) and the h_j once, from h_j = C(alpha, j) + u h_{j-1}. The
 rational ingredients of A_2k, the Stirling coefficients gamma_k and the
 table c_{j,k}, come from the exact series reversion of (1/2) w^2 =
 t - log(1 + t), computed once per process; nothing is typed in by hand.
+Off the Stokes line the pass is memoized in a small least-recently-used
+cache, so theorem1 and theorem2 at one point share one pass.
 
 The geometry, fixed throughout: a first-quadrant point has theta = arg w in
 [0, pi/2] and phi = pi - 2 theta in [0, pi]. phi = 0 is the Stokes line. The
@@ -164,6 +166,11 @@ def coefficient_set(
     precision below PHI_SWITCH where its two parts cancel;
     B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0, B_2k is its
     limit, a real polynomial in alpha derived exactly for every k <= K_MAX.
+
+    At phi > 0 the pass is memoized on (phi, alpha, k_max, ctx.digits),
+    phi and alpha as the mpf values of the working context, in a
+    least-recently-used cache of 8 entries, so theorem1 and theorem2 at one
+    point share one pass. Every refusal runs before the cache is consulted.
     """
     if not 0 <= k_max <= K_MAX:
         raise UnsupportedOrderError(
@@ -177,13 +184,25 @@ def coefficient_set(
     if p == 0:
         B = tuple(mctx.mpc(_polynomial(mctx, poly, a)) for poly in _stokes_limits()[: k_max + 1])
         return CoefficientSet(A=None, B=B, Bhat=tuple(-2j * b for b in B))
-    wctx = ctx.mp(extra=_b_widening(mctx, p, k_max)) if p < PHI_SWITCH else mctx
-    A, B, Bhat = _closed_forms(wctx, wctx.convert(p), wctx.convert(a), k_max)
-    return CoefficientSet(
-        A=tuple(mctx.mpc(v) for v in A),
-        B=tuple(mctx.mpc(v) for v in B),
-        Bhat=tuple(mctx.mpc(v) for v in Bhat),
-    )
+    return _coefficient_pass(p, a, k_max, ctx)
+
+
+# theorem1 and theorem2 at one point ask for the same pass back to back; a
+# few entries serve that. The bound stays below the 11 angles per radius of
+# the scan benchmark, whose traced replay of a radius must meet none of the
+# passes its untraced run of the same ops left behind
+@lru_cache(maxsize=8)
+def _coefficient_pass(phi, alpha, k_max: int, ctx: PrecisionContext) -> CoefficientSet:
+    """The pass of ``coefficient_set`` at phi > 0, phi and alpha being mpf
+    of ``ctx.mp()``. The key holds ctx, so each precision has its own entry.
+    Above PHI_SWITCH the pass runs in that context and its numbers are
+    returned as they are; below it they are rounded from the widened one."""
+    mctx = ctx.mp()
+    if phi >= PHI_SWITCH:
+        return CoefficientSet(*map(tuple, _closed_forms(mctx, phi, alpha, k_max)))
+    wctx = ctx.mp(extra=_b_widening(mctx, phi, k_max))
+    parts = _closed_forms(wctx, wctx.convert(phi), wctx.convert(alpha), k_max)
+    return CoefficientSet(*(tuple(mctx.mpc(v) for v in part) for part in parts))
 
 
 @lru_cache(maxsize=None)

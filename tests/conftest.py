@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from voigt_asym import PrecisionContext, expansions
+from voigt_asym import PrecisionContext, coefficients, expansions
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +33,13 @@ def estimate_digits(monkeypatch):
 
     monkeypatch.setattr(expansions, "_series_estimate", spy)
     return seen
+
+
+@pytest.fixture
+def coefficient_pass():
+    """The memoized coefficient pass, emptied before and after the test, so
+    that no entry crosses into or out of it."""
+    memo = coefficients._coefficient_pass
+    memo.cache_clear()
+    yield memo
+    memo.cache_clear()

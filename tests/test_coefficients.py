@@ -218,6 +218,29 @@ def test_one_pass_serves_every_order(ctx40):
                     assert abs(lo - hi) <= tol * abs(hi)
 
 
+def test_memoized_pass_keys_each_precision(coefficient_pass):
+    # phi and alpha exact in binary have equal mpf values at 40 and at 100
+    # digits, so only the precision in the key tells the two passes apart;
+    # each comes back at its own precision, on both sides of the switch
+    for phi in (0.125, 0.5):
+        sets = {}
+        for digits in (40, 100, 40, 100):
+            ctx = PrecisionContext(digits=digits)
+            got = coefficient_set(phi, 0.25, 3, ctx)
+            assert all(type(v) is ctx.mp().mpc for part in (got.A, got.B, got.Bhat) for v in part)
+            assert got == sets.setdefault(digits, got)
+        assert sets[40] != sets[100]
+    info = coefficient_pass.cache_info()
+    assert (info.hits, info.misses) == (4, 4)
+
+
+def test_memo_bound_is_small():
+    # one entry serves theorem2 then theorem1 at a point; a radius of the
+    # scan benchmark has 11 angles, and a bound at or above that would let
+    # the replay of its ops time cache hits
+    assert coefficients._coefficient_pass.cache_info().maxsize <= 10
+
+
 def test_tiny_phi_widens_from_its_own_exponent(ctx40):
     # 1e-400 is below the float range: the widening is read from the mpf,
     # and B_2k sits within O(phi) of its limit
@@ -518,9 +541,10 @@ def test_b0_slope_matches_finite_difference(ctx40):
     assert abs(fd - slope) < mctx.mpf(10) ** (-6) * max(1, abs(slope))
 
 
-def test_stokes_limits_refuse_a_pole_that_does_not_cancel(monkeypatch):
+def test_stokes_limits_refuse_a_pole_that_does_not_cancel(monkeypatch, coefficient_pass):
     # a wrong c_{2k,k} leaves a pole in B_2k at phi = 0, which raises rather
-    # than asserts, so it holds under -O too
+    # than asserts, so it holds under -O too; the emptied memo keeps any
+    # pass built from the wrong tables out of later tests
     gamma, cjk = _laplace_tables()
     wrong = cjk[:-1] + (tuple(2 * c for c in cjk[-1]),)
     monkeypatch.setattr(coefficients, "_laplace_tables", lambda: (gamma, wrong))

@@ -33,13 +33,18 @@ from voigt_asym import (
     theorem2,
     voigt_exact_erfc,
 )
-from voigt_asym.coefficients import K_MAX
+from voigt_asym import coefficients
+from voigt_asym.coefficients import K_MAX, PHI_SWITCH
 from voigt_asym.expansions import OPTIMAL_REMAINDER_BOUND
 from voigt_asym.tables import (
     TABLE1_FOOT,
     TABLE1_M,
     TABLE1_ROWS,
     TABLE1_SIG,
+    TABLE2_ANGLES,
+    TABLE2_K_TERMS,
+    TABLE2_M,
+    TABLE2_R,
     tolerance_last_digit,
 )
 
@@ -713,6 +718,68 @@ def test_variant_dispatch(ctx40):
     for unknown in ("eq43", "leading-away"):
         with pytest.raises(DomainError, match="unknown expansion variant"):
             evaluate_via_expansion(arg, unknown, 1, None, ctx40)
+
+
+def _estimate_fields(est):
+    return est.Khat, est.Lhat, est.err_estimate
+
+
+@pytest.mark.parametrize("digits", [40, 100])
+def test_estimates_sharing_a_pass_equal_fresh_ones(digits, coefficient_pass):
+    # theorem1 and theorem2 at one point share one memoized coefficient
+    # pass; the second of the two, in either order, equals itself run on an
+    # emptied memo, to the last bit. phi falls on both sides of PHI_SWITCH,
+    # above theorem1's collar at 0.04 pi
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    rng = random.Random("shared-pass/%d" % digits)
+
+    def fresh(theorem, arg, plan, k):
+        coefficient_pass.cache_clear()
+        return _estimate_fields(theorem(arg, plan, k, ctx))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StokesCollarWarning)
+        for lo, hi in ((0.13, PHI_SWITCH), (PHI_SWITCH, 3.0)) * 4:
+            r, phi, k = rng.uniform(3, 8), rng.uniform(lo, hi), rng.randint(1, K_MAX)
+            arg = VoigtArgument.from_polar(r, (mctx.pi - phi) / 2, ctx)
+            plan = optimal_truncation(r, ctx)
+            for first, second in ((theorem2, theorem1), (theorem1, theorem2)):
+                want = fresh(second, arg, plan, k)
+                coefficient_pass.cache_clear()
+                first(arg, plan, k, ctx)
+                assert _estimate_fields(second(arg, plan, k, ctx)) == want, (r, phi, k)
+                assert coefficient_pass.cache_info().hits == 1
+    # on the Stokes line the derived limits answer, outside the memo
+    arg = VoigtArgument.from_xy(6, 0, ctx)
+    plan = optimal_truncation(6, ctx)
+    want = fresh(theorem2, arg, plan, K_MAX)
+    assert _estimate_fields(theorem2(arg, plan, K_MAX, ctx)) == want
+    assert coefficient_pass.cache_info().currsize == 0
+
+
+def test_one_pass_serves_both_estimates_of_a_table2_cell(monkeypatch, coefficient_pass, ctx40):
+    # a table2 cell is the exact remainder, theorem1 and theorem2 at one
+    # point; the two estimates run one coefficient pass between them
+    passes = []
+    real = coefficients._closed_forms
+
+    def spy(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coefficients, "_closed_forms", spy)
+    mctx = ctx40.mp()
+    plan = TruncationPlan.for_m(TABLE2_M, TABLE2_R, ctx40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StokesCollarWarning)
+        for key in TABLE2_ANGLES:
+            arg = VoigtArgument.from_polar(TABLE2_R, mctx.mpf(key) * mctx.pi, ctx40)
+            del passes[:]
+            remainder_exact(arg, TABLE2_M, ctx40)
+            theorem1(arg, plan, TABLE2_K_TERMS, ctx40)
+            theorem2(arg, plan, TABLE2_K_TERMS, ctx40)
+            assert len(passes) == 1, key
 
 
 def test_evaluate_via_expansion_tracks_oracle(ctx40):

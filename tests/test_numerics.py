@@ -188,6 +188,31 @@ def test_erfcx_matches_mpmath_on_seeded_grid():
     assert seen == {"asymptotic", "kummer"}
 
 
+def test_erfcx_sums_a_real_argument_in_real_arithmetic(monkeypatch):
+    # on the real axis (the ladder's base case at theta = 0) the Kummer
+    # series gets a real z^2; the value is an mpc still, and matches
+    # mpmath's e^{z^2} erfc(z) at 20 more digits
+    seen = []
+    real_hypsum = MPContext.hypsum
+
+    def spy(ctx, *args, **kwargs):
+        seen.append(args[-1])
+        return real_hypsum(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(MPContext, "hypsum", spy)
+    for digits in (16, 40, 100):
+        mctx = PrecisionContext(digits=digits).mp()
+        ref_ctx = mp_context(mctx.dps + 20)
+        for x in ("0.1", "0.5", "1", "2.5", "4", "6.5"):  # all below the threshold
+            z = mctx.mpc(x, 0)
+            got = erfcx(z, mctx)
+            assert type(got) is mctx.mpc
+            zr = ref_ctx.convert(z.real)
+            want = ref_ctx.exp(zr * zr) * ref_ctx.erfc(zr)
+            assert abs(ref_ctx.mpc(got) - want) <= ref_ctx.mpf(10) ** (1 - digits) * want, (digits, x)
+    assert len(seen) == 18 and not any(hasattr(z2, "_mpc_") for z2 in seen)
+
+
 def test_erfcx_uses_no_mpmath_error_function(monkeypatch):
     # the kernel must share no code with the erfc oracle that judges it
     def refuse(ctx, z):
