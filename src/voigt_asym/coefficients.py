@@ -20,12 +20,11 @@ The geometry, fixed throughout: a first-quadrant point has theta = arg w in
 quantity u = e^{i phi}/(1 - e^{i phi}) that powers the h_j sums blows up as
 phi -> 0, and the closed form for B_2k then suffers catastrophic cancellation
 between its A-part and its c(phi)^{-2k-1} part, even though B_2k itself stays
-bounded. Below PHI_SWITCH the pass therefore runs with explicitly widened
-internal precision sized to the cancellation depth of its highest order,
-which keeps both branches in agreement to full context precision across the
-switch. At phi = 0 exactly, B_2k is its limit, a polynomial in alpha for
-every k <= K_MAX, derived once per process from the same reversion tables
-as an exact Laurent expansion whose pole is checked to cancel.
+bounded. At every phi > 0 one rule widens the pass by the cancellation depth
+of its top order, (2 k_max + 3) log10(PHI_SWITCH/phi) digits, zero from
+PHI_SWITCH on. At phi = 0 exactly, B_2k is its limit, a polynomial in alpha
+for every k <= K_MAX, derived once per process from the same reversion
+tables as an exact Laurent expansion whose pole is checked to cancel.
 """
 
 from __future__ import annotations
@@ -35,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
+
+from mpmath.libmp import mpc_pos
 
 from .exceptions import DomainError, UnsupportedOrderError
 from .numerics import (
@@ -46,14 +47,14 @@ from .numerics import (
 )
 from .oracle import COORDINATE_MAG_MAX
 
-# Below this phi (radians) the B-coefficient closed form needs widened
-# precision; at phi = 0 exactly the derived limits take over.
-PHI_SWITCH = 0.15
+# From this phi (radians) on, the closed form of B_2k cancels by under 3 digits
+# at every k <= K_MAX, which guard digits absorb. benchmarks/tracer.py reads it.
+PHI_SWITCH = 2.0
 
 # A positive phi below 2^PHI_MIN_EXP (about 9.5e-1234) is refused: the B
-# widening grows as (2 k_max + 3) log10(1/phi) digits, some 16,000 at this
-# bound and without limit below it, while phi = 2 atan2(y, x) of supported
-# coordinates stays above 2^(PHI_MIN_EXP + 1).
+# widening grows as (2 k_max + 3) log10(PHI_SWITCH/phi) digits, some 16,000
+# at this bound and without limit below it, while phi = 2 atan2(y, x) of
+# supported coordinates stays above 2^(PHI_MIN_EXP + 1).
 PHI_MIN_EXP = -2 * COORDINATE_MAG_MAX
 
 # Coefficient tables stop here; beyond is an error, never an extrapolation.
@@ -136,11 +137,9 @@ def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 
 def _b_widening(mctx, phi, k: int) -> int:
-    # the closed form cancels across ~ (2k+1) log10(1/phi) digits; provision
-    # that with margin. log10 is taken of the mpf itself, so a phi below the
-    # float range (1e-400, say) widens like any other
-    depth = float(-mctx.log10(phi))
-    return round_widening(int(math.ceil((2 * k + 3) * depth)) + 30)
+    # B_2k cancels across about (2k+3) log10(PHI_SWITCH/phi) digits; log10 of
+    # the mpf itself widens a phi below the float range (1e-400, say) too
+    return round_widening(max(0, math.ceil((2 * k + 3) * float(mctx.log10(PHI_SWITCH / phi)))))
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,8 @@ def coefficient_set(
 
     A_2k = (-1)^k gamma_k + sum_{j=2}^{2k} c_{j,k} h_j(phi, alpha);
     B_2k = e^{i phi alpha} A_2k / (1 - e^{i phi})
-    - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1}, run with widened internal
-    precision below PHI_SWITCH where its two parts cancel;
+    - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1}, run with internal precision
+    widened by the (2 k_max + 3) log10(PHI_SWITCH/phi) digits its parts cancel;
     B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0, B_2k is its
     limit, a real polynomial in alpha derived exactly for every k <= K_MAX.
 
@@ -195,14 +194,14 @@ def coefficient_set(
 def _coefficient_pass(phi, alpha, k_max: int, ctx: PrecisionContext) -> CoefficientSet:
     """The pass of ``coefficient_set`` at phi > 0, phi and alpha being mpf
     of ``ctx.mp()``. The key holds ctx, so each precision has its own entry.
-    Above PHI_SWITCH the pass runs in that context and its numbers are
-    returned as they are; below it they are rounded from the widened one."""
+    The pass runs in that context widened by ``_b_widening``, and its
+    numbers are rounded to ``ctx.mp()``: by libmp, as mctx.mpc(v) rounds but
+    in a third of the time."""
     mctx = ctx.mp()
-    if phi >= PHI_SWITCH:
-        return CoefficientSet(*map(tuple, _closed_forms(mctx, phi, alpha, k_max)))
     wctx = ctx.mp(extra=_b_widening(mctx, phi, k_max))
     parts = _closed_forms(wctx, wctx.convert(phi), wctx.convert(alpha), k_max)
-    return CoefficientSet(*(tuple(mctx.mpc(v) for v in part) for part in parts))
+    rounded = (tuple(mctx.make_mpc(mpc_pos(v._mpc_, mctx.prec, "n")) for v in p) for p in parts)
+    return CoefficientSet(*rounded)
 
 
 @lru_cache(maxsize=None)

@@ -251,6 +251,8 @@ def terminant_asymptotic(
     StokesCollarWarning past STOKES_WARN_OVER_PI (arg z > 0.8 pi). "uniform"
     holds up to and on the Stokes line arg z = pi, where T = 1/2 + O(|z|^{-1/2}).
     """
+    if region not in ("away", "uniform"):
+        raise DomainError("region must be 'away' or 'uniform', got %r" % (region,))
     mctx = ctx.mp(extra=GUARD_DIGITS)
     zz = mctx.mpc(z)
     absz = abs(zz)
@@ -272,7 +274,7 @@ def terminant_asymptotic(
     arg = VoigtArgument(
         x=abs(w.imag), y=w.real, r=mctx.sqrt(absz), theta=argz / 2, phi=mctx.pi - argz
     )
-    uniform = _admit(arg, {"away": "eq41", "uniform": "eq42"}.get(region, region), k_terms, ctx)
+    uniform = _admit(arg, "eq42" if region == "uniform" else "eq41", k_terms, ctx)
     # T_nu for any real nu: the cut m = nu - 1/2 need not be an integer
     plan = TruncationPlan(m=nu - 0.5, alpha=alpha, nu=nu)
     est = _series_estimate(arg, plan, k_terms, uniform, ctx)

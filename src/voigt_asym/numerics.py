@@ -199,9 +199,8 @@ def erfcx(z, mctx):
 
 
 def _gamma_widening(absz: float, digits: int) -> int:
-    # Cancellation rule: the downward recurrence loses about |z| log10(e)
-    # digits; provision twice that plus a fixed guard.
-    return digits + round_widening(math.ceil(2 * absz * math.log10(math.e)) + 10)
+    # the |z| log10(e) digits the downward sweep loses, plus a guard; the loss check catches more
+    return digits + round_widening(math.ceil(absz * math.log10(math.e)) + 10)
 
 
 def upper_incomplete_gamma_half_ladder(

@@ -5,6 +5,7 @@ exact-rational reversion that is the run-time source of gamma_k and c_{j,k}.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -503,17 +504,55 @@ def test_B2k_branch_agreement_at_switch(ctx40):
 
 def test_b_widening_lands_on_few_precisions(ctx40):
     # every widened precision is cached for good, so the widening is rounded
-    # up to a multiple of 10 digits; it never drops below the cancellation rule
+    # up to a multiple of 10 digits; it never drops below the cancellation
+    # rule (2k+3) log10(PHI_SWITCH/phi), and it is zero from PHI_SWITCH on
     mctx = ctx40.mp()
     rng = random.Random(1989)
     seen = set()
     for _ in range(200):
-        phi = rng.uniform(0, PHI_SWITCH) or PHI_SWITCH / 2
+        phi = rng.uniform(0, math.pi) or PHI_SWITCH / 2
         k = rng.randint(0, K_MAX)
         widened = _b_widening(mctx, mctx.mpf(phi), k)
-        assert widened >= int(math.ceil((2 * k + 3) * math.log10(1.0 / phi))) + 30
+        assert widened >= math.ceil((2 * k + 3) * math.log10(PHI_SWITCH / phi))
+        assert widened % 10 == 0
+        assert (widened == 0) == (phi >= PHI_SWITCH)
         seen.add(widened)
     assert len(seen) <= 8
+
+
+@functools.lru_cache(maxsize=None)
+def _stokes_roots(k):
+    # the real roots of B_2k's Stokes-line limit, the alpha at which B_2k
+    # near the line is itself near zero
+    mctx = mp_context(30)
+    poly = [mctx.convert(c) for c in reversed(_stokes_limits()[k])]
+    roots = mctx.polyroots(poly, maxsteps=200, extraprec=200)
+    return tuple(float(mctx.re(x)) for x in roots if abs(mctx.im(x)) < 1e-20)
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_coefficient_set_meets_its_contract_over_phi(digits):
+    # every A, B and B^ of order k <= K_MAX agrees with the same pass at 80
+    # more digits to 10^(1-digits) relative, for phi over (0, pi]: 40 draws
+    # log-uniform down to 1e-60, 40 uniform, and 20 at the alpha of
+    # hand-built plans. At a draw within 1e-3 of a root of B_2k's Stokes-line
+    # limit, B_2k (and B^_2k) are measured against max(|B_2k|, 1e-3)
+    rng = random.Random(1403 + digits)
+    ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 80)
+    rctx = ref.mp()
+    tol = rctx.mpf(10) ** (1 - digits)
+    draws = [(10 ** rng.uniform(-60, math.log10(math.pi)), rng.uniform(-1, 1)) for _ in range(40)]
+    draws += [(rng.uniform(0, math.pi) or 1.0, rng.uniform(-1, 1)) for _ in range(40)]
+    draws += [(rng.uniform(0, math.pi) or 1.0, a) for a in (-389.5, 10.5) for _ in range(10)]
+    for phi, alpha in draws:
+        got = coefficient_set(phi, alpha, K_MAX, ctx)
+        want = coefficient_set(phi, alpha, K_MAX, ref)
+        for name in ("A", "B", "Bhat"):
+            for k, (g, w) in enumerate(zip(getattr(got, name), getattr(want, name))):
+                scale = abs(w)
+                if name != "A" and any(abs(alpha - x) < 1e-3 for x in _stokes_roots(k)):
+                    scale = max(scale, rctx.mpf("1e-3"))
+                assert abs(g - w) <= tol * scale, (phi, alpha, name, k)
 
 
 def test_B2k_closed_form_on_stokes_line(ctx40):

@@ -23,7 +23,9 @@ from voigt_asym import (
     TruncationPlan,
     UnsupportedOrderError,
     VoigtArgument,
+    E_of_phi,
     algebraic_partial_sums,
+    c_of_phi,
     coefficient_set,
     evaluate_via_expansion,
     optimal_truncation,
@@ -317,8 +319,9 @@ def test_terminant_validation(ctx40):
         terminant_asymptotic(z, 30, "uniform", 2, ctx40)  # nu too far from |z|
     with pytest.raises(DomainError):
         terminant_asymptotic(0, 0.5, "uniform", 2, ctx40)
-    with pytest.raises(DomainError):
-        terminant_asymptotic(z, 9.5, "smooth", 2, ctx40)
+    for region in ("smooth", "eq41", "eq42"):
+        with pytest.raises(DomainError, match="region"):
+            terminant_asymptotic(z, 9.5, region, 2, ctx40)
     with pytest.raises(UnsupportedOrderError):
         terminant_asymptotic(z, 9.5, "uniform", K_MAX + 1, ctx40)
     # on the line and just off it all five orders are there: |z| = r^2 = 9
@@ -597,6 +600,37 @@ def test_theorem2_goes_over_into_theorem1(ctx40):
         d1 = mctx.mpc(t1.Khat, -t1.Lhat)
         d2 = mctx.mpc(t2.Khat, -t2.Lhat)
         assert abs(d1 - d2) < mctx.mpf(10) ** (-3) * abs(d1)
+
+
+@pytest.mark.parametrize("digits", (40, 100))
+def test_theorem2_minus_theorem1_is_the_smoothing_tail(digits):
+    # eq41 is eq42 with E(phi) replaced by its first k_terms asymptotic
+    # terms, an exact identity of the two series ((-1)!! = 1):
+    # theorem2 - theorem1 = e^{-r^2}/sqrt(2 pi) e^{i (nu - alpha) phi}
+    #   (E(phi) - sum_{k < k_terms} 2 (-1)^k (2k-1)!! / (c(phi) r)^{2k+1})
+    rng = random.Random(1978 + digits)
+    ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 20)
+    mctx = ref.mp()
+    for _ in range(30):
+        r = rng.uniform(2, 10)
+        arg = VoigtArgument.from_polar(r, math.pi * rng.uniform(0.30, 0.48), ctx)
+        plan = optimal_truncation(arg.r, ctx)
+        k_terms = rng.randint(1, K_MAX)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StokesCollarWarning)
+            t1 = theorem1(arg, plan, k_terms, ctx)
+        t2 = theorem2(arg, plan, k_terms, ctx)
+        phi, rr = mctx.convert(arg.phi), mctx.convert(arg.r)
+        cr = c_of_phi(phi, ref) * rr
+        tail = sum(
+            2 * (-1) ** k * math.prod(range(1, 2 * k, 2)) / cr ** (2 * k + 1)
+            for k in range(k_terms)
+        )
+        pref = mctx.exp(-rr * rr) / mctx.sqrt(2 * mctx.pi)
+        rot = mctx.expj(mctx.convert(plan.nu - plan.alpha) * phi)
+        want = pref * rot * (E_of_phi(phi, rr, ref) - tail)
+        got = mctx.mpc(t2.Khat - t1.Khat, t1.Lhat - t2.Lhat)
+        assert abs(got - want) <= mctx.mpf(10) ** (2 - digits) * pref, (r, arg.theta, k_terms)
 
 
 def test_theorem2_on_stokes_line_recovers_real_axis_value(ctx40):

@@ -353,7 +353,7 @@ def test_gamma_widening_lands_on_few_precisions():
         absz = rng.uniform(9, 64)
         digits = 40
         widened = _gamma_widening(absz, digits)
-        assert widened >= digits + math.ceil(2 * absz * math.log10(math.e)) + 10
+        assert widened >= digits + math.ceil(absz * math.log10(math.e)) + 10
         assert (widened - digits) % 10 == 0
         seen.add(widened)
     assert len(seen) <= 8

@@ -173,9 +173,9 @@ def test_eval_with_cut_and_precision_answers_or_refuses(x, y, method, m, precisi
         _finite(rec["K"], rec["L"], rec["err_estimate"])
 
 
-# Draw bounds, for run time: a drawn phi is at least 1e-60, so the widening
-# below PHI_SWITCH, (2 kmax + 3) log10(1/phi) digits, stays under 800; the
-# sampled 1e-20000 is refused before any widening.
+# Draw bounds, for run time: a drawn phi is at least 1e-60, so the widening,
+# (2 kmax + 3) log10(PHI_SWITCH/phi) digits, stays under 800; the sampled
+# 1e-20000 is refused before any widening.
 @settings(deterministic, max_examples=60)
 @given(
     phi=st.one_of(
