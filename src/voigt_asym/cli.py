@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import tables
-from .coefficients import c_of_phi, coefficient_set
+from .coefficients import coefficient_set
 from .exceptions import BelowAsymptoticRangeWarning, DomainError, PrecisionError
 from .expansions import (
     THETA_COLLAR_OVER_PI,
@@ -451,7 +451,6 @@ def cmd_coeffs(args) -> int:
     mctx = ctx.mp()
     phi = _number(args.phi, "--phi", mctx)
     alpha = _number(args.alpha, "--alpha", mctx)
-    c = c_of_phi(phi, ctx)
     coeffs = coefficient_set(phi, alpha, args.kmax, ctx)
     A = coeffs.A or (None,) * (args.kmax + 1)
     rows = list(zip(range(args.kmax + 1), A, coeffs.B, coeffs.Bhat))
@@ -467,7 +466,7 @@ def cmd_coeffs(args) -> int:
         payload = {
             "phi": _numstr(phi, digits),
             "alpha": _numstr(alpha, digits),
-            "c": pair(mctx.mpc(c)),
+            "c": pair(coeffs.c),
             "coefficients": [
                 {"k": k, "A": pair(A), "B": pair(B), "Bhat": pair(Bh)}
                 for k, A, B, Bh in rows
@@ -484,7 +483,7 @@ def cmd_coeffs(args) -> int:
 
         print("phi    %s" % _numstr(phi, digits))
         print("alpha  %s" % _numstr(alpha, digits))
-        print("c(phi) %s %s" % (_numstr(mctx.mpc(c).real, digits), _numstr(mctx.mpc(c).imag, digits)))
+        print("c(phi) %s %s" % (_numstr(coeffs.c.real, digits), _numstr(coeffs.c.imag, digits)))
         print("%-3s %-30s %-30s %-30s" % ("k", "A_2k (re im)", "B_2k (re im)", "Bhat_2k (re im)"))
         for k, A, B, Bh in rows:
             print("%-3d %s %s %s" % (k, fmt(A), fmt(B), fmt(Bh)))

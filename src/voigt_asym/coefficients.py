@@ -7,10 +7,13 @@ companions, the pole proximity measure c(phi), and the error-function
 smoothing factor E(phi).
 
 ``coefficient_set`` is the one way to get A, B and B^: a single pass fills
-every order k = 0..k_max at one (phi, alpha). It builds u, the binomials
-C(alpha, n) and the h_j once, from h_j = C(alpha, j) + u h_{j-1}. The
-rational ingredients of A_2k, the Stirling coefficients gamma_k and the
-table c_{j,k}, come from the exact series reversion of (1/2) w^2 =
+every order k = 0..k_max at one (phi, alpha) from one pair cos, sin(phi/2)
+and one phase p = e^{i phi (alpha - 1/2)}: u = (-1 + i cot(phi/2))/2,
+e^{i phi alpha}/(1 - e^{i phi}) = i p/(2 sin(phi/2)), B^_2k = -2i conj(p)
+B_2k, and c(phi), which the set carries for E(phi). It builds u, the
+binomials C(alpha, n) and the h_j once, from h_j = C(alpha, j) + u h_{j-1}.
+The rational ingredients of A_2k, the Stirling coefficients gamma_k and
+the table c_{j,k}, come from the exact series reversion of (1/2) w^2 =
 t - log(1 + t), computed once per process; nothing is typed in by hand.
 Off the Stokes line the pass is memoized in a small least-recently-used
 cache, so theorem1 and theorem2 at one point share one pass.
@@ -95,13 +98,12 @@ def _h_sums(alpha, u, n: int) -> list:
     return h
 
 
-def _c_raw(mctx, phi):
+def _c_raw(mctx, phi, cos_half, sin_half):
     # principal square root of 2(1 - i phi - e^{-i phi}) = 4 sin^2(phi/2)
     # - 2i (phi - sin phi), in the closed fourth quadrant for phi in [0, pi],
     # so the principal branch is the continuous one with c ~ phi near 0.
     # phi - sin phi costs c log10(1/phi) digits, more than the guard digits
     # cover below phi = 1e-3, where it comes from its series instead
-    cos_half, sin_half = mctx.cos_sin(phi / 2)
     if phi < 0.001:
         term = diff = phi**3 / 6
         k = 1
@@ -119,7 +121,8 @@ def c_of_phi(phi, ctx: PrecisionContext = DEFAULT_CONTEXT):
     - e^{-i phi} on the branch with c(phi) ~ phi near phi = 0. Lies in the
     closed fourth quadrant for phi in [0, pi]."""
     mctx = ctx.mp()
-    return _c_raw(mctx, _check_phi(mctx, phi))
+    p = _check_phi(mctx, phi)
+    return _c_raw(mctx, p, *mctx.cos_sin(p / 2))
 
 
 def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
@@ -132,19 +135,28 @@ def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
     rr = to_mpf(mctx, r)
     if not rr > 0:
         raise DomainError("E_of_phi needs r > 0, got %s" % (rr,))
-    zeta = _c_raw(mctx, p) * rr / mctx.sqrt(2)
-    return mctx.sqrt(2 * mctx.pi) * erfcx(zeta, mctx)
+    return _E_of_c(mctx, _c_raw(mctx, p, *mctx.cos_sin(p / 2)), rr)
 
 
-def _b_widening(mctx, phi, k: int) -> int:
-    # B_2k cancels across about (2k+3) log10(PHI_SWITCH/phi) digits; log10 of
-    # the mpf itself widens a phi below the float range (1e-400, say) too
-    return round_widening(max(0, math.ceil((2 * k + 3) * float(mctx.log10(PHI_SWITCH / phi)))))
+def _E_of_c(mctx, c, r):
+    # E = sqrt(2 pi) erfcx(c r / sqrt 2), from a c(phi) already at hand
+    return mctx.sqrt(2 * mctx.pi) * erfcx(c * r / mctx.sqrt(2), mctx)
+
+
+def _b_widening(phi, k: int) -> int:
+    # B_2k cancels across about (2k+3) log10(PHI_SWITCH/phi) digits; float
+    # logs of mantissa and exponent take a phi below the float range too,
+    # and a phi just below PHI_SWITCH, whose float log may round to 0, gets 1
+    if phi >= PHI_SWITCH:
+        return 0
+    log10_ratio = math.log10(PHI_SWITCH) - math.log10(phi.man) - phi.exp * math.log10(2)
+    return round_widening(max(1, math.ceil((2 * k + 3) * log10_ratio)))
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """A_2k, B_2k, and B^_2k for k = 0..k_max at one (phi, alpha).
+    """A_2k, B_2k, and B^_2k for k = 0..k_max at one (phi, alpha), with
+    the c(phi) of their pole terms.
 
     ``A`` is None at phi = 0, where h_j and with them the A_2k are singular.
     """
@@ -152,6 +164,7 @@ class CoefficientSet:
     A: Optional[Tuple]
     B: Tuple
     Bhat: Tuple
+    c: object
 
 
 def coefficient_set(
@@ -165,6 +178,7 @@ def coefficient_set(
     widened by the (2 k_max + 3) log10(PHI_SWITCH/phi) digits its parts cancel;
     B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0, B_2k is its
     limit, a real polynomial in alpha derived exactly for every k <= K_MAX.
+    The set also holds c(phi), as ``c_of_phi`` gives it (0 at phi = 0).
 
     At phi > 0 the pass is memoized on (phi, alpha, k_max, ctx.digits),
     phi and alpha as the mpf values of the working context, in a
@@ -182,7 +196,7 @@ def coefficient_set(
         raise DomainError("alpha must be finite, got %s" % (a,))
     if p == 0:
         B = tuple(mctx.mpc(_polynomial(mctx, poly, a)) for poly in _stokes_limits()[: k_max + 1])
-        return CoefficientSet(A=None, B=B, Bhat=tuple(-2j * b for b in B))
+        return CoefficientSet(A=None, B=B, Bhat=tuple(-2j * b for b in B), c=mctx.mpc(0))
     return _coefficient_pass(p, a, k_max, ctx)
 
 
@@ -194,14 +208,16 @@ def coefficient_set(
 def _coefficient_pass(phi, alpha, k_max: int, ctx: PrecisionContext) -> CoefficientSet:
     """The pass of ``coefficient_set`` at phi > 0, phi and alpha being mpf
     of ``ctx.mp()``. The key holds ctx, so each precision has its own entry.
-    The pass runs in that context widened by ``_b_widening``, and its
-    numbers are rounded to ``ctx.mp()``: by libmp, as mctx.mpc(v) rounds but
-    in a third of the time."""
+    The pass runs in that context widened by ``_b_widening``, and where it
+    was widened its numbers are rounded to ``ctx.mp()``: by libmp, as
+    mctx.mpc(v) rounds but in a third of the time."""
     mctx = ctx.mp()
-    wctx = ctx.mp(extra=_b_widening(mctx, phi, k_max))
-    parts = _closed_forms(wctx, wctx.convert(phi), wctx.convert(alpha), k_max)
-    rounded = (tuple(mctx.make_mpc(mpc_pos(v._mpc_, mctx.prec, "n")) for v in p) for p in parts)
-    return CoefficientSet(*rounded)
+    wctx = ctx.mp(extra=_b_widening(phi, k_max))
+    A, B, Bhat, c = _closed_forms(wctx, wctx.convert(phi), wctx.convert(alpha), k_max)
+    if wctx is not mctx:
+        A, B, Bhat, (c,) = ([mctx.make_mpc(mpc_pos(v._mpc_, mctx.prec, "n")) for v in p]
+                            for p in (A, B, Bhat, [c]))
+    return CoefficientSet(tuple(A), tuple(B), tuple(Bhat), c)
 
 
 @lru_cache(maxsize=None)
@@ -216,24 +232,23 @@ def _laplace_tables_in(mctx):
 
 def _closed_forms(mctx, phi, alpha, k_max: int):
     signed_gamma, cjk = _laplace_tables_in(mctx)
-    e = mctx.expj(phi)
-    h = _h_sums(alpha, e / (1 - e), 2 * k_max)
-    to_B = mctx.expj(phi * alpha) / (1 - e)
-    to_Bhat = -2j * mctx.expj(phi * (mctx.mpf(1) / 2 - alpha))
-    c = _c_raw(mctx, phi)
-    c_sq = c * c
-    c_pow = c  # c^{2k+1}
-    A, B, Bhat = [], [], []
+    # u, e^{i phi alpha}/(1 - e^{i phi}) and B^/B from one half-angle pair
+    # and one phase p, as the module docstring derives them
+    cos_half, sin_half = mctx.cos_sin(phi / 2)
+    h = _h_sums(alpha, mctx.mpc(-1, cos_half / sin_half) / 2, 2 * k_max)
+    p = mctx.expj(phi * (alpha - 0.5))
+    to_B = 1j * p / (2 * sin_half)
+    to_Bhat = -2j * mctx.conj(p)
+    c = _c_raw(mctx, phi, cos_half, sin_half)
+    pole = 1 / c  # c^{-2k-1}
+    inv_c_sq = pole * pole
+    A, B = [], []
     for k in range(k_max + 1):
-        a_k = signed_gamma[k]
-        for j, c_jk in enumerate(cjk[k], start=2):
-            a_k += c_jk * h[j]
-        b_k = to_B * a_k - 1j * (-1) ** k * _DOUBLE_FACTORIAL[k] / c_pow
+        a_k = signed_gamma[k] + mctx.fdot(cjk[k], h[2:])
         A.append(a_k)
-        B.append(b_k)
-        Bhat.append(to_Bhat * b_k)
-        c_pow *= c_sq
-    return A, B, Bhat
+        B.append(to_B * a_k - 1j * (-1) ** k * _DOUBLE_FACTORIAL[k] * pole)
+        pole *= inv_c_sq
+    return A, B, [to_Bhat * b for b in B], c
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .coefficients import K_MAX, E_of_phi, coefficient_set
+from .coefficients import K_MAX, _E_of_c, coefficient_set
 from .exceptions import (
     BelowAsymptoticRangeWarning,
     DomainError,
@@ -202,10 +202,13 @@ def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEs
     """The remainder estimate of every entry point, from one bracketed sum
     and its first omitted term.
 
-    Both series are sum_{k < k_terms} e^{i (nu - 1/2) phi} C_2k / r^{2k+1}.
-    uniform: C = B^, after the head e^{i (nu - alpha) phi} E(phi) that
-    carries the smoothed Stokes jump (eq42). away: C = A, and the sum is
-    divided by sin(phi/2) = cos theta (eq41). The remainder after m terms,
+    away (eq41): e^{i (nu - 1/2) phi} sum_{k < k_terms} A_2k / r^{2k+1},
+    divided by sin(phi/2) = cos theta. uniform (eq42): since
+    B^_2k = -2i e^{i phi (1/2 - alpha)} B_2k, every term shares the phase
+    of the head e^{i (nu - alpha) phi} E(phi) that carries the smoothed
+    Stokes jump, and the sum is e^{i (nu - alpha) phi}
+    (E(phi) - 2i sum_{k < k_terms} B_2k / r^{2k+1}), with E(phi) formed
+    from the c(phi) of the coefficient pass. The remainder after m terms,
     2 e^z T_nu(z) at z = w^2, |z| = r^2 and nu = m + 1/2, is
     hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times this sum; err_estimate is
     EST_SAFETY times the modulus of the first omitted term.
@@ -213,25 +216,26 @@ def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEs
     mctx = ctx.mp(extra=GUARD_DIGITS)
     phi, r, nu, alpha = (mctx.convert(v) for v in (arg.phi, arg.r, plan.nu, plan.alpha))
     coeffs = coefficient_set(phi, alpha, k_terms, ctx)
+    # scale and total are numbers of mctx, so the sum runs at its precision
     if uniform:
-        C = coeffs.Bhat
-        total = mctx.expj((nu - alpha) * phi) * E_of_phi(phi, r, ctx)
+        C, scale, rot = coeffs.B, mctx.mpc(0, -2), mctx.expj((nu - alpha) * phi)
+        total = mctx.convert(_E_of_c(ctx.mp(), coeffs.c, r))
+        rpow = 1 / r
     else:
-        C, total = coeffs.A, mctx.mpc(0)
-    rot = mctx.expj((nu - 0.5) * phi)
-    # the away series' division by sin(phi/2) rides on the powers of r
-    rpow = 1 / r if uniform else 1 / (r * mctx.sin(phi / 2))
+        C, scale, rot, total = coeffs.A, mctx.mpc(1), mctx.expj((nu - 0.5) * phi), mctx.mpc(0)
+        # the away series' division by sin(phi/2) rides on the powers of r
+        rpow = 1 / (r * mctx.sin(phi / 2))
     for k in range(k_terms):
-        total += rot * C[k] * rpow
+        total += scale * C[k] * rpow
         rpow /= r * r
     pref = mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
-    total *= pref
+    total *= rot * pref
     out = ctx.mp()
     return RemainderEstimate(
         Khat=out.mpf(total.real),
         Lhat=out.mpf(-total.imag),
         method="eq42" if uniform else "eq41",
-        err_estimate=out.mpf(EST_SAFETY * pref * (abs(C[k_terms]) * rpow)),
+        err_estimate=out.mpf(EST_SAFETY * pref * (abs(scale * C[k_terms]) * rpow)),
     )
 
 

@@ -131,7 +131,8 @@ class VoigtArgument:
             return cls.from_xy(0, rr, ctx)
         if th == mctx.pi / 2:
             return cls.from_xy(rr, 0, ctx)
-        x, y = rr * mctx.sin(th), rr * mctx.cos(th)
+        cos_th, sin_th = mctx.cos_sin(th)
+        x, y = rr * sin_th, rr * cos_th
         # a radius near the lower bound can put x or y below it; the
         # refusal names the r and theta the caller gave
         if not (_in_range(mctx, x) and _in_range(mctx, y)):

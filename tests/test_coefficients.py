@@ -512,7 +512,7 @@ def test_b_widening_lands_on_few_precisions(ctx40):
     for _ in range(200):
         phi = rng.uniform(0, math.pi) or PHI_SWITCH / 2
         k = rng.randint(0, K_MAX)
-        widened = _b_widening(mctx, mctx.mpf(phi), k)
+        widened = _b_widening(mctx.mpf(phi), k)
         assert widened >= math.ceil((2 * k + 3) * math.log10(PHI_SWITCH / phi))
         assert widened % 10 == 0
         assert (widened == 0) == (phi >= PHI_SWITCH)

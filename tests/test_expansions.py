@@ -37,7 +37,7 @@ from voigt_asym import (
 )
 from voigt_asym import coefficients
 from voigt_asym.coefficients import K_MAX, PHI_SWITCH
-from voigt_asym.expansions import OPTIMAL_REMAINDER_BOUND
+from voigt_asym.expansions import EST_SAFETY, OPTIMAL_REMAINDER_BOUND, THETA_COLLAR_OVER_PI
 from voigt_asym.tables import (
     TABLE1_FOOT,
     TABLE1_M,
@@ -790,6 +790,59 @@ def test_estimates_sharing_a_pass_equal_fresh_ones(digits, coefficient_pass):
     want = fresh(theorem2, arg, plan, K_MAX)
     assert _estimate_fields(theorem2(arg, plan, K_MAX, ctx)) == want
     assert coefficient_pass.cache_info().currsize == 0
+
+
+def _two_phase_estimate(arg, plan, k_terms, uniform, ref):
+    # the estimates' sum as the paper writes it, every term under its own
+    # phase: e^{i (nu - alpha) phi} E(phi) (eq42 only) plus
+    # sum_k e^{i (nu - 1/2) phi} C_2k / r^{2k+1}, C = B^ (eq42) or
+    # A / sin(phi/2) (eq41); returns (sum times e^{-r^2}/sqrt(2 pi), err_estimate)
+    mctx = ref.mp()
+    phi, r, nu, alpha = (mctx.convert(v) for v in (arg.phi, arg.r, plan.nu, plan.alpha))
+    coeffs = coefficient_set(phi, alpha, k_terms, ref)
+    C = coeffs.Bhat if uniform else coeffs.A
+    total = mctx.expj((nu - alpha) * phi) * E_of_phi(phi, r, ref) if uniform else mctx.mpc(0)
+    rot = mctx.expj((nu - 0.5) * phi)
+    rpow = 1 / r if uniform else 1 / (r * mctx.sin(phi / 2))
+    for k in range(k_terms):
+        total += rot * C[k] * rpow
+        rpow /= r * r
+    pref = mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
+    return total * pref, EST_SAFETY * pref * abs(C[k_terms]) * rpow
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_one_phase_sum_changes_only_rounding(digits):
+    # the estimates sum eq42 under the one phase e^{i (nu - alpha) phi},
+    # in B_2k and an E(phi) built from the pass's own c(phi); against the
+    # two-phase form at 20 more digits they differ by rounding alone. phi
+    # is 0, in (0, 1e-3), in [1e-3, 2) and in [2, pi]; eq41 runs outside
+    # its collar
+    ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 20)
+    mctx = ref.mp()
+    tol = mctx.mpf(10) ** (2 - digits)
+    rng = random.Random("one-phase/%d" % digits)
+    phis = [0.0, math.pi] + [10 ** rng.uniform(-30, -3) for _ in range(3)]
+    phis += [rng.uniform(1e-3, 2) for _ in range(4)] + [rng.uniform(2, math.pi) for _ in range(3)]
+    for phi in phis:
+        r = rng.uniform(2, 10)
+        x = 0 if phi == math.pi else r * math.cos(phi / 2)
+        arg = VoigtArgument.from_xy(x, r * math.sin(phi / 2), ctx)
+        plan = optimal_truncation(arg.r, ctx)
+        got_c, want_c = coefficient_set(arg.phi, plan.alpha, 1, ctx).c, c_of_phi(arg.phi, ctx)
+        assert abs(got_c - want_c) <= tol / 10 * abs(want_c), phi
+        away = arg.phi > 2 * mctx.pi * THETA_COLLAR_OVER_PI + 1e-9
+        for k_terms in range(1, K_MAX + 1):
+            for theorem, uniform in ((theorem2, True), (theorem1, False))[: 2 if away else 1]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", StokesCollarWarning)
+                    est = theorem(arg, plan, k_terms, ctx)
+                want, want_err = _two_phase_estimate(arg, plan, k_terms, uniform, ref)
+                bound = tol * (abs(want.real) + abs(want.imag))
+                where = (phi, r, k_terms, est.method)
+                assert abs(est.Khat - want.real) <= bound, where
+                assert abs(est.Lhat + want.imag) <= bound, where
+                assert abs(est.err_estimate - want_err) <= tol * want_err, where
 
 
 def test_one_pass_serves_both_estimates_of_a_table2_cell(monkeypatch, coefficient_pass, ctx40):
