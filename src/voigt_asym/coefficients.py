@@ -6,17 +6,17 @@ h_j sums, the uniform (Stokes-smoothing) coefficients B_2k and their hatted
 companions, the pole proximity measure c(phi), and the error-function
 smoothing factor E(phi).
 
-``coefficient_set`` is the one way to get A, B and B^: a single pass fills
-every order k = 0..k_max at one (phi, alpha) from one pair cos, sin(phi/2)
-and one phase p = e^{i phi (alpha - 1/2)}: u = (-1 + i cot(phi/2))/2,
-e^{i phi alpha}/(1 - e^{i phi}) = i p/(2 sin(phi/2)), B^_2k = -2i conj(p)
-B_2k, and c(phi), which the set carries for E(phi). It builds u, the
-binomials C(alpha, n) and the h_j once, from h_j = C(alpha, j) + u h_{j-1}.
-The rational ingredients of A_2k, the Stirling coefficients gamma_k and
-the table c_{j,k}, come from the exact series reversion of (1/2) w^2 =
-t - log(1 + t), computed once per process; nothing is typed in by hand.
-Off the Stokes line the pass is memoized in a small least-recently-used
-cache, so theorem1 and theorem2 at one point share one pass.
+``coefficient_set`` is the one way to get A, B and B^ of every order k =
+0..k_max at one (phi, alpha), all from one pair cos, sin(phi/2). A pass
+builds only what its caller reads: u = (-1 + i cot(phi/2))/2, the h_j =
+C(alpha, j) + u h_{j-1} and the A_2k at once (theorem1 reads these and
+sin(phi/2)); B_2k and c(phi) on the first request (theorem2 reads these),
+from one phase p = e^{i phi (alpha - 1/2)} and e^{i phi alpha}/(1 - e^{i
+phi}) = i p/(2 sin(phi/2)); B^_2k = -2i conj(p) B_2k for a coefficient
+set alone. Off the Stokes line passes are memoized in a small LRU cache,
+so theorem1 and theorem2 at one point share one. The Stirling gamma_k and
+the table c_{j,k} come from the exact series reversion of (1/2) w^2 =
+t - log(1 + t), once per process; nothing is typed in by hand.
 
 The geometry, fixed throughout: a first-quadrant point has theta = arg w in
 [0, pi/2] and phi = pi - 2 theta in [0, pi]. phi = 0 is the Stokes line. The
@@ -44,6 +44,7 @@ from .exceptions import DomainError, UnsupportedOrderError
 from .numerics import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    _constants,
     erfcx,
     round_widening,
     to_mpf,
@@ -69,9 +70,9 @@ _DOUBLE_FACTORIAL = tuple(math.prod(range(1, 2 * k, 2)) for k in range(K_MAX + 1
 
 def _check_phi(mctx, phi):
     p = to_mpf(mctx, phi)
-    if not 0 <= p <= mctx.pi * (1 + mctx.mpf(10) ** (-10)):  # NaN fails too
+    if not 0 <= p <= _constants(mctx).phi_max:  # NaN fails too
         raise DomainError("phi must lie in [0, pi], got %s" % (p,))
-    if 0 < p < mctx.ldexp(1, PHI_MIN_EXP):
+    if 0 < p and mctx.mag(p) <= PHI_MIN_EXP:  # p < 2^PHI_MIN_EXP
         raise DomainError(
             "phi = %s is below the supported 2^%d; use phi = 0 for the Stokes line"
             % (mctx.nstr(p, 5), PHI_MIN_EXP)
@@ -140,7 +141,7 @@ def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
 
 def _E_of_c(mctx, c, r):
     # E = sqrt(2 pi) erfcx(c r / sqrt 2), from a c(phi) already at hand
-    return mctx.sqrt(2 * mctx.pi) * erfcx(c * r / mctx.sqrt(2), mctx)
+    return _constants(mctx).sqrt_2pi * erfcx(c * r / _constants(mctx).sqrt2, mctx)
 
 
 def _b_widening(phi, k: int) -> int:
@@ -185,6 +186,11 @@ def coefficient_set(
     least-recently-used cache of 8 entries, so theorem1 and theorem2 at one
     point share one pass. Every refusal runs before the cache is consulted.
     """
+    return _pass(phi, alpha, k_max, ctx).as_set()
+
+
+def _pass(phi, alpha, k_max: int, ctx: PrecisionContext) -> "_Pass":
+    # the pass after every refusal of coefficient_set: memoized at phi > 0
     if not 0 <= k_max <= K_MAX:
         raise UnsupportedOrderError(
             "coefficient sets stop at k_max = %d, got %r" % (K_MAX, k_max)
@@ -194,30 +200,63 @@ def coefficient_set(
     a = to_mpf(mctx, alpha)
     if not mctx.isfinite(a):
         raise DomainError("alpha must be finite, got %s" % (a,))
-    if p == 0:
-        B = tuple(mctx.mpc(_polynomial(mctx, poly, a)) for poly in _stokes_limits()[: k_max + 1])
-        return CoefficientSet(A=None, B=B, Bhat=tuple(-2j * b for b in B), c=mctx.mpc(0))
-    return _coefficient_pass(p, a, k_max, ctx)
+    return (_coefficient_pass if p else _Pass)(p, a, k_max, ctx)
+
+
+class _Pass:
+    """The coefficients at one (phi, alpha, k_max, ctx), built as far as
+    they are read: A_2k and sin(phi/2) at once (theorem1), B_2k and c(phi)
+    on the first ``uniform`` call (theorem2), B^_2k only in ``as_set``. At
+    phi > 0 it runs in ctx.mp() widened by ``_b_widening`` and rounds to
+    ctx.mp() by libmp (as mctx.mpc(v), in a third of the time); at phi = 0
+    the B_2k are their derived limits and A is None."""
+
+    def __init__(self, phi, alpha, k_max: int, ctx: PrecisionContext):
+        self._mctx = mctx = ctx.mp()
+        if not phi:  # the phase p of B^ = -2i conj(p) B is 1 there
+            B = [mctx.mpc(_polynomial(mctx, q, alpha)) for q in _stokes_limits()[: k_max + 1]]
+            self._wctx, self.A, self._forms = mctx, None, (B, mctx.mpc(0), mctx.mpc(1))
+            return
+        self._wctx = wctx = ctx.mp(extra=_b_widening(phi, k_max))
+        self._at = wctx.convert(phi), wctx.convert(alpha)
+        self._A, self._half = _closed_forms(wctx, *self._at, k_max)
+        self.A, self.sin_half, self._forms = self._rounded(self._A), self._half[1], None
+
+    def _rounded(self, values) -> tuple:
+        mctx = self._mctx
+        if self._wctx is mctx:
+            return tuple(values)
+        return tuple(mctx.make_mpc(mpc_pos(v._mpc_, mctx.prec, "n")) for v in values)
+
+    def uniform(self):
+        """B_2k and c(phi), formed with B^'s phase p on the first call."""
+        if self._forms is None:
+            wctx, (phi, alpha), (cos_half, sin_half) = self._wctx, self._at, self._half
+            p = wctx.expj(phi * (alpha - 0.5))
+            to_B = 1j * p / (2 * sin_half)
+            c = _c_raw(wctx, phi, cos_half, sin_half)
+            pole = 1 / c  # c^{-2k-1}
+            inv_c_sq = pole * pole
+            B = []
+            for k, a_k in enumerate(self._A):
+                B.append(to_B * a_k - 1j * (-1) ** k * _DOUBLE_FACTORIAL[k] * pole)
+                pole *= inv_c_sq
+            self._forms = B, c, p
+        B, c, _ = self._forms
+        return self._rounded(B), self._rounded([c])[0]
+
+    def as_set(self) -> CoefficientSet:
+        B, c = self.uniform()
+        to_Bhat = -2j * self._wctx.conj(self._forms[2])
+        return CoefficientSet(self.A, B, self._rounded([to_Bhat * b for b in self._forms[0]]), c)
 
 
 # theorem1 and theorem2 at one point ask for the same pass back to back; a
-# few entries serve that. The bound stays below the 11 angles per radius of
-# the scan benchmark, whose traced replay of a radius must meet none of the
-# passes its untraced run of the same ops left behind
-@lru_cache(maxsize=8)
-def _coefficient_pass(phi, alpha, k_max: int, ctx: PrecisionContext) -> CoefficientSet:
-    """The pass of ``coefficient_set`` at phi > 0, phi and alpha being mpf
-    of ``ctx.mp()``. The key holds ctx, so each precision has its own entry.
-    The pass runs in that context widened by ``_b_widening``, and where it
-    was widened its numbers are rounded to ``ctx.mp()``: by libmp, as
-    mctx.mpc(v) rounds but in a third of the time."""
-    mctx = ctx.mp()
-    wctx = ctx.mp(extra=_b_widening(phi, k_max))
-    A, B, Bhat, c = _closed_forms(wctx, wctx.convert(phi), wctx.convert(alpha), k_max)
-    if wctx is not mctx:
-        A, B, Bhat, (c,) = ([mctx.make_mpc(mpc_pos(v._mpc_, mctx.prec, "n")) for v in p]
-                            for p in (A, B, Bhat, [c]))
-    return CoefficientSet(tuple(A), tuple(B), tuple(Bhat), c)
+# few entries serve that. The key holds ctx, so each precision has its own
+# entry. The bound stays below the 11 angles per radius of the scan
+# benchmark, whose traced replay of a radius must meet none of the passes
+# its untraced run of the same ops left behind
+_coefficient_pass = lru_cache(maxsize=8)(_Pass)
 
 
 @lru_cache(maxsize=None)
@@ -231,24 +270,12 @@ def _laplace_tables_in(mctx):
 
 
 def _closed_forms(mctx, phi, alpha, k_max: int):
+    # the A_2k from the h_j at u = (-1 + i cot(phi/2))/2, and the half-angle
+    # pair cos, sin(phi/2) that B_2k, c(phi) and theorem1 reuse
     signed_gamma, cjk = _laplace_tables_in(mctx)
-    # u, e^{i phi alpha}/(1 - e^{i phi}) and B^/B from one half-angle pair
-    # and one phase p, as the module docstring derives them
-    cos_half, sin_half = mctx.cos_sin(phi / 2)
-    h = _h_sums(alpha, mctx.mpc(-1, cos_half / sin_half) / 2, 2 * k_max)
-    p = mctx.expj(phi * (alpha - 0.5))
-    to_B = 1j * p / (2 * sin_half)
-    to_Bhat = -2j * mctx.conj(p)
-    c = _c_raw(mctx, phi, cos_half, sin_half)
-    pole = 1 / c  # c^{-2k-1}
-    inv_c_sq = pole * pole
-    A, B = [], []
-    for k in range(k_max + 1):
-        a_k = signed_gamma[k] + mctx.fdot(cjk[k], h[2:])
-        A.append(a_k)
-        B.append(to_B * a_k - 1j * (-1) ** k * _DOUBLE_FACTORIAL[k] * pole)
-        pole *= inv_c_sq
-    return A, B, [to_Bhat * b for b in B], c
+    half = mctx.cos_sin(phi / 2)
+    h = _h_sums(alpha, mctx.mpc(-1, half[0] / half[1]) / 2, 2 * k_max)
+    return [signed_gamma[k] + mctx.fdot(cjk[k], h[2:]) for k in range(k_max + 1)], half
 
 
 # ---------------------------------------------------------------------------

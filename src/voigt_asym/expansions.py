@@ -32,7 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .coefficients import K_MAX, _E_of_c, coefficient_set
+from .coefficients import K_MAX, _E_of_c, _pass
 from .exceptions import (
     BelowAsymptoticRangeWarning,
     DomainError,
@@ -42,19 +42,14 @@ from .exceptions import (
 from .numerics import (
     DEFAULT_CONTEXT,
     GUARD_DIGITS,
+    STOKES_WARN_OVER_PI,
+    THETA_COLLAR_OVER_PI,
     PrecisionContext,
+    _constants,
     asymptotic_series,
     to_mpf,
 )
 from .oracle import Evaluation, VoigtArgument
-
-# theta within this collar (in radians, as a fraction of pi) of the Stokes
-# line is outside the stated validity of the non-uniform expansion
-THETA_COLLAR_OVER_PI = 0.02
-
-# past this theta the non-uniform expansion still evaluates but its accuracy
-# is visibly degrading; callers get a warning rather than a refusal
-STOKES_WARN_OVER_PI = 0.40
 
 # the first omitted term estimates the truncation error but does not bound
 # it; this margin absorbs the O(1) wobble so err_estimate can be trusted
@@ -178,9 +173,7 @@ def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext
         # the non-uniform prefactor 1/cos theta has its pole on the Stokes line
         mctx = ctx.mp(extra=GUARD_DIGITS)
         theta = mctx.convert(arg.theta)
-        slack = mctx.mpf(10) ** (-12)
-        limit = mctx.pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI))
-        if theta > limit + slack:
+        if theta > _constants(mctx).collar:
             raise DomainError(
                 "theta = %s is inside the Stokes collar; the non-uniform estimate "
                 "diverges there, use theorem2" % (theta,)
@@ -188,7 +181,7 @@ def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext
     # the error estimate reads the first omitted coefficient, of order k_terms
     if not 1 <= k_terms <= K_MAX:
         raise UnsupportedOrderError("k_terms must lie in [1, %d], got %r" % (K_MAX, k_terms))
-    if not uniform and theta > mctx.pi * mctx.mpf(STOKES_WARN_OVER_PI):
+    if not uniform and theta > _constants(mctx).stokes_warn:
         warnings.warn(
             "theta is close to the Stokes line; the non-uniform estimate is "
             "degrading, prefer theorem2",
@@ -211,31 +204,34 @@ def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEs
     from the c(phi) of the coefficient pass. The remainder after m terms,
     2 e^z T_nu(z) at z = w^2, |z| = r^2 and nu = m + 1/2, is
     hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times this sum; err_estimate is
-    EST_SAFETY times the modulus of the first omitted term.
+    EST_SAFETY times the modulus of the first omitted term. Each variant
+    reads only its own part of the coefficient pass, sin(phi/2) included.
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
     phi, r, nu, alpha = (mctx.convert(v) for v in (arg.phi, arg.r, plan.nu, plan.alpha))
-    coeffs = coefficient_set(phi, alpha, k_terms, ctx)
-    # scale and total are numbers of mctx, so the sum runs at its precision
+    coeffs = _pass(phi, alpha, k_terms, ctx)
     if uniform:
-        C, scale, rot = coeffs.B, mctx.mpc(0, -2), mctx.expj((nu - alpha) * phi)
-        total = mctx.convert(_E_of_c(ctx.mp(), coeffs.c, r))
-        rpow = 1 / r
+        (C, c), rot, rpow = coeffs.uniform(), mctx.expj((nu - alpha) * phi), 1 / r
     else:
-        C, scale, rot, total = coeffs.A, mctx.mpc(1), mctx.expj((nu - 0.5) * phi), mctx.mpc(0)
         # the away series' division by sin(phi/2) rides on the powers of r
-        rpow = 1 / (r * mctx.sin(phi / 2))
+        C, rot, rpow = coeffs.A, mctx.expj((nu - 0.5) * phi), 1 / (r * coeffs.sin_half)
+    # rpow and total are numbers of mctx, so the sum runs at its precision
+    total = mctx.mpc(0)
     for k in range(k_terms):
-        total += scale * C[k] * rpow
+        total += rpow * C[k]
         rpow /= r * r
-    pref = mctx.exp(-r * r) / mctx.sqrt(2 * mctx.pi)
+    tail = abs(mctx.convert(C[k_terms])) * rpow
+    if uniform:
+        total = mctx.convert(_E_of_c(ctx.mp(), c, r)) - 2j * total
+        tail *= 2
+    pref = mctx.exp(-r * r) / _constants(mctx).sqrt_2pi
     total *= rot * pref
     out = ctx.mp()
     return RemainderEstimate(
         Khat=out.mpf(total.real),
         Lhat=out.mpf(-total.imag),
         method="eq42" if uniform else "eq41",
-        err_estimate=out.mpf(EST_SAFETY * pref * (abs(scale * C[k_terms]) * rpow)),
+        err_estimate=out.mpf(EST_SAFETY * pref * tail),
     )
 
 

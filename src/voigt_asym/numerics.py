@@ -22,6 +22,7 @@ roots of complex quantities below are principal (argument in (-pi, pi]).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -82,11 +83,37 @@ class PrecisionContext:
 
     def eps(self, ctx=None):
         """One unit of advertised relative accuracy, 10^(1-digits)."""
-        ctx = ctx if ctx is not None else self.mp()
+        if ctx is None or ctx is self.mp():
+            return _constants(self.mp()).eps
         return ctx.mpf(10) ** (1 - self.digits)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
+
+# theta within this collar (in radians, as a fraction of pi) of the Stokes
+# line is outside the stated validity of the non-uniform expansion
+THETA_COLLAR_OVER_PI = 0.02
+
+# past this theta the non-uniform expansion still evaluates but its accuracy
+# is visibly degrading; callers get a warning rather than a refusal
+STOKES_WARN_OVER_PI = 0.40
+
+# Numbers of one context, computed once by ``_constants``: eps = 10^(1 - digits)
+# for digits = dps - GUARD_DIGITS; phi's upper bound, and theorem1's collar
+# and warning bounds in theta (collar with its slack)
+Constants = namedtuple(
+    "Constants", "sqrt_pi sqrt_2pi sqrt2 three_halves eps phi_max collar stokes_warn")
+
+
+@lru_cache(maxsize=None)
+def _constants(mctx) -> Constants:
+    pi, ten = mctx.pi, mctx.mpf(10)
+    return Constants(
+        mctx.sqrt(pi), mctx.sqrt(2 * pi), mctx.sqrt(2), mctx.mpq(3, 2),
+        ten ** (GUARD_DIGITS + 1 - mctx.dps), pi * (1 + ten ** (-10)),
+        pi * (mctx.mpf(1) / 2 - mctx.mpf(THETA_COLLAR_OVER_PI)) + ten ** (-12),
+        pi * mctx.mpf(STOKES_WARN_OVER_PI),
+    )
 
 
 def to_mpf(ctx, x):
@@ -153,7 +180,7 @@ def asymptotic_series(w, r2, mctx, m=None):
     for k in range(1, n):
         term *= q * (2 * k - 1)
         total += term
-    return total / (w * mctx.sqrt(mctx.pi))
+    return total / (w * _constants(mctx).sqrt_pi)
 
 
 def erfcx(z, mctx):
@@ -189,13 +216,13 @@ def erfcx(z, mctx):
     zw = wctx.convert(zz.real if zz.imag == 0 else zz)
     z2 = zw * zw
     try:
-        kummer = wctx.hypsum(1, 1, ("Z", "Q"), (1, wctx.mpq(3, 2)), z2)
+        kummer = wctx.hypsum(1, 1, ("Z", "Q"), (1, _constants(wctx).three_halves), z2)
     except (ValueError, wctx.NoConvergence) as exc:
         raise PrecisionError(
             "erfcx: the Kummer series 1F1(1; 3/2; z^2) at z = %s did not "
             "converge (%s)" % (mctx.nstr(zz, 8), exc)
         ) from exc
-    return mctx.mpc(wctx.exp(z2) - 2 * zw / wctx.sqrt(wctx.pi) * kummer)
+    return mctx.mpc(wctx.exp(z2) - 2 * zw / _constants(wctx).sqrt_pi * kummer)
 
 
 def _gamma_widening(absz: float, digits: int) -> int:
@@ -242,7 +269,7 @@ def upper_incomplete_gamma_half_ladder(
         mag = wctx.mag
         zz = to_mpc(wctx, z)
         inv_z = 1 / zz
-        g = wctx.sqrt(wctx.pi) * erfcx(wctx.sqrt(zz), wctx)
+        g = _constants(wctx).sqrt_pi * erfcx(wctx.sqrt(zz), wctx)
         a = wctx.mpf(1) / 2
         za = zz ** (a - 1)  # z^{a-1}, kept in step with a
         ladder = [g]

@@ -35,6 +35,7 @@ from .numerics import (
     GAMMA_RECURRENCE_CAP,
     GUARD_DIGITS,
     PrecisionContext,
+    _constants,
     integrate_semi_infinite,
     mp_context,
     round_widening,
@@ -110,12 +111,15 @@ class VoigtArgument:
     @classmethod
     def from_xy(cls, x, y, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "VoigtArgument":
         mctx = ctx.mp()
-        xx, yy = _finite_pair(mctx, x, y, "x", "y")
-        # a point outside the first quadrant is refused on construction
-        r = mctx.hypot(xx, yy)
+        return cls._from_checked(mctx, *_finite_pair(mctx, x, y, "x", "y"))
+
+    @classmethod
+    def _from_checked(cls, mctx, x, y) -> "VoigtArgument":
+        # x, y: checked mpf of mctx; one outside the first quadrant is refused
+        r = mctx.hypot(x, y)
         if r == 0:
-            return cls(x=xx, y=yy, r=r, theta=mctx.mpf(0), phi=mctx.pi)
-        return cls(x=xx, y=yy, r=r, theta=mctx.atan2(xx, yy), phi=2 * mctx.atan2(yy, xx))
+            return cls(x=x, y=y, r=r, theta=mctx.mpf(0), phi=mctx.pi)
+        return cls(x=x, y=y, r=r, theta=mctx.atan2(x, y), phi=2 * mctx.atan2(y, x))
 
     @classmethod
     def from_polar(cls, r, theta, ctx: PrecisionContext = DEFAULT_CONTEXT) -> "VoigtArgument":
@@ -128,9 +132,9 @@ class VoigtArgument:
         # land exactly on the axes when theta is an exact endpoint, so that
         # downstream special cases trigger
         if th == 0:
-            return cls.from_xy(0, rr, ctx)
+            return cls._from_checked(mctx, mctx.mpf(0), rr)
         if th == mctx.pi / 2:
-            return cls.from_xy(rr, 0, ctx)
+            return cls._from_checked(mctx, rr, mctx.mpf(0))
         cos_th, sin_th = mctx.cos_sin(th)
         x, y = rr * sin_th, rr * cos_th
         # a radius near the lower bound can put x or y below it; the
@@ -141,7 +145,7 @@ class VoigtArgument:
                 "and y = r cos theta must each be 0 or within 2^-%d <= |v| < 2^%d"
                 % (mctx.nstr(rr, 5), mctx.nstr(th, 5), COORDINATE_MAG_MAX, COORDINATE_MAG_MAX)
             )
-        return cls.from_xy(x, y, ctx)
+        return cls._from_checked(mctx, x, y)
 
     def z(self, ctx: PrecisionContext = DEFAULT_CONTEXT):
         """z = w^2 rounded at the context precision."""
@@ -188,29 +192,25 @@ def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
     mctx = ctx.mp(extra=GUARD_DIGITS)
     out = ctx.mp()
     eps = ctx.eps(out)
-    if arg.x == 0:
+    # e^{w^2} erfc(w) ~ 1/(sqrt(pi) w) (1 - 1/(2 w^2) + ...): past 2 r^2 = 10^dps the
+    # leading term is the answer to dps digits, and e^{-x^2} lies far below K
+    if (2 * mctx.mag(arg.r) - 1) * math.log10(2) > mctx.dps:
+        f = 1 / (_constants(mctx).sqrt_pi * mctx.mpc(arg.y, arg.x))
+    elif arg.x == 0:
         # w real: K = e^{y^2} erfc(y), L = 0 identically
-        K = mctx.exp(mctx.fmul(arg.y, arg.y, exact=True)) * mctx.erfc(arg.y)
-        return Evaluation(K=out.mpf(K), L=out.mpf(0), method="oracle-erfc",
-                          err_estimate=eps * out.mpf(K))
-    # mpmath's erfc squares w at its own working precision too; give it
-    # the 2 log10(x) digits that squaring costs, beyond the guard digits
-    loss = math.ceil(2 * mctx.mag(arg.x) * math.log10(2)) - GUARD_DIGITS
-    wctx = mp_context(mctx.dps + round_widening(max(0, loss)))
-    w = wctx.mpc(arg.y, arg.x)
-    f = wctx.exp(wctx.fmul(w, w, exact=True)) * wctx.erfc(w)
-    if arg.y == 0:
-        # the real part collapses to a pure Gaussian; keep it in closed form
-        K = mctx.exp(-mctx.fmul(arg.x, arg.x, exact=True))
+        f = mctx.mpc(mctx.exp(mctx.fmul(arg.y, arg.y, exact=True)) * mctx.erfc(arg.y))
     else:
-        K = f.real
-    L = -f.imag
-    return Evaluation(
-        K=out.mpf(K),
-        L=out.mpf(L),
-        method="oracle-erfc",
-        err_estimate=eps * (abs(out.mpf(K)) + abs(out.mpf(L))),
-    )
+        # mpmath's erfc squares w at its own working precision too; give it
+        # the 2 log10(x) digits that squaring costs, beyond the guard digits
+        loss = math.ceil(2 * mctx.mag(arg.x) * math.log10(2)) - GUARD_DIGITS
+        wctx = mp_context(mctx.dps + round_widening(max(0, loss)))
+        w = wctx.mpc(arg.y, arg.x)
+        f = wctx.exp(wctx.fmul(w, w, exact=True)) * wctx.erfc(w)
+    # on y = 0 the real part collapses to a pure Gaussian, kept in closed
+    # form with -x^2 exact: a rounded one errs by about x^2 10^-dps
+    K = f.real if arg.y else mctx.exp(mctx.fneg(mctx.fmul(arg.x, arg.x, exact=True), exact=True))
+    K, L = out.mpf(K), out.mpf(-f.imag)
+    return Evaluation(K=K, L=L, method="oracle-erfc", err_estimate=eps * (abs(K) + abs(L)))
 
 
 def _quad_convolution(arg: VoigtArgument, ctx: PrecisionContext):
@@ -272,7 +272,7 @@ def _quad_fourier(arg: VoigtArgument, ctx: PrecisionContext):
     wctx = mp_context(ctx.digits + GUARD_DIGITS)
     x = wctx.convert(arg.x)
     y = wctx.convert(arg.y)
-    pref = 1 / wctx.sqrt(wctx.pi)
+    pref = 1 / _constants(wctx).sqrt_pi
     T = 2 * math.sqrt((ctx.digits + GUARD_DIGITS) * math.log(10))
     step = math.pi / max(float(x), 1.0)
     pts = tuple(j * step for j in range(1, int(T / step) + 1)) + (T,)
@@ -395,7 +395,7 @@ def _gamma_remainders(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):
     mctx = ctx.mp(extra=GUARD_DIGITS)
     z = arg.z(PrecisionContext(digits=ctx.digits + GUARD_DIGITS))
     ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
-    inv_sqrtpi = 1 / mctx.sqrt(mctx.pi)
+    inv_sqrtpi = 1 / _constants(mctx).sqrt_pi
     out = ctx.mp()
     eps = ctx.eps(out)
 

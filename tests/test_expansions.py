@@ -7,6 +7,7 @@ exact remainder oracles.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import random
@@ -867,6 +868,44 @@ def test_one_pass_serves_both_estimates_of_a_table2_cell(monkeypatch, coefficien
             theorem1(arg, plan, TABLE2_K_TERMS, ctx40)
             theorem2(arg, plan, TABLE2_K_TERMS, ctx40)
             assert len(passes) == 1, key
+
+
+def test_each_estimate_builds_only_the_coefficients_it_reads(monkeypatch, coefficient_pass, ctx40):
+    # theorem1 (eq41) reads the A_2k alone and forms no c(phi), so no B_2k
+    # either (their pole terms are powers of 1/c), directly or inside
+    # evaluate_via_expansion; theorem2 (eq42) forms c(phi) and B_2k once
+    # per pass and builds no coefficient set, the only holder of B^_2k; and
+    # theorem2 after theorem1 at one point sums the h_j once. phi falls on
+    # both sides of PHI_SWITCH
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(coefficients, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    for name in ("_h_sums", "_c_raw", "CoefficientSet"):
+        monkeypatch.setattr(coefficients, name, counted(name))
+    mctx = ctx40.mp()
+    for theta_over_pi in ("0.2", "0.1"):
+        arg = VoigtArgument.from_polar(4, mctx.mpf(theta_over_pi) * mctx.pi, ctx40)
+        plan = optimal_truncation(4, ctx40)
+        coefficient_pass.cache_clear()
+        calls.clear()
+        theorem1(arg, plan, 3, ctx40)
+        assert calls == {"_h_sums": 1}, theta_over_pi
+        theorem2(arg, plan, 3, ctx40)
+        theorem2(arg, plan, 3, ctx40)
+        theorem1(arg, plan, 3, ctx40)
+        assert calls == {"_h_sums": 1, "_c_raw": 1}, theta_over_pi
+        coefficient_pass.cache_clear()
+        calls.clear()
+        evaluate_via_expansion(arg, "eq41", 3, None, ctx40)
+        assert calls == {"_h_sums": 1}, theta_over_pi
 
 
 def test_evaluate_via_expansion_tracks_oracle(ctx40):

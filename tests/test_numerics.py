@@ -464,3 +464,33 @@ def test_precision_monotonicity(ctx40, ctx60):
     for v40, v60 in pairs:
         diff = abs(mctx.mpc(v40) - mctx.mpc(v60))
         assert diff <= mctx.mpf(10) ** (-37) * abs(mctx.mpc(v60))
+
+
+# ---------------------------------------------------------------- constants
+
+def test_context_constants_equal_a_fresh_computation():
+    # one table per mpmath context, computed once: at 16, 40, 100 and 250
+    # digits and in a widened context, every entry equals the number the
+    # callers used to recompute on each call
+    numerics._constants.cache_clear()
+    contexts = []
+    for digits in (16, 40, 100, 250):
+        ctx = PrecisionContext(digits=digits)
+        contexts += [(ctx, ctx.mp()), (ctx, ctx.mp(extra=30))]
+    for ctx, mctx in contexts:
+        got = numerics._constants(mctx)
+        assert numerics._constants(mctx) is got
+        pi, ten = mctx.pi, mctx.mpf(10)
+        assert got.sqrt_pi == mctx.sqrt(pi) and got.sqrt_2pi == mctx.sqrt(2 * pi)
+        assert got.sqrt2 == mctx.sqrt(2) and got.three_halves == mctx.mpq(3, 2)
+        digits = mctx.dps - numerics.GUARD_DIGITS
+        assert got.eps == ten ** (1 - digits)
+        assert got.phi_max == pi * (1 + ten ** (-10))
+        half_collar = mctx.mpf(1) / 2 - mctx.mpf(numerics.THETA_COLLAR_OVER_PI)
+        assert got.collar == pi * half_collar + ten ** (-12)
+        assert got.stokes_warn == pi * mctx.mpf(numerics.STOKES_WARN_OVER_PI)
+        # PrecisionContext.eps reads the table of its own working context, and
+        # computes 10^(1 - digits) in any other
+        assert ctx.eps(mctx) == ten ** (1 - ctx.digits)
+        assert ctx.eps() is numerics._constants(ctx.mp()).eps
+    assert numerics._constants.cache_info().currsize == len(contexts)

@@ -5,10 +5,12 @@ anchor every expansion test in the suite.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from coefficient_reference import pochhammer
 from voigt_asym import (
@@ -166,6 +168,15 @@ def test_exact_on_real_axis(ctx40):
     assert abs(ev.K - mctx.exp(-1)) < mctx.mpf(10) ** (-38)
 
 
+def test_gaussian_on_the_real_axis_keeps_its_digits(ctx40):
+    # K(x, 0) = e^{-x^2}: with -x^2 rounded to the working precision the
+    # exponent would err by about x^2 10^-dps, 1e-29 relative at x ~ 3e10
+    arg = VoigtArgument.from_xy("31415926535.8979323846264338327950288", 0, ctx40)
+    ref = mp_context(80)
+    want = ref.exp(ref.fneg(ref.fmul(arg.x, arg.x, exact=True), exact=True))
+    assert abs(voigt_exact_erfc(arg, ctx40).K - want) <= ref.mpf(10) ** (-39) * want
+
+
 def test_exact_on_imaginary_axis(ctx40):
     mctx = ctx40.mp()
     for y in ("1", "2", "4"):
@@ -204,6 +215,48 @@ def test_exact_at_large_x_matches_asymptotic_series(digits):
             got = ref.mpc(ev.K, -ev.L)
             assert abs(abs(got) - abs(want)) <= tol * abs(want), (digits, x, y)
             assert abs(got - want) <= tol * abs(want), (digits, x, y)
+
+
+def _erfc_route(arg, ctx):
+    # K - iL by mpmath's erfc as the oracle runs it below its closed form:
+    # w^2 exact, and the 2 log10(x) digits of mpmath's own squaring on top
+    wctx = mp_context(ctx.digits + 20 + math.ceil(2 * math.log10(float(arg.x))))
+    w = wctx.mpc(arg.y, arg.x)
+    return wctx.exp(wctx.fmul(w, w, exact=True)) * wctx.erfc(w)
+
+
+@pytest.mark.parametrize("digits", (40, 100))
+def test_closed_form_at_huge_radius_matches_the_erfc_route(digits):
+    # once 2 r^2 > 10^dps the oracle returns 1/(sqrt(pi) w); at 40 digits
+    # every x here takes it, at 100 digits only 1e60 does
+    ctx = PrecisionContext(digits=digits)
+    for x in ("1e25", "1e30", "1e60"):
+        for y in ("2", "1e-300"):
+            arg = VoigtArgument.from_xy(x, y, ctx)
+            ev = voigt_exact_erfc(arg, ctx)
+            want = _erfc_route(arg, ctx)
+            assert abs(ev.K - want.real) <= ev.err_estimate, (digits, x, y)
+            assert abs(ev.L + want.imag) <= ev.err_estimate, (digits, x, y)
+
+
+def test_closed_form_at_huge_radius_calls_no_erfc(monkeypatch, ctx40):
+    # at x = 1e400 the erfc route would run near 850 digits for seconds;
+    # on the imaginary w axis, y = 1e400, mpmath's real erfc overflowed
+    def refuse(ctx, z):
+        raise AssertionError("voigt_exact_erfc called mpmath's erfc at %s" % (z,))
+
+    monkeypatch.setattr(MPContext, "erfc", refuse)
+    mctx = ctx40.mp()
+    for x, y in (("1e400", "2"), ("1e400", "0"), ("0", "1e400")):
+        arg = VoigtArgument.from_xy(x, y, ctx40)
+        ev = voigt_exact_erfc(arg, ctx40)
+        want = 1 / (mctx.sqrt(mctx.pi) * mctx.mpc(arg.y, arg.x))
+        # e^{-x^2} with -x^2 exact, at 20 more digits
+        ref = mp_context(mctx.dps + 20)
+        x2 = ref.fneg(ref.fmul(arg.x, arg.x, exact=True), exact=True)
+        K = ref.exp(x2) if y == "0" else want.real
+        assert abs(ev.K - K) <= mctx.mpf(10) ** (-39) * K, (x, y)
+        assert abs(ev.L + want.imag) <= mctx.mpf(10) ** (-39) * abs(want), (x, y)
 
 
 def test_exact_minus_partial_sum_hits_foot_values(ctx40):

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Per-call times of the main paths at fixed points, before and after a change.
 
-Times E_of_phi, remainder_exact(route="gamma") at optimal m, theorem2 at
-k = 3, algebraic_partial_sums at optimal m, evaluate_via_expansion (eq42,
-k = 3), voigt_exact_erfc and a table2 cell (remainder_exact, theorem2 and
-theorem1 at k = 3 and optimal m, as ``voigt-asym table2`` runs them) at 40
-and 100 digits, each next to the digits it attains against an mpmath
-reference at 20 more digits (for the partial sum, the full m-term sum
-there; for the table2 cell, the least of its three). The points are
+Times E_of_phi, remainder_exact(route="gamma") at optimal m, theorem2 and
+theorem1 at k = 3, algebraic_partial_sums at optimal m,
+evaluate_via_expansion (eq42 and eq41, k = 3), voigt_exact_erfc and a
+table2 cell (remainder_exact, theorem2 and theorem1 at k = 3 and optimal
+m, as ``voigt-asym table2`` runs them) at 40 and 100 digits, each next to
+the digits it attains against an mpmath reference at 20 more digits (for
+the partial sum, the full m-term sum there; for the table2 cell, the
+least of its three). The points are
 (x, y) = (3, 4), where r = 5 and m = 25; (12, 5), where r = 13 and m = 169:
 there the partial sum stops early at 40 digits but needs every term at 100;
 and (16, 5), where r^2 = 281 puts e^{-r^2} ~ 1e-122 below the last digit of
@@ -16,7 +17,7 @@ estimate. m = 281 is past the incomplete-gamma ladder's depth cap, so that
 point has no remainder_exact or table2 cell row. Two source trees are timed
 in alternating child processes, so that host drift hits both alike:
 
-    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_15.json
+    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_18.json
 
 Each time is the median over rounds of the mean of ``--calls`` calls, scaled
 to a reference machine speed by the ``SpeedProbe`` of ``benchmarks/run.py``
@@ -103,10 +104,13 @@ def _measure_point(va, X, Y, digits, calls, probe):
         "remainder_exact_gamma": (
             lambda: va.remainder_exact(arg, m, ctx, route="gamma"), pair, rem_ref),
         "theorem2_k3": (lambda: va.theorem2(arg, plan, 3, ctx), estimate, rem_ref),
+        "theorem1_k3": (lambda: va.theorem1(arg, plan, 3, ctx), estimate, rem_ref),
         "algebraic_partial_sums": (
             lambda: va.algebraic_partial_sums(arg, m, ctx), pair, sums_ref),
         "evaluate_via_expansion_eq42": (
             lambda: va.evaluate_via_expansion(arg, "eq42", 3, None, ctx), pair, voigt_ref),
+        "evaluate_via_expansion_eq41": (
+            lambda: va.evaluate_via_expansion(arg, "eq41", 3, None, ctx), pair, voigt_ref),
         "voigt_exact_erfc": (lambda: va.voigt_exact_erfc(arg, ctx), pair, voigt_ref),
         "table2_cell": (table2_cell, lambda cell: (pair(cell[0]), *map(estimate, cell[1:])),
                         rem_ref),
