@@ -42,7 +42,7 @@ from .exceptions import (
 from .numerics import (
     DEFAULT_CONTEXT,
     GUARD_DIGITS,
-    STOKES_WARN_OVER_PI,
+    STOKES_WARN_OVER_PI,  # both still importable from this module
     THETA_COLLAR_OVER_PI,
     PrecisionContext,
     _constants,
