@@ -6,28 +6,26 @@ h_j sums, the uniform (Stokes-smoothing) coefficients B_2k and their hatted
 companions, the pole proximity measure c(phi), and the error-function
 smoothing factor E(phi).
 
-``coefficient_set`` is the one way to get A, B and B^ of every order k =
-0..k_max at one (phi, alpha), all from one pair cos, sin(phi/2). A pass
-builds only what its caller reads: u = (-1 + i cot(phi/2))/2, the h_j =
-C(alpha, j) + u h_{j-1} and the A_2k at once (theorem1 reads these and
-sin(phi/2)); B_2k and c(phi) on the first request (theorem2 reads these),
-from one phase p = e^{i phi (alpha - 1/2)} and e^{i phi alpha}/(1 - e^{i
-phi}) = i p/(2 sin(phi/2)); B^_2k = -2i conj(p) B_2k for a coefficient
-set alone. Off the Stokes line passes are memoized in a small LRU cache,
-so theorem1 and theorem2 at one point share one. The Stirling gamma_k and
-the table c_{j,k} come from the exact series reversion of (1/2) w^2 =
-t - log(1 + t), once per process; nothing is typed in by hand.
+One pass per (phi, alpha, precision) serves every order k <= K_MAX from one
+pair cos, sin(phi/2), building each order when first read: u = (-1 + i
+cot(phi/2))/2, the h_j = C(alpha, j) + u h_{j-1} and the A_2k for theorem1;
+B_2k and c(phi) for theorem2, from one phase p = e^{i phi (alpha - 1/2)} and
+e^{i phi alpha}/(1 - e^{i phi}) = i p/(2 sin(phi/2)); B^_2k = -2i conj(p)
+B_2k for ``coefficient_set`` alone. Off the Stokes line passes are memoized
+on (phi, alpha, digits) in a small LRU cache, so both estimates at any
+orders share one per point, and ``table1`` builds 2 passes. The Stirling
+gamma_k and the table c_{j,k} come from the exact series reversion of
+(1/2) w^2 = t - log(1 + t), once per process; nothing is typed in by hand.
 
 The geometry, fixed throughout: a first-quadrant point has theta = arg w in
 [0, pi/2] and phi = pi - 2 theta in [0, pi]. phi = 0 is the Stokes line. The
 quantity u = e^{i phi}/(1 - e^{i phi}) that powers the h_j sums blows up as
 phi -> 0, and the closed form for B_2k then suffers catastrophic cancellation
 between its A-part and its c(phi)^{-2k-1} part, even though B_2k itself stays
-bounded. At every phi > 0 one rule widens the pass by the cancellation depth
-of its top order, (2 k_max + 3) log10(PHI_SWITCH/phi) digits, zero from
-PHI_SWITCH on. At phi = 0 exactly, B_2k is its limit, a polynomial in alpha
-for every k <= K_MAX, derived once per process from the same reversion
-tables as an exact Laurent expansion whose pole is checked to cancel.
+bounded; every pass at phi > 0 is widened for the top order K_MAX
+(``_b_widening``). At phi = 0 exactly, B_2k is its limit, a polynomial in
+alpha for every k <= K_MAX, derived once per process from the same tables
+as an exact Laurent expansion whose pole is checked to cancel.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from .oracle import COORDINATE_MAG_MAX
 PHI_SWITCH = 2.0
 
 # A positive phi below 2^PHI_MIN_EXP (about 9.5e-1234) is refused: the B
-# widening grows as (2 k_max + 3) log10(PHI_SWITCH/phi) digits, some 16,000
+# widening grows as (2 K_MAX + 3) log10(PHI_SWITCH/phi) digits, some 16,000
 # at this bound and without limit below it, while phi = 2 atan2(y, x) of
 # supported coordinates stays above 2^(PHI_MIN_EXP + 1).
 PHI_MIN_EXP = -2 * COORDINATE_MAG_MAX
@@ -78,13 +76,6 @@ def _check_phi(mctx, phi):
             % (mctx.nstr(p, 5), PHI_MIN_EXP)
         )
     return p
-
-
-def _polynomial(mctx, coeffs, x):
-    value = mctx.mpf(0)
-    for c in reversed(coeffs):
-        value = value * x + mctx.convert(c)
-    return value
 
 
 def _h_sums(alpha, u, n: int) -> list:
@@ -144,23 +135,21 @@ def _E_of_c(mctx, c, r):
     return _constants(mctx).sqrt_2pi * erfcx(c * r / _constants(mctx).sqrt2, mctx)
 
 
-def _b_widening(phi, k: int) -> int:
-    # B_2k cancels across about (2k+3) log10(PHI_SWITCH/phi) digits; float
-    # logs of mantissa and exponent take a phi below the float range too,
-    # and a phi just below PHI_SWITCH, whose float log may round to 0, gets 1
+def _b_widening(phi) -> int:
+    # B_2k cancels across about (2k+3) log10(PHI_SWITCH/phi) digits, most at
+    # k = K_MAX; float logs of mantissa and exponent take a phi below the
+    # float range too, and one just below PHI_SWITCH (float log 0) gets 1
     if phi >= PHI_SWITCH:
         return 0
     log10_ratio = math.log10(PHI_SWITCH) - math.log10(phi.man) - phi.exp * math.log10(2)
-    return round_widening(max(1, math.ceil((2 * k + 3) * log10_ratio)))
+    return round_widening(max(1, math.ceil((2 * K_MAX + 3) * log10_ratio)))
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """A_2k, B_2k, and B^_2k for k = 0..k_max at one (phi, alpha), with
-    the c(phi) of their pole terms.
-
-    ``A`` is None at phi = 0, where h_j and with them the A_2k are singular.
-    """
+    """A_2k, B_2k, and B^_2k for k = 0..k_max at one (phi, alpha), with the
+    c(phi) of their pole terms. ``A`` is None at phi = 0, where h_j and with
+    them the A_2k are singular."""
 
     A: Optional[Tuple]
     B: Tuple
@@ -175,52 +164,53 @@ def coefficient_set(
 
     A_2k = (-1)^k gamma_k + sum_{j=2}^{2k} c_{j,k} h_j(phi, alpha);
     B_2k = e^{i phi alpha} A_2k / (1 - e^{i phi})
-    - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1}, run with internal precision
-    widened by the (2 k_max + 3) log10(PHI_SWITCH/phi) digits its parts cancel;
-    B^_2k = -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0, B_2k is its
-    limit, a real polynomial in alpha derived exactly for every k <= K_MAX.
-    The set also holds c(phi), as ``c_of_phi`` gives it (0 at phi = 0).
+    - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1}, run widened by the digits the
+    parts of the top order K_MAX cancel (``_b_widening``); B^_2k =
+    -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0, B_2k is its limit, a
+    real polynomial in alpha. The set holds c(phi) too, as ``c_of_phi``
+    gives it (0 at phi = 0).
 
-    At phi > 0 the pass is memoized on (phi, alpha, k_max, ctx.digits),
-    phi and alpha as the mpf values of the working context, in a
-    least-recently-used cache of 8 entries, so theorem1 and theorem2 at one
-    point share one pass. Every refusal runs before the cache is consulted.
+    At phi > 0 the pass is memoized on (phi, alpha, ctx.digits), phi and
+    alpha as mpf values of the working context, in an LRU cache of 8
+    entries that every order shares. Every refusal, k_max's first, runs
+    before the cache is consulted.
     """
-    return _pass(phi, alpha, k_max, ctx).as_set()
-
-
-def _pass(phi, alpha, k_max: int, ctx: PrecisionContext) -> "_Pass":
-    # the pass after every refusal of coefficient_set: memoized at phi > 0
     if not 0 <= k_max <= K_MAX:
         raise UnsupportedOrderError(
             "coefficient sets stop at k_max = %d, got %r" % (K_MAX, k_max)
         )
+    return _pass(phi, alpha, ctx).as_set(k_max)
+
+
+def _pass(phi, alpha, ctx: PrecisionContext) -> "_Pass":
+    # the pass after every refusal of phi and alpha: memoized at phi > 0
     mctx = ctx.mp()
     p = _check_phi(mctx, phi)
     a = to_mpf(mctx, alpha)
     if not mctx.isfinite(a):
         raise DomainError("alpha must be finite, got %s" % (a,))
-    return (_coefficient_pass if p else _Pass)(p, a, k_max, ctx)
+    return (_coefficient_pass if p else _Pass)(p, a, ctx)
 
 
 class _Pass:
-    """The coefficients at one (phi, alpha, k_max, ctx), built as far as
-    they are read: A_2k and sin(phi/2) at once (theorem1), B_2k and c(phi)
-    on the first ``uniform`` call (theorem2), B^_2k only in ``as_set``. At
-    phi > 0 it runs in ctx.mp() widened by ``_b_widening`` and rounds to
-    ctx.mp() by libmp (as mctx.mpc(v), in a third of the time); at phi = 0
-    the B_2k are their derived limits and A is None."""
+    """The coefficients at one (phi, alpha, ctx), each order built when first
+    read: A_2k (theorem1), B_2k with c(phi) (theorem2), B^_2k in ``as_set``.
+    At phi > 0 it runs widened by ``_b_widening`` and rounds to ctx.mp() by
+    libmp (as mctx.mpc(v), in a third of the time); at phi = 0 every B_2k is
+    its derived limit and there is no A. A new top order redoes its family
+    from the h_j on into new tuples, so threads never see one half built."""
 
-    def __init__(self, phi, alpha, k_max: int, ctx: PrecisionContext):
+    def __init__(self, phi, alpha, ctx: PrecisionContext):
         self._mctx = mctx = ctx.mp()
         if not phi:  # the phase p of B^ = -2i conj(p) B is 1 there
-            B = [mctx.mpc(_polynomial(mctx, q, alpha)) for q in _stokes_limits()[: k_max + 1]]
-            self._wctx, self.A, self._forms = mctx, None, (B, mctx.mpc(0), mctx.mpc(1))
+            limits = ([mctx.convert(c) for c in reversed(q)] for q in _stokes_limits())
+            B = tuple(mctx.mpc(mctx.polyval(q, alpha)) for q in limits)
+            self._wctx, self._A, self._forms = mctx, None, (B, mctx.mpc(0), mctx.mpc(1))
             return
-        self._wctx = wctx = ctx.mp(extra=_b_widening(phi, k_max))
+        self._wctx = wctx = ctx.mp(extra=_b_widening(phi))
         self._at = wctx.convert(phi), wctx.convert(alpha)
-        self._A, self._half = _closed_forms(wctx, *self._at, k_max)
-        self.A, self.sin_half, self._forms = self._rounded(self._A), self._half[1], None
+        self._half = wctx.cos_sin(self._at[0] / 2)
+        self.sin_half, self._A, self._forms = self._half[1], (), ((),)
 
     def _rounded(self, values) -> tuple:
         mctx = self._mctx
@@ -228,9 +218,24 @@ class _Pass:
             return tuple(values)
         return tuple(mctx.make_mpc(mpc_pos(v._mpc_, mctx.prec, "n")) for v in values)
 
-    def uniform(self):
-        """B_2k and c(phi), formed with B^'s phase p on the first call."""
-        if self._forms is None:
+    def _A_to(self, k: int) -> tuple:
+        # A_0 up to at least A_2k, from the h_j at u = (-1 + i cot(phi/2))/2
+        A = self._A
+        if len(A) <= k:
+            wctx, (cos_half, sin_half) = self._wctx, self._half
+            signed_gamma, cjk = _laplace_tables_in(wctx)
+            h = _h_sums(self._at[1], wctx.mpc(-1, cos_half / sin_half) / 2, 2 * k)
+            A = self._A = tuple(signed_gamma[j] + wctx.fdot(cjk[j], h[2:]) for j in range(k + 1))
+        return A
+
+    def A(self, k: int) -> tuple:
+        """A_0..A_2k."""
+        return self._rounded(self._A_to(k)[: k + 1])
+
+    def _forms_to(self, k: int) -> tuple:
+        # B_0 up to at least B_2k, with c(phi) and B^'s phase p
+        forms = self._forms
+        if len(forms[0]) <= k:
             wctx, (phi, alpha), (cos_half, sin_half) = self._wctx, self._at, self._half
             p = wctx.expj(phi * (alpha - 0.5))
             to_B = 1j * p / (2 * sin_half)
@@ -238,24 +243,29 @@ class _Pass:
             pole = 1 / c  # c^{-2k-1}
             inv_c_sq = pole * pole
             B = []
-            for k, a_k in enumerate(self._A):
-                B.append(to_B * a_k - 1j * (-1) ** k * _DOUBLE_FACTORIAL[k] * pole)
+            for j, a_j in enumerate(self._A_to(k)):
+                B.append(to_B * a_j - 1j * (-1) ** j * _DOUBLE_FACTORIAL[j] * pole)
                 pole *= inv_c_sq
-            self._forms = B, c, p
-        B, c, _ = self._forms
-        return self._rounded(B), self._rounded([c])[0]
+            forms = self._forms = tuple(B), c, p
+        return forms
 
-    def as_set(self) -> CoefficientSet:
-        B, c = self.uniform()
-        to_Bhat = -2j * self._wctx.conj(self._forms[2])
-        return CoefficientSet(self.A, B, self._rounded([to_Bhat * b for b in self._forms[0]]), c)
+    def uniform(self, k: int):
+        """B_0..B_2k and c(phi)."""
+        B, c, _ = self._forms_to(k)
+        return self._rounded(B[: k + 1]), self._rounded([c])[0]
+
+    def as_set(self, k_max: int) -> CoefficientSet:
+        B, c, p = self._forms_to(k_max)
+        B = B[: k_max + 1]
+        Bhat = [-2j * self._wctx.conj(p) * b for b in B]
+        A = None if self._A is None else self.A(k_max)
+        return CoefficientSet(A, self._rounded(B), self._rounded(Bhat), self._rounded([c])[0])
 
 
-# theorem1 and theorem2 at one point ask for the same pass back to back; a
-# few entries serve that. The key holds ctx, so each precision has its own
-# entry. The bound stays below the 11 angles per radius of the scan
-# benchmark, whose traced replay of a radius must meet none of the passes
-# its untraced run of the same ops left behind
+# the estimates at one point ask for the same pass at any orders; a few
+# entries serve that, and each precision has its own. The bound stays below
+# the 11 angles per radius of the scan benchmark, whose traced replay of a
+# radius must meet none of the passes its untraced run left behind
 _coefficient_pass = lru_cache(maxsize=8)(_Pass)
 
 
@@ -267,15 +277,6 @@ def _laplace_tables_in(mctx):
         tuple(mctx.mpc(mctx.convert((-1) ** k * g)) for k, g in enumerate(gamma)),
         tuple(tuple(mctx.convert(c) for c in row) for row in cjk),
     )
-
-
-def _closed_forms(mctx, phi, alpha, k_max: int):
-    # the A_2k from the h_j at u = (-1 + i cot(phi/2))/2, and the half-angle
-    # pair cos, sin(phi/2) that B_2k, c(phi) and theorem1 reuse
-    signed_gamma, cjk = _laplace_tables_in(mctx)
-    half = mctx.cos_sin(phi / 2)
-    h = _h_sums(alpha, mctx.mpc(-1, half[0] / half[1]) / 2, 2 * k_max)
-    return [signed_gamma[k] + mctx.fdot(cjk[k], h[2:]) for k in range(k_max + 1)], half
 
 
 # ---------------------------------------------------------------------------

@@ -193,28 +193,26 @@ def _admit(arg: VoigtArgument, variant: str, k_terms: int, ctx: PrecisionContext
 
 def _series_estimate(arg, plan, k_terms: int, uniform: bool, ctx) -> RemainderEstimate:
     """The remainder estimate of every entry point, from one bracketed sum
-    and its first omitted term.
+    and its first omitted term, of order k_terms.
 
     away (eq41): e^{i (nu - 1/2) phi} sum_{k < k_terms} A_2k / r^{2k+1},
     divided by sin(phi/2) = cos theta. uniform (eq42): since
     B^_2k = -2i e^{i phi (1/2 - alpha)} B_2k, every term shares the phase
-    of the head e^{i (nu - alpha) phi} E(phi) that carries the smoothed
-    Stokes jump, and the sum is e^{i (nu - alpha) phi}
-    (E(phi) - 2i sum_{k < k_terms} B_2k / r^{2k+1}), with E(phi) formed
-    from the c(phi) of the coefficient pass. The remainder after m terms,
-    2 e^z T_nu(z) at z = w^2, |z| = r^2 and nu = m + 1/2, is
-    hat-K - i hat-L = e^{-r^2}/sqrt(2 pi) times this sum; err_estimate is
-    EST_SAFETY times the modulus of the first omitted term. Each variant
-    reads only its own part of the coefficient pass, sin(phi/2) included.
+    of the head e^{i (nu - alpha) phi} E(phi), and the sum is
+    e^{i (nu - alpha) phi} (E(phi) - 2i sum_{k < k_terms} B_2k / r^{2k+1}),
+    E(phi) formed from the pass's c(phi). After m terms, hat-K - i hat-L =
+    2 e^z T_nu(z) (z = w^2, nu = m + 1/2) is e^{-r^2}/sqrt(2 pi) times this
+    sum; err_estimate is EST_SAFETY times the modulus of the first omitted
+    term. Each variant reads only its own part of the point's one pass.
     """
     mctx = ctx.mp(extra=GUARD_DIGITS)
     phi, r, nu, alpha = (mctx.convert(v) for v in (arg.phi, arg.r, plan.nu, plan.alpha))
-    coeffs = _pass(phi, alpha, k_terms, ctx)
+    coeffs = _pass(phi, alpha, ctx)
     if uniform:
-        (C, c), rot, rpow = coeffs.uniform(), mctx.expj((nu - alpha) * phi), 1 / r
+        (C, c), rot, rpow = coeffs.uniform(k_terms), mctx.expj((nu - alpha) * phi), 1 / r
     else:
         # the away series' division by sin(phi/2) rides on the powers of r
-        C, rot, rpow = coeffs.A, mctx.expj((nu - 0.5) * phi), 1 / (r * coeffs.sin_half)
+        C, rot, rpow = coeffs.A(k_terms), mctx.expj((nu - 0.5) * phi), 1 / (r * coeffs.sin_half)
     # rpow and total are numbers of mctx, so the sum runs at its precision
     total = mctx.mpc(0)
     for k in range(k_terms):

@@ -197,8 +197,14 @@ def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
     if (2 * mctx.mag(arg.r) - 1) * math.log10(2) > mctx.dps:
         f = 1 / (_constants(mctx).sqrt_pi * mctx.mpc(arg.y, arg.x))
     elif arg.x == 0:
-        # w real: K = e^{y^2} erfc(y), L = 0 identically
-        f = mctx.mpc(mctx.exp(mctx.fmul(arg.y, arg.y, exact=True)) * mctx.erfc(arg.y))
+        # w real: K = e^{y^2} erfc(y), L = 0 identically. mpmath's real erfc
+        # converts y^2 to a float, which overflows from about y = 1.3e154, so
+        # from y = 2^511 on K is U(1/2, 1/2, y^2)/sqrt(pi) (DLMF 13.6.7)
+        y2 = mctx.fmul(arg.y, arg.y, exact=True)
+        if mctx.mag(arg.y) > 511:
+            f = mctx.mpc(mctx.hyperu(0.5, 0.5, y2) / _constants(mctx).sqrt_pi)
+        else:
+            f = mctx.mpc(mctx.exp(y2) * mctx.erfc(arg.y))
     else:
         # mpmath's erfc squares w at its own working precision too; give it
         # the 2 log10(x) digits that squaring costs, beyond the guard digits
@@ -324,10 +330,12 @@ def voigt_quadrature(
 
 
 def _remainder_prefactors(mctx, arg: VoigtArgument, m: int):
-    absz = mctx.convert(arg.r) ** 2
+    # |z| = x^2 + y^2 and alpha = nu - |z| exact, from the coordinates: r^2
+    # from the rounded r would carry |z| 10^-dps into the exponent
+    absz = mctx.fadd(mctx.fmul(arg.x, arg.x, exact=True), mctx.fmul(arg.y, arg.y, exact=True),
+                     exact=True)
     nu = m + mctx.mpf(1) / 2
-    alpha = nu - absz
-    return absz, nu, alpha
+    return absz, nu, mctx.fsub(nu, absz, exact=True)
 
 
 def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> Evaluation:
@@ -382,11 +390,11 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
     pref = mctx.expj(phi * nu) / (mctx.pi * mctx.mpc(0, 1)) * mctx.exp(-absz)
     val = pref * mctx.mpc(res.value)
     out = ctx.mp()
-    err = out.mpf(abs(pref) * res.err_estimate)
-    return Evaluation(
-        K=out.mpf(val.real), L=out.mpf(-val.imag),
-        method="remainder-quadrature", err_estimate=err,
-    )
+    K, L = out.mpf(val.real), out.mpf(-val.imag)
+    # the quadrature error, plus the unit every other route reports: the
+    # phases phi nu and 2 theta come from rounded angles
+    err = out.mpf(abs(pref) * res.err_estimate + ctx.eps(out) * (abs(K) + abs(L)))
+    return Evaluation(K=K, L=L, method="remainder-quadrature", err_estimate=err)
 
 
 def _gamma_remainders(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):

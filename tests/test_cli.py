@@ -11,8 +11,9 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 import voigt_asym.cli as cli
-from voigt_asym import BelowAsymptoticRangeWarning, PrecisionError, mp_context
+from voigt_asym import BelowAsymptoticRangeWarning, PrecisionError, mp_context, tables
 from voigt_asym.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_PRECISION,
@@ -226,6 +227,50 @@ def test_table2_csv_shape(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8  # header plus seven angle rows
     assert lines[1].split(",")[0] == "0"
+
+
+@pytest.mark.parametrize("table", ["table1", "table2"])
+def test_table_json_cells_equal_csv_cells(capsys, table):
+    # the JSON rows carry the CSV cells, a JSON null where the CSV has a
+    # dash; table1's exact foot is its last CSV row
+    rc, out, _ = run(capsys, table, "--format", "json")
+    assert rc == EXIT_OK
+    payload = json.loads(out)
+    rows = [row["cells"] for row in payload["rows"]]
+    if table == "table1":
+        rows.append(payload["exact"])
+    rc, out, _ = run(capsys, table, "--format", "csv")
+    assert rc == EXIT_OK
+    csv_rows = [line.split(",")[1:] for line in out.strip().splitlines()[1:]]
+    assert [["-" if c is None else c for c in row] for row in rows] == csv_rows
+
+
+@pytest.mark.parametrize("table, key, cell, name", [
+    ("table1", 3, 0, "table1 k=2 Khat@0.1"),
+    ("table2", "0.20", 2, "table2 theta/pi=0.20 eq42 Khat"),
+])
+def test_table_check_names_each_mismatched_cell(capsys, monkeypatch, table, key, cell, name):
+    # one frozen cell off by far more than its last digit: --check exits 1
+    # and writes one stderr line, naming that cell
+    attr = table.upper() + "_ROWS"
+    rows = dict(getattr(tables, attr))
+    wrong = list(rows[key])
+    wrong[cell] = "1.000e-1"
+    rows[key] = tuple(wrong)
+    monkeypatch.setattr(tables, attr, rows)
+    rc, _, err = run(capsys, table, "--check")
+    assert rc == EXIT_CHECK_FAILED
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(name + ": computed"), err
+
+
+def test_tables_build_one_coefficient_pass_per_point(capsys, coefficient_pass):
+    # table1 runs five orders at each of its two angles, table2 both
+    # estimates at each of its seven: one pass per point either way
+    for table, passes in (("table1", 2), ("table2", 7)):
+        coefficient_pass.cache_clear()
+        assert run(capsys, table)[0] == EXIT_OK
+        assert coefficient_pass.cache_info().misses == passes, table
 
 
 # -------------------------------------------------------------------- scan

@@ -505,15 +505,15 @@ def test_B2k_branch_agreement_at_switch(ctx40):
 def test_b_widening_lands_on_few_precisions(ctx40):
     # every widened precision is cached for good, so the widening is rounded
     # up to a multiple of 10 digits; it never drops below the cancellation
-    # rule (2k+3) log10(PHI_SWITCH/phi), and it is zero from PHI_SWITCH on
+    # rule (2k+3) log10(PHI_SWITCH/phi) at the top order k = K_MAX, for
+    # which every pass is widened, and it is zero from PHI_SWITCH on
     mctx = ctx40.mp()
     rng = random.Random(1989)
     seen = set()
     for _ in range(200):
         phi = rng.uniform(0, math.pi) or PHI_SWITCH / 2
-        k = rng.randint(0, K_MAX)
-        widened = _b_widening(mctx.mpf(phi), k)
-        assert widened >= math.ceil((2 * k + 3) * math.log10(PHI_SWITCH / phi))
+        widened = _b_widening(mctx.mpf(phi))
+        assert widened >= math.ceil((2 * K_MAX + 3) * math.log10(PHI_SWITCH / phi))
         assert widened % 10 == 0
         assert (widened == 0) == (phi >= PHI_SWITCH)
         seen.add(widened)

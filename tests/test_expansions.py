@@ -11,6 +11,8 @@ import collections
 import functools
 import math
 import random
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -793,6 +795,78 @@ def test_estimates_sharing_a_pass_equal_fresh_ones(digits, coefficient_pass):
     assert coefficient_pass.cache_info().currsize == 0
 
 
+def _mixed_order_points(ctx):
+    # one point on each side of PHI_SWITCH outside theorem1's warning band,
+    # and one on the Stokes line, where theorem2 alone runs
+    mctx = ctx.mp()
+    points = [VoigtArgument.from_polar(r, mctx.mpf(t) * mctx.pi, ctx)
+              for r, t in (("4.3", "0.3"), ("5.1", "0.1"))]
+    return points + [VoigtArgument.from_xy(6, 0, ctx)]
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_one_pass_serves_every_order_at_a_point(digits, coefficient_pass):
+    # theorem1 and theorem2 at mixed k_terms, the first request at the top
+    # order or below it, run one pass at a point off the Stokes line, and
+    # every estimate equals itself run on an emptied memo, to the last bit
+    ctx = PrecisionContext(digits=digits)
+    for arg in _mixed_order_points(ctx):
+        plan = optimal_truncation(arg.r, ctx)
+        theorems = (theorem1, theorem2) if arg.phi else (theorem2,)
+        fresh = {}
+        for k in (2, 3, 5):
+            for theorem in theorems:
+                coefficient_pass.cache_clear()
+                fresh[theorem, k] = _estimate_fields(theorem(arg, plan, k, ctx))
+        for orders in ((5, 2, 3), (2, 5, 3)):
+            coefficient_pass.cache_clear()
+            for k in orders:
+                for theorem in theorems:
+                    got = _estimate_fields(theorem(arg, plan, k, ctx))
+                    assert got == fresh[theorem, k], (digits, arg.phi, orders, k)
+            assert coefficient_pass.cache_info().misses == (1 if arg.phi else 0)
+
+
+def test_threads_sharing_passes_get_single_threaded_results(coefficient_pass, ctx40):
+    # 4 threads run theorem1 and theorem2 at every k_terms over shared points,
+    # each in its own order, through one memo whose passes they extend; a
+    # short switch interval makes them interleave inside the passes
+    points = _mixed_order_points(ctx40)[:2]
+    jobs = [(i, theorem, k) for i in range(len(points)) for theorem in (theorem1, theorem2)
+            for k in range(1, K_MAX + 1)]
+
+    def estimate(job):
+        i, theorem, k = job
+        arg = points[i]
+        return _estimate_fields(theorem(arg, optimal_truncation(arg.r, ctx40), k, ctx40))
+
+    want = {job: estimate(job) for job in jobs}
+    got, start = {}, threading.Barrier(4)
+
+    def worker(seed):
+        order = jobs[:]
+        random.Random(seed).shuffle(order)
+        start.wait()
+        for job in order:
+            got[seed, job] = estimate(job)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            coefficient_pass.cache_clear()
+            got.clear()
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == {(seed, job): want[job] for seed in range(4) for job in jobs}
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _two_phase_estimate(arg, plan, k_terms, uniform, ref):
     # the estimates' sum as the paper writes it, every term under its own
     # phase: e^{i (nu - alpha) phi} E(phi) (eq42 only) plus
@@ -846,28 +920,21 @@ def test_one_phase_sum_changes_only_rounding(digits):
                 assert abs(est.err_estimate - want_err) <= tol * want_err, where
 
 
-def test_one_pass_serves_both_estimates_of_a_table2_cell(monkeypatch, coefficient_pass, ctx40):
+def test_one_pass_serves_both_estimates_of_a_table2_cell(coefficient_pass, ctx40):
     # a table2 cell is the exact remainder, theorem1 and theorem2 at one
-    # point; the two estimates run one coefficient pass between them
-    passes = []
-    real = coefficients._closed_forms
-
-    def spy(*args):
-        passes.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(coefficients, "_closed_forms", spy)
+    # point; the two estimates run one coefficient pass between them, one
+    # miss of the memo
     mctx = ctx40.mp()
     plan = TruncationPlan.for_m(TABLE2_M, TABLE2_R, ctx40)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StokesCollarWarning)
         for key in TABLE2_ANGLES:
             arg = VoigtArgument.from_polar(TABLE2_R, mctx.mpf(key) * mctx.pi, ctx40)
-            del passes[:]
+            before = coefficient_pass.cache_info().misses
             remainder_exact(arg, TABLE2_M, ctx40)
             theorem1(arg, plan, TABLE2_K_TERMS, ctx40)
             theorem2(arg, plan, TABLE2_K_TERMS, ctx40)
-            assert len(passes) == 1, key
+            assert coefficient_pass.cache_info().misses - before == 1, key
 
 
 def test_each_estimate_builds_only_the_coefficients_it_reads(monkeypatch, coefficient_pass, ctx40):

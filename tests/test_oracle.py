@@ -186,6 +186,37 @@ def test_exact_on_imaginary_axis(ctx40):
         assert ev.L == 0
 
 
+def test_imaginary_axis_past_the_float_range_of_y_squared():
+    # mpmath's real erfc overflows a float with y^2 from about y = 1.3e154;
+    # from y = 2^511 on the oracle takes U(1/2, 1/2, y^2)/sqrt(pi). Up to
+    # y = 1e200 at 400 digits, 2 y^2 stays below the closed form's 10^dps,
+    # and three terms of 1/(sqrt(pi) y) (1 - 1/(2 y^2) + 3/(4 y^4)) are
+    # exact there
+    ctx = PrecisionContext(digits=400)
+    ref = mp_context(420)
+    for y in ("1e154", "1e160", "1e200"):
+        ev = voigt_exact_erfc(VoigtArgument.from_xy(0, y, ctx), ctx)
+        yy = ref.mpf(y)
+        want = (1 - 1 / (2 * yy**2) + 3 / (4 * yy**4)) / (ref.sqrt(ref.pi) * yy)
+        assert abs(ev.K - want) <= ev.err_estimate, y
+        assert ev.L == 0
+
+
+@pytest.mark.parametrize("digits", (320, 400))
+def test_imaginary_axis_agrees_with_erfc_on_both_sides_of_its_switch(digits):
+    # just below 2^511 the oracle runs mpmath's erfc, from it on U; both
+    # match e^{y^2} erfc(y) run directly at 20 more digits, which mpmath's
+    # erfc holds up to y = 2^512. Below about 310 digits the closed form
+    # 1/(sqrt(pi) y) takes every such y
+    ctx = PrecisionContext(digits=digits)
+    ref = mp_context(ctx.mp().dps + 20)
+    for y in (2 ** 511 - 2 ** 480, 2 ** 511, 3 * 2 ** 510):
+        ev = voigt_exact_erfc(VoigtArgument.from_xy(0, y, ctx), ctx)
+        yy = ref.mpf(y)
+        want = ref.exp(ref.fmul(yy, yy, exact=True)) * ref.erfc(yy)
+        assert abs(ev.K - want) <= ev.err_estimate, (digits, y)
+
+
 def _asymptotic_reference(ref, w, digits):
     # e^{w^2} erfc(w) ~ (1/(w sqrt(pi))) sum (-1)^k (1/2)_k w^{-2k}, summed
     # until the terms fall below 10^-(digits + 10): four terms suffice once
@@ -426,6 +457,27 @@ def test_remainder_auto_route(ctx40, r, theta_over_pi):
         assert auto == remainder_ladder(arg, m, ctx40)[m]
     else:
         assert auto.method == "remainder-quadrature"
+
+
+def test_remainder_quadrature_error_estimate_is_honest(ctx40):
+    # 24 seeded cases at 40 digits: r in [2.5, 6], theta/pi in [0, 0.45] and
+    # m at the optimal cut m0, two below it and three past it, where the
+    # integrand peaks at tau_star > 1. The ladder at 70 digits is the
+    # reference; the rounded angles alone cost about 10^-45 relative, which
+    # the quadrature's own estimate, without the eps unit, missed by over
+    # ten times past m0
+    ref = PrecisionContext(digits=70)
+    rctx = ref.mp()
+    rng = random.Random(2405)
+    for _ in range(8):
+        r, theta_over_pi = rng.uniform(2.5, 6), rng.uniform(0, 0.45)
+        arg = VoigtArgument.from_polar(r, rctx.mpf(theta_over_pi) * rctx.pi, ctx40)
+        m0 = int(r * r + 0.5)
+        for m in (m0 - 2, m0, m0 + 3):
+            got = remainder_exact(arg, m, ctx40, route="quadrature")
+            want = remainder_exact(arg, m, ref, route="gamma")
+            err = abs(got.K - want.K) + abs(got.L - want.L)
+            assert err <= got.err_estimate, (r, theta_over_pi, m)
 
 
 def test_remainder_order_zero_is_whole_function(ctx40):
