@@ -26,7 +26,6 @@ from . import tables
 from .coefficients import coefficient_set
 from .exceptions import BelowAsymptoticRangeWarning, DomainError, PrecisionError
 from .expansions import (
-    THETA_COLLAR_OVER_PI,
     TruncationPlan,
     algebraic_partial_sums,
     evaluate_via_expansion,
@@ -34,7 +33,7 @@ from .expansions import (
     theorem1,
     theorem2,
 )
-from .numerics import DEFAULT_CONTEXT, PrecisionContext, mp_context
+from .numerics import DEFAULT_CONTEXT, THETA_COLLAR_OVER_PI, PrecisionContext, mp_context
 from .oracle import (
     VoigtArgument,
     reduce_to_first_quadrant,

@@ -332,7 +332,6 @@ class ReversionSeries:
 
     t_of_w: Tuple[Fraction, ...]
     w_over_t: Tuple[Fraction, ...]
-    order: int
 
 
 def reversion_series(order: int = 12) -> ReversionSeries:
@@ -355,7 +354,7 @@ def reversion_series(order: int = 12) -> ReversionSeries:
         t_of_w.append(power[m - 1] / m)
     t_over_w = t_of_w[1:]  # t(w)/w, constant term 1
     w_over_t = _series_recip(t_over_w, n - 1)
-    return ReversionSeries(t_of_w=tuple(t_of_w), w_over_t=tuple(w_over_t), order=order)
+    return ReversionSeries(t_of_w=tuple(t_of_w), w_over_t=tuple(w_over_t))
 
 
 @lru_cache(maxsize=None)

@@ -42,8 +42,6 @@ from .exceptions import (
 from .numerics import (
     DEFAULT_CONTEXT,
     GUARD_DIGITS,
-    STOKES_WARN_OVER_PI,  # both still importable from this module
-    THETA_COLLAR_OVER_PI,
     PrecisionContext,
     _constants,
     asymptotic_series,
@@ -145,7 +143,7 @@ def algebraic_partial_sums(
     K = out.mpf(S.real)
     L = out.mpf(-S.imag)
     return Evaluation(
-        K=K, L=L, method="algebraic", err_estimate=ctx.eps(out) * (abs(K) + abs(L))
+        K=K, L=L, method="algebraic", err_estimate=ctx.eps() * (abs(K) + abs(L))
     )
 
 

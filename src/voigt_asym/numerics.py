@@ -81,11 +81,10 @@ class PrecisionContext:
         """Working mpmath context: guard digits plus ``extra`` widening."""
         return mp_context(self.digits + GUARD_DIGITS + max(0, extra))
 
-    def eps(self, ctx=None):
-        """One unit of advertised relative accuracy, 10^(1-digits)."""
-        if ctx is None or ctx is self.mp():
-            return _constants(self.mp()).eps
-        return ctx.mpf(10) ** (1 - self.digits)
+    def eps(self):
+        """One unit of advertised relative accuracy, 10^(1-digits), as an mpf
+        of the working context ``mp()``."""
+        return _constants(self.mp()).eps
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -326,19 +325,19 @@ def integrate_semi_infinite(
     f: Callable,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     *,
-    pole_hints: Sequence = (),
     extra_points: Sequence = (),
     extra_dps: int = 0,
 ) -> QuadratureResult:
     """Integral of ``f`` over (0, inf) by double-exponential quadrature.
 
-    ``pole_hints`` are complex locations of nearby poles of ``f``; each hint
-    with positive real part triggers extra subdivision points bracketing its
-    real part at a distance of its imaginary part, which is what tanh-sinh
-    panels need to converge geometrically past a nearby singularity.
-    ``extra_points`` are additional real split abscissae (saddles, peaks).
-    The integrand must decay fast enough at infinity for the transformed
-    rule to converge; all integrands in this package decay exponentially.
+    ``extra_points`` are the real abscissae that split the path into
+    tanh-sinh panels; nonpositive ones are dropped, and the rest are kept at
+    the working precision, so one may lie below the float range. The caller
+    places them at peaks and saddles, and around each pole of ``f`` near
+    the path: a panel converges geometrically only while the poles stay far
+    from it compared with its width. ``f`` may be complex. It must decay
+    fast enough at infinity for the transformed rule to converge; all
+    integrands in this package decay exponentially.
 
     Returns the value together with a conservative absolute error estimate.
     If the estimate cannot be driven below the absolute tolerance
@@ -347,26 +346,7 @@ def integrate_semi_infinite(
     tol_ctx = ctx.mp(extra_dps)
     # an mpf: as a float it would underflow to 0 from 330 digits on
     tol = tol_ctx.mpf(10) ** (6 - ctx.digits)
-
-    splits = set()
-    for p in pole_hints:
-        pc = to_mpc(tol_ctx, p)
-        re, im = float(pc.real), abs(float(pc.imag))
-        if re <= 0:
-            continue
-        # only a pole close to the path needs bracketing
-        if im < 0.7 * (1.0 + re):
-            for s in (re - im, re + im):
-                if s > 0:
-                    splits.add(s)
-            if im == 0.0:
-                raise DomainError(
-                    "pole hint %s lies on the integration path" % (pc,)
-                )
-    for s in extra_points:
-        sf = float(to_mpf(tol_ctx, s))
-        if sf > 0:
-            splits.add(sf)
+    splits = sorted({s for s in (to_mpf(tol_ctx, p) for p in extra_points) if s > 0})
 
     attempt_dps = ctx.digits + GUARD_DIGITS + max(0, extra_dps)
     best = None
@@ -375,7 +355,7 @@ def integrate_semi_infinite(
     for attempt in range(3):
         wctx = mp_context(attempt_dps)
         points = [wctx.mpf(0)]
-        points.extend(wctx.mpf(s) for s in sorted(splits))
+        points.extend(wctx.mpf(s) for s in splits)
         points.append(wctx.inf)
         try:
             if maxdegree is None:

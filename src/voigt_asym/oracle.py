@@ -8,8 +8,9 @@ truncating the algebraic expansion after m terms:
 * ``voigt_exact_erfc``: K - iL = e^{w^2} erfc(w) with w = y + ix, via the
   complementary error function. Fast and exact to working precision.
 * ``voigt_quadrature``: direct numerical integration of the defining
-  convolution integrals (or the half-line Fourier form), sharing no code
-  with the erfc route.
+  convolution integral (or the half-line Fourier form), sharing no code
+  with the erfc route. Off the real axis each route is one integral of the
+  complex integrand of K - iL; on y = 0, K and L are two real integrals.
 * ``remainder_exact``: the terminant remainder, either as a contour-rotated
   real integral or through a backward recurrence for the upper incomplete
   gamma function at negative half-integer order. The recurrence does the
@@ -59,10 +60,10 @@ COORDINATE_MAG_MAX = 2048
 
 # voigt_quadrature refuses more digits than this. Its work grows steeply
 # past it: at (3, 4), on a 2-vCPU host with Python 3.11 and pure-Python
-# mpmath 1.3, the convolution route took 0.47 s at 100 digits, 1.1 s at
-# 150, 8.9 s at 175, 12.8 s at 200 and 4 min 12 s at 400, and the Fourier
-# route 2.1, 4.7 and 10.1 s at 100, 150 and 200; at (3, 0) the y = 0 form
-# took 0.29, 0.96 and 7.6 s.
+# mpmath 1.3, the convolution route took 0.41 s at 100 digits, 1.2 s at
+# 150, 11 s at 175 and 13 s at 200, and the Fourier route 0.80, 1.7 and
+# 3.6 s at 100, 150 and 200; at (3, 0) the y = 0 form took 0.29, 0.96 and
+# 7.6 s.
 QUADRATURE_DIGITS_MAX = 150
 
 
@@ -191,7 +192,7 @@ def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
     about 2 log10(x) digits of K and L at large x."""
     mctx = ctx.mp(extra=GUARD_DIGITS)
     out = ctx.mp()
-    eps = ctx.eps(out)
+    eps = ctx.eps()
     # e^{w^2} erfc(w) ~ 1/(sqrt(pi) w) (1 - 1/(2 w^2) + ...): past 2 r^2 = 10^dps the
     # leading term is the answer to dps digits, and e^{-x^2} lies far below K
     if (2 * mctx.mag(arg.r) - 1) * math.log10(2) > mctx.dps:
@@ -219,79 +220,62 @@ def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
     return Evaluation(K=K, L=L, method="oracle-erfc", err_estimate=eps * (abs(K) + abs(L)))
 
 
-def _quad_convolution(arg: VoigtArgument, ctx: PrecisionContext):
+def _quad_real_axis(arg: VoigtArgument, ctx: PrecisionContext):
+    """(K, L, error estimate) at y = 0, as two real integrals: K is the
+    Cauchy kernel against the Gaussian, which factors out of it, and L the
+    folded principal value. At the origin L = 0 is not integrated."""
     wctx = mp_context(ctx.digits + GUARD_DIGITS)
     x = wctx.convert(arg.x)
-    y = wctx.convert(arg.y)
     pi = wctx.pi
     tail = max(8, float(x) + 8)
-
-    if arg.y == 0:
-        # K(x, 0): the smoothing width is zero, so the Gaussian factors out
-        # of the Cauchy kernel
-        gauss = wctx.exp(-x * x)
-
-        def f_K(t):
-            return 2 * gauss / (pi * (1 + t * t))
-
-        res_K = integrate_semi_infinite(
-            f_K, ctx, pole_hints=(wctx.mpc(0, 1),), extra_points=(1, tail)
-        )
-        if arg.x == 0:
-            return res_K, None
-        # principal-value form of L(x, 0), folded to a half line where the
-        # 1/u singularity cancels exactly: the integrand extends continuously
-        # with value (2x/pi) e^{-x^2} at u = 0
-
-        def f_L(u):
-            return 2 * gauss * wctx.exp(-u * u) * wctx.sinh(2 * x * u) / (pi * u)
-
-        res_L = integrate_semi_infinite(f_L, ctx, extra_points=(x, tail))
-        return res_K, res_L
+    gauss = wctx.exp(-x * x)
 
     def f_K(t):
-        g = wctx.exp(-t * t)
-        return (
-            y * g / (((x - t) ** 2 + y * y) * pi)
-            + y * g / (((x + t) ** 2 + y * y) * pi)
-        )
+        return 2 * gauss / (pi * (1 + t * t))
 
-    def f_L(t):
-        g = wctx.exp(-t * t)
-        return (
-            (x - t) * g / (((x - t) ** 2 + y * y) * pi)
-            + (x + t) * g / (((x + t) ** 2 + y * y) * pi)
-        )
+    res_K = integrate_semi_infinite(f_K, ctx, extra_points=(1, tail))
+    if arg.x == 0:
+        return res_K.value, 0, res_K.err_estimate
 
-    hints = (wctx.mpc(x, y),)
-    pts = tuple(p for p in (x - y, x, x + y, tail) if p > 0)
-    res_K = integrate_semi_infinite(f_K, ctx, pole_hints=hints, extra_points=pts)
-    res_L = integrate_semi_infinite(f_L, ctx, pole_hints=hints, extra_points=pts)
-    return res_K, res_L
+    # the 1/u singularity cancels exactly in the folded form: the integrand
+    # extends continuously with value (2x/pi) e^{-x^2} at u = 0
+    def f_L(u):
+        return 2 * gauss * wctx.exp(-u * u) * wctx.sinh(2 * x * u) / (pi * u)
+
+    res_L = integrate_semi_infinite(f_L, ctx, extra_points=(x, tail))
+    return res_K.value, res_L.value, res_K.err_estimate + res_L.err_estimate
 
 
-def _quad_fourier(arg: VoigtArgument, ctx: PrecisionContext):
-    if arg.y == 0:
-        raise DomainError(
-            "the Fourier route needs y > 0 for convergence; use the convolution route"
-        )
-    wctx = mp_context(ctx.digits + GUARD_DIGITS)
-    x = wctx.convert(arg.x)
-    y = wctx.convert(arg.y)
+def _convolution(x, y, wctx):
+    # (1/pi) int e^{-t^2} / (y + i(x - t)) dt over the real line, folded
+    # about the kernel's peak: with t = x -+ s the nodes near the peak hold
+    # s = |t - x| to full relative precision, where nodes in t would keep
+    # only about digits - log10(x/y) digits of it
+    pi = wctx.pi
+
+    def f(s):
+        return (wctx.exp(-(x + s) ** 2) / wctx.mpc(y, -s)
+                + wctx.exp(-(x - s) ** 2) / wctx.mpc(y, s)) / pi
+
+    # the kernel is a spike of width y at s = 0 that falls off like 1/s
+    # past it: one panel per decade from y up to 1 resolves it however
+    # small y is, and the Gaussian peaks at s = x
+    decades = max(1, 1 - math.floor(float(wctx.log10(y))))
+    pts = (x, max(8, float(x) + 8)) + tuple(y * 10 ** k for k in range(decades))
+    return f, pts
+
+
+def _fourier(x, y, wctx):
+    # (1/sqrt(pi)) int_0^inf e^{-yt - t^2/4} e^{-ixt} dt, split at every
+    # half period of e^{-ixt} up to where the Gaussian has decayed
     pref = 1 / _constants(wctx).sqrt_pi
-    T = 2 * math.sqrt((ctx.digits + GUARD_DIGITS) * math.log(10))
+
+    def f(t):
+        return pref * wctx.exp(-y * t - t * t / 4) * wctx.expj(-x * t)
+
+    T = 2 * math.sqrt(wctx.dps * math.log(10))
     step = math.pi / max(float(x), 1.0)
-    pts = tuple(j * step for j in range(1, int(T / step) + 1)) + (T,)
-
-    def f_K(t):
-        return pref * wctx.exp(-y * t - t * t / 4) * wctx.cos(x * t)
-
-    def f_L(t):
-        return pref * wctx.exp(-y * t - t * t / 4) * wctx.sin(x * t)
-
-    res_K = integrate_semi_infinite(f_K, ctx, extra_points=pts)
-    res_L = integrate_semi_infinite(f_L, ctx, extra_points=pts)
-    return res_K, res_L
+    return f, tuple(j * step for j in range(1, int(T / step) + 1)) + (T,)
 
 
 def voigt_quadrature(
@@ -299,11 +283,16 @@ def voigt_quadrature(
 ) -> Evaluation:
     """(K, L) by direct integration of the defining integrals.
 
-    route: "convolution" (the default) integrates the Gaussian-against-Cauchy
-    forms over the real line, and is the only route valid at y = 0;
-    "fourier" integrates the damped half-line cosine/sine forms, valid for
-    y > 0. More than ``QUADRATURE_DIGITS_MAX`` digits is a DomainError,
-    because the work grows steeply past it.
+    For y > 0 each route is one integral of the complex integrand of
+    K - iL, whose real part gives K and minus its imaginary part L.
+    route: "convolution" (the default) integrates the Gaussian against the
+    Cauchy kernel 1/(y + i(x - t)) over the real line, and is the only
+    route valid at y = 0, where K and L are two real integrals (K alone at
+    the origin); "fourier" integrates the damped half-line form
+    e^{-yt - t^2/4} e^{-ixt}, valid for y > 0. The error estimate is the
+    quadrature's, plus one unit 10^(1-digits) of |K| + |L|. More than
+    ``QUADRATURE_DIGITS_MAX`` digits is a DomainError, because the work
+    grows steeply past it.
     """
     if route not in ("convolution", "fourier"):
         raise DomainError("unknown quadrature route %r" % (route,))
@@ -312,21 +301,22 @@ def voigt_quadrature(
             "quadrature covers at most %d digits (QUADRATURE_DIGITS_MAX), got %d; "
             "voigt_exact_erfc has no such cap" % (QUADRATURE_DIGITS_MAX, ctx.digits)
         )
-    out = ctx.mp()
-    if route == "fourier":
-        res_K, res_L = _quad_fourier(arg, ctx)
+    if arg.y == 0:
+        if route == "fourier":
+            raise DomainError(
+                "the Fourier route needs y > 0 for convergence; use the convolution route"
+            )
+        K, L, err = _quad_real_axis(arg, ctx)
     else:
-        res_K, res_L = _quad_convolution(arg, ctx)
-    if res_L is None:
-        K = out.mpf(res_K.value)
-        return Evaluation(K=K, L=out.mpf(0), method="oracle-quadrature",
-                          err_estimate=out.mpf(res_K.err_estimate))
-    return Evaluation(
-        K=out.mpf(res_K.value),
-        L=out.mpf(res_L.value),
-        method="oracle-quadrature",
-        err_estimate=out.mpf(res_K.err_estimate + res_L.err_estimate),
-    )
+        wctx = mp_context(ctx.digits + GUARD_DIGITS)
+        form = _fourier if route == "fourier" else _convolution
+        f, pts = form(wctx.convert(arg.x), wctx.convert(arg.y), wctx)
+        res = integrate_semi_infinite(f, ctx, extra_points=pts)
+        K, L, err = res.value.real, -res.value.imag, res.err_estimate
+    out = ctx.mp()
+    K, L = out.mpf(K), out.mpf(L)
+    return Evaluation(K=K, L=L, method="oracle-quadrature",
+                      err_estimate=out.mpf(err + ctx.eps() * (abs(K) + abs(L))))
 
 
 def _remainder_prefactors(mctx, arg: VoigtArgument, m: int):
@@ -381,11 +371,13 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
             / (1 + tau * rot)
         )
 
+    # the integrand's pole tau = e^{-i phi}: close to the path (right of 0,
+    # and |Im| < 0.7 (1 + Re)) it is bracketed by splits at Re -+ |Im|
     pole = wctx.expj(-wctx.convert(phi))
-    pts = (1.0, tau_star, 2 * tau_star + 1)
-    res = integrate_semi_infinite(
-        integrand, ctx, pole_hints=(pole,), extra_points=pts, extra_dps=extra
-    )
+    re, im = float(pole.real), abs(float(pole.imag))
+    near = (re - im, re + im) if re > 0 and im < 0.7 * (1.0 + re) else ()
+    pts = (1.0, tau_star, 2 * tau_star + 1) + near
+    res = integrate_semi_infinite(integrand, ctx, extra_points=pts, extra_dps=extra)
 
     pref = mctx.expj(phi * nu) / (mctx.pi * mctx.mpc(0, 1)) * mctx.exp(-absz)
     val = pref * mctx.mpc(res.value)
@@ -393,7 +385,7 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
     K, L = out.mpf(val.real), out.mpf(-val.imag)
     # the quadrature error, plus the unit every other route reports: the
     # phases phi nu and 2 theta come from rounded angles
-    err = out.mpf(abs(pref) * res.err_estimate + ctx.eps(out) * (abs(K) + abs(L)))
+    err = out.mpf(abs(pref) * res.err_estimate + ctx.eps() * (abs(K) + abs(L)))
     return Evaluation(K=K, L=L, method="remainder-quadrature", err_estimate=err)
 
 
@@ -405,7 +397,7 @@ def _gamma_remainders(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):
     ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
     inv_sqrtpi = 1 / _constants(mctx).sqrt_pi
     out = ctx.mp()
-    eps = ctx.eps(out)
+    eps = ctx.eps()
 
     def remainder(m: int) -> Evaluation:
         # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, where the ladder

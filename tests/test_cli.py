@@ -5,13 +5,28 @@ check paths."""
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import pytest
 from mpmath.ctx_mp import MPContext
 
 import voigt_asym.cli as cli
-from voigt_asym import BelowAsymptoticRangeWarning, PrecisionError, mp_context, tables
+from voigt_asym import (
+    BelowAsymptoticRangeWarning,
+    DomainError,
+    PrecisionContext,
+    PrecisionError,
+    TruncationPlan,
+    VoigtArgument,
+    E_of_phi,
+    mp_context,
+    remainder_exact,
+    remainder_ladder,
+    tables,
+    terminant_asymptotic,
+    upper_incomplete_gamma_half_ladder,
+)
 from voigt_asym.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -21,6 +36,7 @@ from voigt_asym.cli import (
     format_mantissa_exp,
     main,
 )
+from voigt_asym.numerics import GAMMA_RECURRENCE_CAP
 
 
 def run(capsys, *argv):
@@ -406,6 +422,48 @@ def test_domain_errors(capsys):
         rc, _, err = run(capsys, *argv)
         assert rc == EXIT_DOMAIN, argv
         assert "domain error" in err
+
+
+CTX = PrecisionContext(digits=16)
+ORIGIN = VoigtArgument.from_xy(0, 0, CTX)
+POINT = VoigtArgument.from_xy(1, 2, CTX)
+
+
+@pytest.mark.parametrize("call, error, match, argv", [
+    (lambda: VoigtArgument.from_polar(-1, 1, CTX), DomainError, "radius must be nonnegative",
+     ("eval", "--r", "-1", "--theta-over-pi", "0.2")),
+    (lambda: VoigtArgument.from_polar(3, 2, CTX), DomainError, r"theta must lie in \[0, pi/2\]",
+     ("eval", "--r", "3", "--theta-over-pi", "0.7")),
+    (lambda: VoigtArgument.from_polar(3, -0.3, CTX), DomainError, r"theta must lie in \[0, pi/2\]",
+     ("eval", "--r", "3", "--theta-over-pi", "-0.1")),
+    (lambda: remainder_exact(ORIGIN, 3, CTX), DomainError, "undefined at the origin", None),
+    (lambda: remainder_ladder(POINT, -1, CTX), DomainError, "m_max must be nonnegative", None),
+    (lambda: remainder_ladder(ORIGIN, 3, CTX), DomainError, "undefined at the origin", None),
+    (lambda: upper_incomplete_gamma_half_ladder(-1, 1, CTX), DomainError,
+     "m_max must be nonnegative", None),
+    (lambda: upper_incomplete_gamma_half_ladder(GAMMA_RECURRENCE_CAP + 1, 1, CTX), DomainError,
+     "exceeds the configured cap", None),
+    (lambda: upper_incomplete_gamma_half_ladder(3, 0, CTX), DomainError, "requires z != 0", None),
+    (lambda: TruncationPlan.for_m(-1, 3, CTX), DomainError, "m must be nonnegative",
+     ("eval", "--x", "1", "--y", "2", "--method", "theorem1", "--m", "-1")),
+    (lambda: TruncationPlan.for_m(3, 0, CTX), DomainError, "truncation needs r > 0",
+     ("eval", "--x", "0", "--y", "0", "--method", "algebraic", "--m", "3")),
+    (lambda: terminant_asymptotic(mp_context(21).mpc(3, -3), 4.7, "uniform", 3, CTX),
+     DomainError, "covers 0 <= arg z <= pi", None),
+    (lambda: E_of_phi("0.5", 0, CTX), DomainError, "E_of_phi needs r > 0", None),
+    (lambda: tables.tolerance_last_digit("0.0", 9), ValueError, "zero cell", None),
+], ids=["polar-r", "polar-theta-high", "polar-theta-low", "remainder-origin",
+        "ladder-m-max", "ladder-origin", "gamma-m-max", "gamma-cap", "gamma-z",
+        "plan-m", "plan-r", "terminant-arg", "E-r", "tolerance-zero"])
+def test_each_refusal_raises_its_typed_error(capsys, call, error, match, argv):
+    # refusals no other test reaches; where the CLI reaches one, it exits 2
+    # with the library's message and prints nothing to stdout
+    with pytest.raises(error, match=match):
+        call()
+    if argv is not None:
+        rc, out, err = run(capsys, *argv)
+        assert rc == EXIT_DOMAIN and out == "", argv
+        assert re.search(match, err), err
 
 
 def test_non_finite_coordinates_exit_2(capsys):

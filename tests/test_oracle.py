@@ -19,6 +19,7 @@ from voigt_asym import (
     VoigtArgument,
     algebraic_partial_sums,
     mp_context,
+    oracle,
     reduce_to_first_quadrant,
     remainder_exact,
     remainder_ladder,
@@ -365,6 +366,63 @@ def test_route_agreement_grid(ctx40):
             e2 = voigt_quadrature(a, ctx40)
             assert abs(e1.K - e2.K) <= 1e-12 * abs(e1.K)
             assert abs(e1.L - e2.L) <= 1e-12 * max(abs(e1.L), 1e-30)
+
+
+def test_quadrature_is_one_integral_per_route_off_the_axis(ctx40, monkeypatch):
+    # K - iL is one complex integrand on either route; y = 0 takes K and
+    # the principal value L apart, and K alone at the origin
+    calls = []
+    real = oracle.integrate_semi_infinite
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "integrate_semi_infinite", spy)
+    for x, y, route, want in (
+        (3, 4, "convolution", 1), (3, 4, "fourier", 1), (0, 1, "convolution", 1),
+        ("0.3", "1e-20", "convolution", 1), ("0.3", "1e-20", "fourier", 1),
+        (7, 0, "convolution", 2), (0, 0, "convolution", 1),
+    ):
+        calls.clear()
+        voigt_quadrature(VoigtArgument.from_xy(x, y, ctx40), ctx40, route=route)
+        assert len(calls) == want, (x, y, route)
+
+
+def _quadrature_miss(arg, ctx, route):
+    # |dK| + |dL| against the erfc oracle at 20 more digits, and the estimate
+    want = voigt_exact_erfc(arg, PrecisionContext(digits=ctx.digits + 20))
+    got = voigt_quadrature(arg, ctx, route=route)
+    return abs(got.K - want.K) + abs(got.L - want.L), got.err_estimate
+
+
+@pytest.mark.parametrize("digits", [16, 40])
+def test_convolution_holds_its_estimate_as_y_goes_to_zero(digits):
+    # the Cauchy kernel is a spike of width y at t = x: the route must
+    # resolve it for y down to 1e-300, and keep t - x to full precision
+    # where x >> y
+    rng = random.Random(digits)
+    ctx = PrecisionContext(digits=digits)
+    tiny = "1e-300" if digits == 16 else "1e-%d" % rng.randint(15, 40)
+    for y in (tiny, "1e-%d" % rng.randint(1, 14), "1"):
+        for x in ("0", y, "1", "3"):
+            arg = VoigtArgument.from_xy(x, y, ctx)
+            miss, est = _quadrature_miss(arg, ctx, "convolution")
+            assert miss <= est, (x, y, miss, est)
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100, 150])
+def test_both_quadrature_routes_hold_their_estimate(digits):
+    rng = random.Random(digits)
+    ctx = PrecisionContext(digits=digits)
+    wide = digits <= 40
+    for _ in range(3 if wide else 1):
+        x = rng.uniform(0, 8 if wide else 4)
+        y = 10 ** rng.uniform(-2 if wide else -1, 1)
+        arg = VoigtArgument.from_xy(repr(x), repr(y), ctx)
+        for route in ("convolution", "fourier"):
+            miss, est = _quadrature_miss(arg, ctx, route)
+            assert miss <= est, (x, y, route, miss, est)
 
 
 # -------------------------------------------------------------- remainders
