@@ -34,17 +34,13 @@ from .oracle import (
     VoigtArgument,
     reduce_to_first_quadrant,
     remainder_exact,
-    remainder_ladder,
     voigt_exact_erfc,
     voigt_quadrature,
 )
 from .coefficients import (
     CoefficientSet,
     E_of_phi,
-    ReversionSeries,
-    c_of_phi,
     coefficient_set,
-    reversion_series,
 )
 from .expansions import (
     RemainderEstimate,
@@ -70,14 +66,12 @@ __all__ = [
     "PrecisionError",
     "QuadratureError",
     "RemainderEstimate",
-    "ReversionSeries",
     "StokesCollarWarning",
     "TruncationPlan",
     "UnsupportedOrderError",
     "VoigtArgument",
     "VoigtError",
     "algebraic_partial_sums",
-    "c_of_phi",
     "coefficient_set",
     "evaluate_via_expansion",
     "integrate_semi_infinite",
@@ -85,8 +79,6 @@ __all__ = [
     "mp_context",
     "reduce_to_first_quadrant",
     "remainder_exact",
-    "remainder_ladder",
-    "reversion_series",
     "terminant_asymptotic",
     "theorem1",
     "theorem2",

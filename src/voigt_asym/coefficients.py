@@ -108,15 +108,6 @@ def _c_raw(mctx, phi, cos_half, sin_half):
     return mctx.sqrt(mctx.mpc(4 * sin_half * sin_half, -2 * diff))
 
 
-def c_of_phi(phi, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Pole-proximity measure c(phi): the root of (1/2) c^2 = 1 - i phi
-    - e^{-i phi} on the branch with c(phi) ~ phi near phi = 0. Lies in the
-    closed fourth quadrant for phi in [0, pi]."""
-    mctx = ctx.mp()
-    p = _check_phi(mctx, phi)
-    return _c_raw(mctx, p, *mctx.cos_sin(p / 2))
-
-
 def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Stokes smoothing factor E(phi) = sqrt(2 pi) e^{zeta^2} erfc(zeta)
     with zeta = c(phi) r / sqrt(2), evaluated as sqrt(2 pi) erfcx(zeta) by
@@ -167,8 +158,10 @@ def coefficient_set(
     - i (-1)^k 2^k (1/2)_k / c(phi)^{2k+1}, run widened by the digits the
     parts of the top order K_MAX cancel (``_b_widening``); B^_2k =
     -2 i e^{i phi (1/2 - alpha)} B_2k. At phi = 0, B_2k is its limit, a
-    real polynomial in alpha. The set holds c(phi) too, as ``c_of_phi``
-    gives it (0 at phi = 0).
+    real polynomial in alpha. The set holds c(phi) too, the pole-proximity
+    measure: the root of (1/2) c^2 = 1 - i phi - e^{-i phi} with c ~ phi
+    near phi = 0, in the closed fourth quadrant for phi in [0, pi] (0 at
+    phi = 0).
 
     At phi > 0 the pass is memoized on (phi, alpha, ctx.digits), phi and
     alpha as mpf values of the working context, in an LRU cache of 8
@@ -322,27 +315,15 @@ def _series_sqrt(a: List[Fraction], n: int) -> List[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class ReversionSeries:
-    """The reverted saddle variable t(w) and the ratio w/t as exact series.
+def _reversion_series(order: int) -> Tuple[List[Fraction], List[Fraction]]:
+    """Invert (1/2) w^2 = t - log(1 + t) as exact rational series, to w^order.
 
-    ``t_of_w[i]`` is the coefficient of w^i in t(w) (so [0] = 0, [1] = 1);
-    ``w_over_t[i]`` is the coefficient of w^i in w/t(w) (so [0] = 1).
-    """
-
-    t_of_w: Tuple[Fraction, ...]
-    w_over_t: Tuple[Fraction, ...]
-
-
-def reversion_series(order: int = 12) -> ReversionSeries:
-    """Invert (1/2) w^2 = t - log(1 + t) as exact rational series.
-
-    Writing 2(t - log(1+t)) = t^2 S(t), the map is w = t sqrt(S(t)) and the
-    inverse coefficients come from Lagrange inversion:
+    Returns (t_of_w, w_over_t): ``t_of_w[i]`` is the coefficient of w^i in
+    t(w) (so [0] = 0, [1] = 1), ``w_over_t[i]`` that of w^i in w/t(w) (so
+    [0] = 1). Writing 2(t - log(1+t)) = t^2 S(t), the map is w = t sqrt(S(t))
+    and the inverse coefficients come from Lagrange inversion:
     [w^n] t(w) = (1/n) [t^{n-1}] S(t)^{-n/2}.
     """
-    if order < 2:
-        raise DomainError("reversion order must be at least 2")
     n = order + 1
     # S(t) = sum_i 2 (-1)^i / (i + 2) t^i
     S = [Fraction(2 * (-1) ** i, i + 2) for i in range(n)]
@@ -353,8 +334,7 @@ def reversion_series(order: int = 12) -> ReversionSeries:
         power = _series_mul(power, inv_sqrt_S, n)
         t_of_w.append(power[m - 1] / m)
     t_over_w = t_of_w[1:]  # t(w)/w, constant term 1
-    w_over_t = _series_recip(t_over_w, n - 1)
-    return ReversionSeries(t_of_w=tuple(t_of_w), w_over_t=tuple(w_over_t))
+    return t_of_w, _series_recip(t_over_w, n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -366,14 +346,13 @@ def _laplace_tables() -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...],
     c_{j,k} = (2k-1)!! [w^{2k-1}] t(w)^{j-1}, and the h-free term
     (2k-1)!! [w^{2k}] (w/t) is (-1)^k gamma_k. Built once per process.
     """
-    series = reversion_series(2 * K_MAX + 1)
-    t = list(series.t_of_w)
+    t, w_over_t = _reversion_series(2 * K_MAX + 1)
     n = 2 * K_MAX  # coefficients up to w^{2 K_MAX - 1} are read
     t_pows = [[Fraction(1)] + [Fraction(0)] * (n - 1)]  # t^0, t^1, ...
     for _ in range(2 * K_MAX - 1):
         t_pows.append(_series_mul(t_pows[-1], t, n))
     gamma = tuple(
-        (-1) ** k * _DOUBLE_FACTORIAL[k] * series.w_over_t[2 * k] for k in range(K_MAX + 1)
+        (-1) ** k * _DOUBLE_FACTORIAL[k] * w_over_t[2 * k] for k in range(K_MAX + 1)
     )
     cjk = tuple(
         tuple(_DOUBLE_FACTORIAL[k] * t_pows[j - 1][2 * k - 1] for j in range(2, 2 * k + 1))

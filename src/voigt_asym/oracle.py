@@ -1,22 +1,24 @@
-"""Reference evaluations: exact routes and quadrature cross-checks.
+"""Reference evaluations: exact routes and a quadrature cross-check.
 
 Everything downstream is judged against this module. It provides two
 independent ways to compute the line-profile pair (K, L) at a first-quadrant
-argument, plus two independent ways to compute the exact remainder left by
-truncating the algebraic expansion after m terms:
+argument, and the exact remainder left by truncating the algebraic
+expansion after m terms:
 
 * ``voigt_exact_erfc``: K - iL = e^{w^2} erfc(w) with w = y + ix, via the
   complementary error function. Fast and exact to working precision.
 * ``voigt_quadrature``: direct numerical integration of the defining
-  convolution integral (or the half-line Fourier form), sharing no code
-  with the erfc route. Off the real axis each route is one integral of the
-  complex integrand of K - iL; on y = 0, K and L are two real integrals.
-* ``remainder_exact``: the terminant remainder, either as a contour-rotated
-  real integral or through a backward recurrence for the upper incomplete
-  gamma function at negative half-integer order. The recurrence does the
-  work at run time wherever its depth cap allows; the integral is the
-  independent cross-check the tests compare it with, and the runtime route
-  only past that cap.
+  convolution integral, sharing no code with the erfc route. Off the real
+  axis it is one integral of the complex integrand of K - iL; on y = 0, K
+  and L are two real integrals.
+* ``remainder_exact``: the terminant remainder, through a backward
+  recurrence for the upper incomplete gamma function at negative
+  half-integer order wherever its depth cap allows, and as a
+  contour-rotated real integral past that cap off the Stokes line.
+
+At run time each quantity has one route at each point. The tests keep the
+second ones as cross-checks: the half-line Fourier integral of K - iL, and
+the contour integral of the remainder below the cap.
 
 Arguments outside the first quadrant must pass through
 ``reduce_to_first_quadrant`` first; K is even in x and flips sign with y,
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from .exceptions import DomainError
 from .numerics import (
@@ -45,8 +47,8 @@ from .numerics import (
 )
 
 # Quadrature form of the remainder keeps its pole off the path only for
-# theta < pi/2. Under route="auto" it runs only past GAMMA_RECURRENCE_CAP,
-# and even there the gamma route (and its cap error) takes over within this
+# theta < pi/2. remainder_exact runs it only past GAMMA_RECURRENCE_CAP, and
+# even there the gamma route (and its cap error) takes over within this
 # collar of the Stokes line.
 EPS_POLE = 0.05
 
@@ -60,10 +62,8 @@ COORDINATE_MAG_MAX = 2048
 
 # voigt_quadrature refuses more digits than this. Its work grows steeply
 # past it: at (3, 4), on a 2-vCPU host with Python 3.11 and pure-Python
-# mpmath 1.3, the convolution route took 0.41 s at 100 digits, 1.2 s at
-# 150, 11 s at 175 and 13 s at 200, and the Fourier route 0.80, 1.7 and
-# 3.6 s at 100, 150 and 200; at (3, 0) the y = 0 form took 0.29, 0.96 and
-# 7.6 s.
+# mpmath 1.3, it took 0.41 s at 100 digits, 1.2 s at 150, 11 s at 175 and
+# 13 s at 200; at (3, 0) the y = 0 form took 0.29, 0.96 and 7.6 s.
 QUADRATURE_DIGITS_MAX = 150
 
 
@@ -246,73 +246,49 @@ def _quad_real_axis(arg: VoigtArgument, ctx: PrecisionContext):
     return res_K.value, res_L.value, res_K.err_estimate + res_L.err_estimate
 
 
-def _convolution(x, y, wctx):
-    # (1/pi) int e^{-t^2} / (y + i(x - t)) dt over the real line, folded
-    # about the kernel's peak: with t = x -+ s the nodes near the peak hold
-    # s = |t - x| to full relative precision, where nodes in t would keep
-    # only about digits - log10(x/y) digits of it
+def _quad_off_axis(arg: VoigtArgument, ctx: PrecisionContext):
+    """(K, L, error estimate) at y > 0, as one integral of the complex
+    integrand of K - iL: (1/pi) int e^{-t^2} / (y + i(x - t)) dt over the
+    real line, folded about the kernel's peak t = x -+ s, so that the nodes
+    near the peak hold s = |t - x| to full relative precision."""
+    wctx = mp_context(ctx.digits + GUARD_DIGITS)
+    x, y = wctx.convert(arg.x), wctx.convert(arg.y)
     pi = wctx.pi
 
+    # the pair of Gaussians e^{-(x -+ s)^2} is written as e^{-x^2 - s^2}
+    # times cosh and sinh of 2xs: their difference, which carries L, would
+    # cancel at tiny x
     def f(s):
-        return (wctx.exp(-(x + s) ** 2) / wctx.mpc(y, -s)
-                + wctx.exp(-(x - s) ** 2) / wctx.mpc(y, s)) / pi
+        g = 2 * wctx.exp(-x * x - s * s) / (pi * (y * y + s * s))
+        u = 2 * x * s
+        return wctx.mpc(g * y * wctx.cosh(u), -g * s * wctx.sinh(u))
 
     # the kernel is a spike of width y at s = 0 that falls off like 1/s
     # past it: one panel per decade from y up to 1 resolves it however
     # small y is, and the Gaussian peaks at s = x
     decades = max(1, 1 - math.floor(float(wctx.log10(y))))
     pts = (x, max(8, float(x) + 8)) + tuple(y * 10 ** k for k in range(decades))
-    return f, pts
+    res = integrate_semi_infinite(f, ctx, extra_points=pts)
+    return res.value.real, -res.value.imag, res.err_estimate
 
 
-def _fourier(x, y, wctx):
-    # (1/sqrt(pi)) int_0^inf e^{-yt - t^2/4} e^{-ixt} dt, split at every
-    # half period of e^{-ixt} up to where the Gaussian has decayed
-    pref = 1 / _constants(wctx).sqrt_pi
+def voigt_quadrature(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Evaluation:
+    """(K, L) by direct integration of the defining convolution integral.
 
-    def f(t):
-        return pref * wctx.exp(-y * t - t * t / 4) * wctx.expj(-x * t)
-
-    T = 2 * math.sqrt(wctx.dps * math.log(10))
-    step = math.pi / max(float(x), 1.0)
-    return f, tuple(j * step for j in range(1, int(T / step) + 1)) + (T,)
-
-
-def voigt_quadrature(
-    arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT, route: str = "convolution"
-) -> Evaluation:
-    """(K, L) by direct integration of the defining integrals.
-
-    For y > 0 each route is one integral of the complex integrand of
-    K - iL, whose real part gives K and minus its imaginary part L.
-    route: "convolution" (the default) integrates the Gaussian against the
-    Cauchy kernel 1/(y + i(x - t)) over the real line, and is the only
-    route valid at y = 0, where K and L are two real integrals (K alone at
-    the origin); "fourier" integrates the damped half-line form
-    e^{-yt - t^2/4} e^{-ixt}, valid for y > 0. The error estimate is the
-    quadrature's, plus one unit 10^(1-digits) of |K| + |L|. More than
+    For y > 0 it is one integral of the complex integrand of K - iL, the
+    Gaussian against the Cauchy kernel 1/(y + i(x - t)) over the real line,
+    whose real part gives K and minus its imaginary part L; at y = 0, K and
+    L are two real integrals (K alone at the origin). The error estimate is
+    the quadrature's, plus one unit 10^(1-digits) of |K| + |L|. More than
     ``QUADRATURE_DIGITS_MAX`` digits is a DomainError, because the work
     grows steeply past it.
     """
-    if route not in ("convolution", "fourier"):
-        raise DomainError("unknown quadrature route %r" % (route,))
     if ctx.digits > QUADRATURE_DIGITS_MAX:
         raise DomainError(
             "quadrature covers at most %d digits (QUADRATURE_DIGITS_MAX), got %d; "
             "voigt_exact_erfc has no such cap" % (QUADRATURE_DIGITS_MAX, ctx.digits)
         )
-    if arg.y == 0:
-        if route == "fourier":
-            raise DomainError(
-                "the Fourier route needs y > 0 for convergence; use the convolution route"
-            )
-        K, L, err = _quad_real_axis(arg, ctx)
-    else:
-        wctx = mp_context(ctx.digits + GUARD_DIGITS)
-        form = _fourier if route == "fourier" else _convolution
-        f, pts = form(wctx.convert(arg.x), wctx.convert(arg.y), wctx)
-        res = integrate_semi_infinite(f, ctx, extra_points=pts)
-        K, L, err = res.value.real, -res.value.imag, res.err_estimate
+    K, L, err = (_quad_off_axis if arg.y else _quad_real_axis)(arg, ctx)
     out = ctx.mp()
     K, L = out.mpf(K), out.mpf(L)
     return Evaluation(K=K, L=L, method="oracle-quadrature",
@@ -389,78 +365,39 @@ def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> 
     return Evaluation(K=K, L=L, method="remainder-quadrature", err_estimate=err)
 
 
-def _gamma_remainders(arg: VoigtArgument, m_max: int, ctx: PrecisionContext):
-    """The incomplete-gamma ladder up to m_max, and the map from its entry m
-    to the exact remainder after m terms."""
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    z = arg.z(PrecisionContext(digits=ctx.digits + GUARD_DIGITS))
-    ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
-    inv_sqrtpi = 1 / _constants(mctx).sqrt_pi
-    out = ctx.mp()
-    eps = ctx.eps()
-
-    def remainder(m: int) -> Evaluation:
-        # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, where the ladder
-        # holds e^z Gamma(1/2 - m, z) and
-        # Gamma(m + 1/2) / sqrt(pi) = (1/2)_m = (2m)! / (4^m m!) exactly
-        half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-        val = (-1) ** m * mctx.convert(half_poch) * inv_sqrtpi * mctx.mpc(ladder[m])
-        K = out.mpf(val.real)
-        L = out.mpf(-val.imag)
-        return Evaluation(K=K, L=L, method="remainder-gamma",
-                          err_estimate=eps * (abs(K) + abs(L)))
-
-    return remainder
-
-
 def remainder_exact(
     arg: VoigtArgument, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT, route: str = "auto"
 ) -> Evaluation:
     """The exact remainder (hat-K, hat-L) after m algebraic terms.
 
     Satisfies K - iL = S_m + (hat-K - i hat-L) where S_m is the m-term
-    algebraic partial sum; see ``expansions.algebraic_partial_sums``.
+    algebraic partial sum; see ``expansions.algebraic_partial_sums``. At
+    m = 0 the remainder is the whole K - iL.
 
-    route: "quadrature" evaluates a contour-rotated real integral (pole off
-    the path only for theta < pi/2; m >= 1 and |z| = r^2 < 10^digits);
-    "gamma" evaluates (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi by
-    backward recurrence (m <= GAMMA_RECURRENCE_CAP); "auto" picks gamma whenever
-    m <= GAMMA_RECURRENCE_CAP, and past the cap quadrature away from the
-    Stokes line, gamma (which then refuses the depth) within EPS_POLE of it.
-    At m = 0 the remainder is the whole K - iL.
+    It is (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, by the backward
+    recurrence of ``upper_incomplete_gamma_half_ladder`` for every
+    m <= GAMMA_RECURRENCE_CAP. Past the cap, "auto" (the default) evaluates
+    a contour-rotated real integral instead (|z| = r^2 < 10^digits), except
+    within EPS_POLE of the Stokes line, where that integral's pole nears its
+    path and the recurrence refuses the depth. route="gamma" takes the
+    recurrence at every m, so past the cap it always refuses.
     """
     if m < 0:
         raise DomainError("remainder order m must be nonnegative, got %r" % (m,))
     if arg.r == 0:
         raise DomainError("the remainder is undefined at the origin")
-    if route not in ("auto", "quadrature", "gamma"):
+    if route not in ("auto", "gamma"):
         raise DomainError("unknown remainder route %r" % (route,))
-    if route == "auto":
-        mctx = ctx.mp()
-        near_pole = arg.theta > mctx.pi / 2 - mctx.mpf(EPS_POLE)
-        route = "gamma" if m <= GAMMA_RECURRENCE_CAP or near_pole else "quadrature"
-    if route == "quadrature":
-        if m == 0:
-            raise DomainError(
-                "the quadrature form needs m >= 1; at m = 0 the remainder is "
-                "the whole function (use voigt_exact_erfc)"
-            )
+    if route == "auto" and m > GAMMA_RECURRENCE_CAP and arg.theta <= ctx.mp().pi / 2 - EPS_POLE:
         return _remainder_quadrature(arg, m, ctx)
-    return _gamma_remainders(arg, m, ctx)(m)
-
-
-def remainder_ladder(
-    arg: VoigtArgument, m_max: int, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> List[Evaluation]:
-    """Exact remainders for every m = 0..m_max from one backward sweep.
-
-    Entry m satisfies the same identity as ``remainder_exact``; entry 0 is
-    the full K - iL. One recurrence pass makes scanning all truncation
-    orders cheap.
-    """
-    if m_max < 0:
-        raise DomainError("m_max must be nonnegative, got %r" % (m_max,))
-    if arg.r == 0:
-        raise DomainError("the remainder is undefined at the origin")
-    remainder = _gamma_remainders(arg, m_max, ctx)
-    return [remainder(m) for m in range(m_max + 1)]
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    z = arg.z(PrecisionContext(digits=ctx.digits + GUARD_DIGITS))
+    # the ladder's entry m is e^z Gamma(1/2 - m, z), and
+    # Gamma(m + 1/2) / sqrt(pi) = (1/2)_m = (2m)! / (4^m m!) exactly
+    g = upper_incomplete_gamma_half_ladder(m, z, ctx)[m]
+    half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+    val = (-1) ** m * mctx.convert(half_poch) * (1 / _constants(mctx).sqrt_pi) * mctx.mpc(g)
+    out = ctx.mp()
+    K, L = out.mpf(val.real), out.mpf(-val.imag)
+    return Evaluation(K=K, L=L, method="remainder-gamma",
+                      err_estimate=ctx.eps() * (abs(K) + abs(L)))

@@ -39,7 +39,7 @@ TABLE1_ROWS = {
     5: ("+1.73161147e-7", "+5.50694282e-7", "-1.30410848e-6", "-7.18528623e-8"),
 }
 
-# exact remainders (recomputable via oracle.remainder_exact, either route)
+# exact remainders (recomputable via oracle.remainder_exact)
 TABLE1_FOOT = ("+1.73161445e-7", "+5.50694067e-7", "-1.30410848e-6", "-7.18528635e-8")
 
 # --- table 2: relative errors of both estimates at r = 6, m = 36 ----------

@@ -7,14 +7,16 @@ phi-slope of B_0 at the Stokes line is here too, which the finite-difference
 slope of the library's coefficients must match. ``pochhammer`` gives the
 exact rising factorials, (1/2)_k among them, that the checks use.
 ``bhat2k_alt`` is the second closed form of the hatted coefficient, kept
-here as an independent check on the one the library evaluates.
+here as an independent check on the one the library evaluates, and
+``c_closed_form`` is c(phi) from its defining radicand, where the library
+takes a half-angle form and, at small phi, a series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from voigt_asym import c_of_phi, coefficient_set
+from voigt_asym import coefficient_set, mp_context
 
 # Stirling coefficients gamma_0..gamma_5.
 STIRLING_GAMMA = (
@@ -103,13 +105,27 @@ def h_power_sum(mctx, phi, alpha, j):
     return total
 
 
+def c_closed_form(phi, ctx):
+    """c(phi) = sqrt(2 (1 - i phi - e^{-i phi})), the principal root, as an
+    mpc of ctx. The radicand's real and imaginary parts cancel across
+    about 2 log10(1/phi) digits; the working precision adds log2(1/phi)
+    digits, more than that."""
+    mctx = ctx.mp()
+    p = mctx.convert(phi)
+    if not p:
+        return mctx.mpc(0)
+    wctx = mp_context(mctx.dps + 10 + max(0, -mctx.mag(p)))
+    p = wctx.convert(p)
+    return mctx.mpc(wctx.sqrt(2 * (1 - wctx.mpc(0, p) - wctx.expj(-p))))
+
+
 def bhat2k_alt(phi, alpha, k, ctx):
     """B^_2k = A_2k/cos(theta) - (-1)^k 2^{k+1} (1/2)_k e^{i phi (1/2 - alpha)}
     / c^{2k+1}, theta = (pi - phi)/2; needs phi > 0 for A_2k."""
     mctx = ctx.mp()
     p, a = mctx.convert(phi), mctx.convert(alpha)
     theta = (mctx.pi - p) / 2
-    c = c_of_phi(p, ctx)
+    c = c_closed_form(p, ctx)
     poch = mctx.convert(pochhammer(Fraction(1, 2), k))
     A = coefficient_set(p, a, k, ctx).A[k]
     return A / mctx.cos(theta) - (-1) ** k * 2 ** (k + 1) * poch * mctx.expj(

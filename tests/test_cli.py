@@ -22,7 +22,6 @@ from voigt_asym import (
     E_of_phi,
     mp_context,
     remainder_exact,
-    remainder_ladder,
     tables,
     terminant_asymptotic,
     upper_incomplete_gamma_half_ladder,
@@ -426,7 +425,6 @@ def test_domain_errors(capsys):
 
 CTX = PrecisionContext(digits=16)
 ORIGIN = VoigtArgument.from_xy(0, 0, CTX)
-POINT = VoigtArgument.from_xy(1, 2, CTX)
 
 
 @pytest.mark.parametrize("call, error, match, argv", [
@@ -437,8 +435,6 @@ POINT = VoigtArgument.from_xy(1, 2, CTX)
     (lambda: VoigtArgument.from_polar(3, -0.3, CTX), DomainError, r"theta must lie in \[0, pi/2\]",
      ("eval", "--r", "3", "--theta-over-pi", "-0.1")),
     (lambda: remainder_exact(ORIGIN, 3, CTX), DomainError, "undefined at the origin", None),
-    (lambda: remainder_ladder(POINT, -1, CTX), DomainError, "m_max must be nonnegative", None),
-    (lambda: remainder_ladder(ORIGIN, 3, CTX), DomainError, "undefined at the origin", None),
     (lambda: upper_incomplete_gamma_half_ladder(-1, 1, CTX), DomainError,
      "m_max must be nonnegative", None),
     (lambda: upper_incomplete_gamma_half_ladder(GAMMA_RECURRENCE_CAP + 1, 1, CTX), DomainError,
@@ -453,7 +449,7 @@ POINT = VoigtArgument.from_xy(1, 2, CTX)
     (lambda: E_of_phi("0.5", 0, CTX), DomainError, "E_of_phi needs r > 0", None),
     (lambda: tables.tolerance_last_digit("0.0", 9), ValueError, "zero cell", None),
 ], ids=["polar-r", "polar-theta-high", "polar-theta-low", "remainder-origin",
-        "ladder-m-max", "ladder-origin", "gamma-m-max", "gamma-cap", "gamma-z",
+        "gamma-m-max", "gamma-cap", "gamma-z",
         "plan-m", "plan-r", "terminant-arg", "E-r", "tolerance-zero"])
 def test_each_refusal_raises_its_typed_error(capsys, call, error, match, argv):
     # refusals no other test reaches; where the CLI reaches one, it exits 2

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from coefficient_reference import c_closed_form
 from voigt_asym import (
     BelowAsymptoticRangeWarning,
     DomainError,
@@ -28,7 +29,6 @@ from voigt_asym import (
     VoigtArgument,
     E_of_phi,
     algebraic_partial_sums,
-    c_of_phi,
     coefficient_set,
     evaluate_via_expansion,
     optimal_truncation,
@@ -625,7 +625,7 @@ def test_theorem2_minus_theorem1_is_the_smoothing_tail(digits):
             t1 = theorem1(arg, plan, k_terms, ctx)
         t2 = theorem2(arg, plan, k_terms, ctx)
         phi, rr = mctx.convert(arg.phi), mctx.convert(arg.r)
-        cr = c_of_phi(phi, ref) * rr
+        cr = c_closed_form(phi, ref) * rr
         tail = sum(
             2 * (-1) ** k * math.prod(range(1, 2 * k, 2)) / cr ** (2 * k + 1)
             for k in range(k_terms)
@@ -905,7 +905,7 @@ def test_one_phase_sum_changes_only_rounding(digits):
         x = 0 if phi == math.pi else r * math.cos(phi / 2)
         arg = VoigtArgument.from_xy(x, r * math.sin(phi / 2), ctx)
         plan = optimal_truncation(arg.r, ctx)
-        got_c, want_c = coefficient_set(arg.phi, plan.alpha, 1, ctx).c, c_of_phi(arg.phi, ctx)
+        got_c, want_c = coefficient_set(arg.phi, plan.alpha, 1, ctx).c, c_closed_form(arg.phi, ref)
         assert abs(got_c - want_c) <= tol / 10 * abs(want_c), phi
         away = arg.phi > 2 * mctx.pi * THETA_COLLAR_OVER_PI + 1e-9
         for k_terms in range(1, K_MAX + 1):

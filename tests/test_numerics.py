@@ -23,11 +23,10 @@ from voigt_asym import (
     QuadratureError,
     VoigtArgument,
     integrate_semi_infinite,
-    remainder_exact,
     upper_incomplete_gamma_half_ladder,
 )
 from coefficient_reference import pochhammer
-from voigt_asym import numerics
+from voigt_asym import numerics, oracle
 from voigt_asym.coefficients import _DOUBLE_FACTORIAL
 from voigt_asym.numerics import _gamma_widening, erfcx, mp_context
 
@@ -261,7 +260,7 @@ def test_gamma_half_feeds_terminant_identity(ctx40):
     gm = upper_incomplete_gamma_half_ladder(m, z, ctx40)[m]  # e^z Gamma(1/2 - m, z)
     poch = mctx.convert(pochhammer(HALF, m)) * mctx.sqrt(mctx.pi)  # Gamma(m+1/2)
     via_gamma = (-1) ** m * poch * gm / mctx.pi
-    ref = remainder_exact(arg, m, ctx40, route="quadrature")
+    ref = oracle._remainder_quadrature(arg, m, ctx40)
     want = mctx.mpc(ref.K, -ref.L)
     assert abs(via_gamma - want) <= mctx.mpf(10) ** (-30) * abs(want)
 
@@ -388,17 +387,6 @@ def test_quadrature_gaussian_two_half_lines(ctx40):
     res = integrate_semi_infinite(lambda t: mctx.exp(-t * t), ctx40)
     total = 2 * res.value  # even integrand: whole line is twice the half line
     assert abs(total - mctx.sqrt(mctx.pi)) <= 10 * _quad_tol(ctx40)
-
-
-def test_quadrature_matches_gamma_route_for_terminant(ctx40):
-    # the two independent remainder routes evaluate the same function
-    mctx = ctx40.mp()
-    arg = VoigtArgument.from_polar("3.5", mctx.pi / 10, ctx40)
-    via_quad = remainder_exact(arg, 12, ctx40, route="quadrature")
-    via_gamma = remainder_exact(arg, 12, ctx40, route="gamma")
-    dq = mctx.mpc(via_quad.K, -via_quad.L)
-    dg = mctx.mpc(via_gamma.K, -via_gamma.L)
-    assert abs(dq - dg) <= mctx.mpf(10) ** (-30) * abs(dg)
 
 
 def _closed_form_cases(mctx):

@@ -13,6 +13,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from coefficient_reference import pochhammer
+from quadrature_reference import voigt_fourier
 from voigt_asym import (
     DomainError,
     PrecisionContext,
@@ -22,7 +23,6 @@ from voigt_asym import (
     oracle,
     reduce_to_first_quadrant,
     remainder_exact,
-    remainder_ladder,
     voigt_exact_erfc,
     voigt_quadrature,
 )
@@ -333,27 +333,27 @@ def test_quadrature_real_axis_limit(ctx40):
 
 
 def test_quadrature_routes_agree(ctx40):
+    # the library's convolution against the tests' half-line Fourier form,
+    # which needs y > 0; the library takes no route choice
     a = VoigtArgument.from_xy("1.5", "0.8", ctx40)
-    conv = voigt_quadrature(a, ctx40, route="convolution")
-    four = voigt_quadrature(a, ctx40, route="fourier")
+    conv = voigt_quadrature(a, ctx40)
+    four = voigt_fourier(a, ctx40)
     assert abs(conv.K - four.K) < 1e-30
     assert abs(conv.L - four.L) < 1e-30
     with pytest.raises(DomainError):
-        voigt_quadrature(VoigtArgument.from_xy(1, 0, ctx40), ctx40, route="fourier")
-    assert voigt_quadrature(a, ctx40) == conv  # the default route
-    for unknown in ("simpson", "auto"):
-        with pytest.raises(DomainError):
-            voigt_quadrature(a, ctx40, route=unknown)
+        voigt_fourier(VoigtArgument.from_xy(1, 0, ctx40), ctx40)
+    with pytest.raises(TypeError):
+        voigt_quadrature(a, ctx40, route="fourier")
 
 
 def test_quadrature_refuses_digits_past_its_cap():
-    # the work grows steeply with the digits (minutes at 400); each route,
-    # and the y = 0 form, refuses past the cap by name
+    # the work grows steeply with the digits (minutes at 400); the y > 0
+    # and the y = 0 forms refuse past the cap by name
     ctx = PrecisionContext(digits=QUADRATURE_DIGITS_MAX + 1)
     msg = "at most %d digits" % QUADRATURE_DIGITS_MAX
-    for x, y, route in ((3, 4, "convolution"), (3, 0, "convolution"), (3, 4, "fourier")):
+    for x, y in ((3, 4), (3, 0)):
         with pytest.raises(DomainError, match=msg):
-            voigt_quadrature(VoigtArgument.from_xy(x, y, ctx), ctx, route=route)
+            voigt_quadrature(VoigtArgument.from_xy(x, y, ctx), ctx)
 
 
 def test_route_agreement_grid(ctx40):
@@ -369,8 +369,8 @@ def test_route_agreement_grid(ctx40):
 
 
 def test_quadrature_is_one_integral_per_route_off_the_axis(ctx40, monkeypatch):
-    # K - iL is one complex integrand on either route; y = 0 takes K and
-    # the principal value L apart, and K alone at the origin
+    # K - iL is one complex integrand off the axis; y = 0 takes K and the
+    # principal value L apart, and K alone at the origin
     calls = []
     real = oracle.integrate_semi_infinite
 
@@ -379,36 +379,46 @@ def test_quadrature_is_one_integral_per_route_off_the_axis(ctx40, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "integrate_semi_infinite", spy)
-    for x, y, route, want in (
-        (3, 4, "convolution", 1), (3, 4, "fourier", 1), (0, 1, "convolution", 1),
-        ("0.3", "1e-20", "convolution", 1), ("0.3", "1e-20", "fourier", 1),
-        (7, 0, "convolution", 2), (0, 0, "convolution", 1),
-    ):
+    for x, y, want in ((3, 4, 1), (0, 1, 1), ("0.3", "1e-20", 1), (7, 0, 2), (0, 0, 1)):
         calls.clear()
-        voigt_quadrature(VoigtArgument.from_xy(x, y, ctx40), ctx40, route=route)
-        assert len(calls) == want, (x, y, route)
+        voigt_quadrature(VoigtArgument.from_xy(x, y, ctx40), ctx40)
+        assert len(calls) == want, (x, y)
 
 
-def _quadrature_miss(arg, ctx, route):
-    # |dK| + |dL| against the erfc oracle at 20 more digits, and the estimate
+def _quadrature_miss(arg, ctx, route=voigt_quadrature):
+    # the route's evaluation, and its |dK| + |dL| against the erfc oracle at
+    # 20 more digits
     want = voigt_exact_erfc(arg, PrecisionContext(digits=ctx.digits + 20))
-    got = voigt_quadrature(arg, ctx, route=route)
-    return abs(got.K - want.K) + abs(got.L - want.L), got.err_estimate
+    got = route(arg, ctx)
+    return got, abs(got.K - want.K) + abs(got.L - want.L)
 
 
 @pytest.mark.parametrize("digits", [16, 40])
 def test_convolution_holds_its_estimate_as_y_goes_to_zero(digits):
     # the Cauchy kernel is a spike of width y at t = x: the route must
     # resolve it for y down to 1e-300, and keep t - x to full precision
-    # where x >> y
+    # where x >> y. L is odd in x, and at (1e-300, 1e-300), where it is
+    # 1.13e-300, far below the estimate, it must still come out nonzero
     rng = random.Random(digits)
     ctx = PrecisionContext(digits=digits)
     tiny = "1e-300" if digits == 16 else "1e-%d" % rng.randint(15, 40)
     for y in (tiny, "1e-%d" % rng.randint(1, 14), "1"):
         for x in ("0", y, "1", "3"):
             arg = VoigtArgument.from_xy(x, y, ctx)
-            miss, est = _quadrature_miss(arg, ctx, "convolution")
-            assert miss <= est, (x, y, miss, est)
+            got, miss = _quadrature_miss(arg, ctx)
+            assert miss <= got.err_estimate and (got.L or x == "0"), (x, y, miss, got)
+
+
+@pytest.mark.parametrize("digits", [40, 100])
+def test_convolution_keeps_relative_L_at_tiny_x(digits):
+    # L is odd in x: the two folded Gaussians e^{-(x -+ s)^2} differ by
+    # about 4xs e^{-s^2}, which their difference loses at tiny x, where
+    # e^{-x^2 - s^2} sinh(2xs) keeps it
+    ctx = PrecisionContext(digits=digits)
+    arg = VoigtArgument.from_xy("1e-20", "1e-3", ctx)
+    want = voigt_exact_erfc(arg, PrecisionContext(digits=digits + 20))
+    got = voigt_quadrature(arg, ctx)
+    assert abs(got.L - want.L) <= ctx.mp().mpf(10) ** (1 - digits) * abs(want.L)
 
 
 @pytest.mark.parametrize("digits", [16, 40, 100, 150])
@@ -420,9 +430,9 @@ def test_both_quadrature_routes_hold_their_estimate(digits):
         x = rng.uniform(0, 8 if wide else 4)
         y = 10 ** rng.uniform(-2 if wide else -1, 1)
         arg = VoigtArgument.from_xy(repr(x), repr(y), ctx)
-        for route in ("convolution", "fourier"):
-            miss, est = _quadrature_miss(arg, ctx, route)
-            assert miss <= est, (x, y, route, miss, est)
+        for route in (voigt_quadrature, voigt_fourier):
+            got, miss = _quadrature_miss(arg, ctx, route)
+            assert miss <= got.err_estimate, (x, y, route.__name__, miss, got)
 
 
 # -------------------------------------------------------------- remainders
@@ -457,64 +467,60 @@ def test_remainder_on_imaginary_axis_subtraction_route(ctx60):
     assert abs(got.L) < mctx.mpf(10) ** (-45)
 
 
-def test_remainder_route_independence(ctx40):
-    mctx = ctx40.mp()
-    arg = VoigtArgument.from_polar(4, mctx.pi * mctx.mpf("0.3"), ctx40)
-    q = remainder_exact(arg, 16, ctx40, route="quadrature")
-    g = remainder_exact(arg, 16, ctx40, route="gamma")
-    scale = abs(mctx.mpc(g.K, -g.L))
-    assert abs(q.K - g.K) < mctx.mpf(10) ** (-30) * scale
-    assert abs(q.L - g.L) < mctx.mpf(10) ** (-30) * scale
-
-
 def test_remainder_route_validation(ctx40):
+    # "auto" and "gamma" are the only routes; the contour integral is no
+    # longer a caller's choice
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar(3, mctx.pi / 6, ctx40)
-    with pytest.raises(DomainError):
-        remainder_exact(arg, 0, ctx40, route="quadrature")
-    with pytest.raises(DomainError):
-        remainder_exact(arg, 4, ctx40, route="midpoint")
+    for unknown in ("quadrature", "midpoint"):
+        with pytest.raises(DomainError, match="unknown remainder route"):
+            remainder_exact(arg, 4, ctx40, route=unknown)
     with pytest.raises(DomainError):
         remainder_exact(arg, -1, ctx40)
 
 
 def test_remainder_auto_switches_near_stokes(ctx40):
     # just inside the pole collar the auto route must still deliver: the
-    # quadrature form has its pole on the path there and is refused
+    # quadrature form has its pole on the path there and is refused. Past
+    # the cap inside the collar auto refuses the depth rather than take it
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar(3, mctx.pi / 2, ctx40)
     ev = remainder_exact(arg, 9, ctx40)
     assert ev.method == "remainder-gamma"
-    with pytest.raises(DomainError):
-        remainder_exact(arg, 9, ctx40, route="quadrature")
+    with pytest.raises(DomainError, match="pole on the path"):
+        oracle._remainder_quadrature(arg, 9, ctx40)
+    arg = VoigtArgument.from_polar(15, mctx.mpf("0.49") * mctx.pi, ctx40)
+    with pytest.raises(DomainError, match="exceeds the configured cap"):
+        remainder_exact(arg, GAMMA_RECURRENCE_CAP + 1, ctx40)
 
 
 def _route_points():
-    # two seeded radii per angle, plus one point whose optimal order is past
-    # the recurrence cap (m = 225), where auto must fall back to quadrature
+    # two seeded radii per angle, one point whose optimal order is past the
+    # recurrence cap (m = 225), where auto must fall back to quadrature, and
+    # the foot points of table 1 at m = 16 and m = 12
     rng = random.Random(3141)
     points = [("%.3f" % rng.uniform(3, 8), t)
               for t in ("0", "0.1", "0.2", "0.3", "0.4", "0.48") for _ in range(2)]
-    return points + [("15", "0.3")]
+    return points + [("15", "0.3"), ("4", "0.3"), ("3.5", "0.1")]
 
 
 @pytest.mark.parametrize("r, theta_over_pi", _route_points())
 def test_remainder_auto_route(ctx40, r, theta_over_pi):
-    # auto runs the gamma ladder up to the cap; quadrature stays the
-    # independent cross-check
+    # auto runs the gamma ladder up to the cap; the contour quadrature is
+    # the independent cross-check there, and the runtime route past it
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx40)
     m = int(mctx.floor(arg.r ** 2 + mctx.mpf(1) / 2))
     auto = remainder_exact(arg, m, ctx40)
-    quad = remainder_exact(arg, m, ctx40, route="quadrature")
+    quad = oracle._remainder_quadrature(arg, m, ctx40)
     scale = abs(mctx.mpc(quad.K, -quad.L))
     assert abs(auto.K - quad.K) <= mctx.mpf(10) ** (-30) * scale
     assert abs(auto.L - quad.L) <= mctx.mpf(10) ** (-30) * scale
     if m <= GAMMA_RECURRENCE_CAP:
         assert auto.method == "remainder-gamma"
-        assert auto == remainder_ladder(arg, m, ctx40)[m]
+        assert auto == remainder_exact(arg, m, ctx40, route="gamma")
     else:
-        assert auto.method == "remainder-quadrature"
+        assert auto == quad
 
 
 def test_remainder_quadrature_error_estimate_is_honest(ctx40):
@@ -532,8 +538,8 @@ def test_remainder_quadrature_error_estimate_is_honest(ctx40):
         arg = VoigtArgument.from_polar(r, rctx.mpf(theta_over_pi) * rctx.pi, ctx40)
         m0 = int(r * r + 0.5)
         for m in (m0 - 2, m0, m0 + 3):
-            got = remainder_exact(arg, m, ctx40, route="quadrature")
-            want = remainder_exact(arg, m, ref, route="gamma")
+            got = oracle._remainder_quadrature(arg, m, ctx40)
+            want = remainder_exact(arg, m, ref)
             err = abs(got.K - want.K) + abs(got.L - want.L)
             assert err <= got.err_estimate, (r, theta_over_pi, m)
 
@@ -554,17 +560,17 @@ def test_remainder_order_zero_is_whole_function(ctx40):
 def test_remainder_ladder_consistency(ctx40):
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar("3.5", mctx.pi / 5, ctx40)
-    ladder = remainder_ladder(arg, 14, ctx40)
-    assert len(ladder) == 15
-    # entry 0 is the whole function
+    # the ladder's entry 0 is the whole function
+    zero = remainder_exact(arg, 0, ctx40)
     full = voigt_exact_erfc(arg, ctx40)
-    assert abs(ladder[0].K - full.K) < mctx.mpf(10) ** (-35) * abs(full.K)
-    assert abs(ladder[0].L - full.L) < mctx.mpf(10) ** (-35) * abs(full.L)
-    # entry 12 equals the one-shot evaluation by either route
-    solo = remainder_exact(arg, 12, ctx40, route="quadrature")
+    assert abs(zero.K - full.K) < mctx.mpf(10) ** (-35) * abs(full.K)
+    assert abs(zero.L - full.L) < mctx.mpf(10) ** (-35) * abs(full.L)
+    # entry 12 equals the contour integral
+    twelve = remainder_exact(arg, 12, ctx40)
+    solo = oracle._remainder_quadrature(arg, 12, ctx40)
     scale = abs(mctx.mpc(solo.K, -solo.L))
-    assert abs(ladder[12].K - solo.K) < mctx.mpf(10) ** (-28) * scale
-    assert abs(ladder[12].L - solo.L) < mctx.mpf(10) ** (-28) * scale
+    assert abs(twelve.K - solo.K) < mctx.mpf(10) ** (-28) * scale
+    assert abs(twelve.L - solo.L) < mctx.mpf(10) ** (-28) * scale
 
 
 def test_remainder_magnitude_scale(ctx40):
