@@ -255,13 +255,15 @@ def _quad_off_axis(arg: VoigtArgument, ctx: PrecisionContext):
     x, y = wctx.convert(arg.x), wctx.convert(arg.y)
     pi = wctx.pi
 
-    # the pair of Gaussians e^{-(x -+ s)^2} is written as e^{-x^2 - s^2}
-    # times cosh and sinh of 2xs: their difference, which carries L, would
-    # cancel at tiny x
+    # the pair of Gaussians e^{-(x -+ s)^2} is written as e^{-(x - s)^2}
+    # times 2 + d and d, d = expm1(-4xs) in [-1, 0]: their difference,
+    # which carries L, would cancel at tiny x, and a rounded exponent of
+    # order x^2, as in e^{-x^2 - s^2}, would cost log10(x^2) digits at
+    # large x
     def f(s):
-        g = 2 * wctx.exp(-x * x - s * s) / (pi * (y * y + s * s))
-        u = 2 * x * s
-        return wctx.mpc(g * y * wctx.cosh(u), -g * s * wctx.sinh(u))
+        g = wctx.exp(-(x - s) ** 2) / (pi * (y * y + s * s))
+        d = wctx.expm1(-4 * x * s)
+        return wctx.mpc(g * y * (2 + d), g * s * d)
 
     # the kernel is a spike of width y at s = 0 that falls off like 1/s
     # past it: one panel per decade from y up to 1 resolves it however

@@ -398,22 +398,24 @@ def test_convolution_holds_its_estimate_as_y_goes_to_zero(digits):
     # the Cauchy kernel is a spike of width y at t = x: the route must
     # resolve it for y down to 1e-300, and keep t - x to full precision
     # where x >> y. L is odd in x, and at (1e-300, 1e-300), where it is
-    # 1.13e-300, far below the estimate, it must still come out nonzero
+    # 1.13e-300, far below the estimate, it must still come out nonzero.
+    # At x ~ 1e3 and 1e30 no exponent of order x^2 may be rounded
     rng = random.Random(digits)
     ctx = PrecisionContext(digits=digits)
     tiny = "1e-300" if digits == 16 else "1e-%d" % rng.randint(15, 40)
-    for y in (tiny, "1e-%d" % rng.randint(1, 14), "1"):
-        for x in ("0", y, "1", "3"):
-            arg = VoigtArgument.from_xy(x, y, ctx)
-            got, miss = _quadrature_miss(arg, ctx)
-            assert miss <= got.err_estimate and (got.L or x == "0"), (x, y, miss, got)
+    points = [(x, y) for y in (tiny, "1e-%d" % rng.randint(1, 14), "1") for x in ("0", y, "1", "3")]
+    far = ["%.17ge%d" % (rng.uniform(1, 10), e) for e in (3, 30)]
+    for x, y in points + [(x, y) for x in far for y in ("1", "0.01")]:
+        arg = VoigtArgument.from_xy(x, y, ctx)
+        got, miss = _quadrature_miss(arg, ctx)
+        assert miss <= got.err_estimate and (got.L or x == "0"), (x, y, miss, got)
 
 
 @pytest.mark.parametrize("digits", [40, 100])
 def test_convolution_keeps_relative_L_at_tiny_x(digits):
     # L is odd in x: the two folded Gaussians e^{-(x -+ s)^2} differ by
     # about 4xs e^{-s^2}, which their difference loses at tiny x, where
-    # e^{-x^2 - s^2} sinh(2xs) keeps it
+    # e^{-(x - s)^2} expm1(-4xs) keeps it
     ctx = PrecisionContext(digits=digits)
     arg = VoigtArgument.from_xy("1e-20", "1e-3", ctx)
     want = voigt_exact_erfc(arg, PrecisionContext(digits=digits + 20))
