@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, round_nearest, to_fixed
 
 from .exceptions import DomainError, PrecisionError, QuadratureError
 
@@ -37,6 +38,8 @@ GUARD_DIGITS = 5
 
 # Downward incomplete-gamma recurrence: hard cap on the number of steps.
 GAMMA_RECURRENCE_CAP = 200
+
+_LOG2_3 = math.log2(3)
 
 
 @lru_cache(maxsize=None)
@@ -224,30 +227,72 @@ def erfcx(z, mctx):
     return mctx.mpc(wctx.exp(z2) - 2 * zw / _constants(wctx).sqrt_pi * kummer)
 
 
-def _gamma_widening(absz: float, digits: int) -> int:
-    # the |z| log10(e) digits the downward sweep loses, plus a guard; the loss check catches more
-    return digits + round_widening(math.ceil(absz * math.log10(math.e)) + 10)
+def _log2_abs(z) -> float:
+    # log2 |z| from the exact |z|^2 = Re^2 + Im^2 as an integer times a power
+    # of two: a float of |z| overflows from about 1e308 on
+    re, im = z._mpc_
+    sign, man, exp, bc = mpf_add(mpf_mul(re, re), mpf_mul(im, im))
+    return (math.log2(man) + exp) / 2
+
+
+def _sweep_loss(m: int, log2_z: float) -> float:
+    # log10 of the sweep's amplification prod_{k<m} max(1, 2|z|/(2k+1)),
+    # times 1/min(1, |z|/(m + 1/2)), the smallness of the |u_m| it ends on.
+    # The n factors above 1 are those with 2k + 1 < 2|z|; their product is
+    # (2|z|)^n / (2n - 1)!!, with (2n - 1)!! = (2n)! / (2^n n!)
+    n = m if log2_z > 60 else min(m, max(0, math.ceil(2.0 ** log2_z - 0.5)))
+    odd = (math.lgamma(2 * n + 1) - math.lgamma(n + 1)) / math.log(2) - n
+    loss = n * (1 + log2_z) - odd + max(0.0, math.log2(m + 0.5) - log2_z)
+    return loss * math.log10(2)
+
+
+def _gamma_widening(loss: float, digits: int) -> int:
+    # the digits the sweep loses, plus a guard; the loss check catches more
+    return digits + round_widening(math.ceil(loss) + 10)
 
 
 def upper_incomplete_gamma_half_ladder(
     m_max: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> list:
-    """All of e^z Gamma(1/2 - m, z) for m = 0..m_max, by one downward sweep;
-    the entries are scaled by e^z.
+):
+    """e^z Gamma(1/2 - m_max, z), the end of one downward sweep of the
+    incomplete-gamma recurrence (DLMF 8.8.2), as an mpc.
 
-    With G_a = e^z Gamma(a, z): base case G_{1/2} = sqrt(pi) erfcx(sqrt(z))
-    with the principal square root, then G_{a-1} = (G_a - z^{a-1})/(a-1)
-    repeatedly, z^{a-1} advanced by one multiplication by 1/z. The sweep
-    runs at precision widened per the cancellation rule; an a-posteriori
-    loss check turns silent digit loss into an explicit error.
+    The sweep runs on the scaled values u_k = e^z Gamma(1/2 - k, z) z^{k+1/2},
+    which stay O(1): near 1 while k << |z|, and near |z|/k past it. With
+    the principal square root, u_0 = sqrt(pi z) erfcx(sqrt z), and
+    G_{a-1} = (G_a - z^{a-1})/(a - 1) for G_a = e^z Gamma(a, z) becomes
 
-    The check carries a running bound on the absolute error of G_a, in
-    units of 10^-dps of the sweep: each step adds |G_a| + |z^{a-1}| and
-    divides by |a - 1|. The bound is kept as a float log2 and the moduli
-    enter through their binary exponents, |x| <= 2^mag(x); the digits
-    attained are the least log10 |G_a|/bound over the sweep, with
-    |G_a| >= 2^(mag(G_a) - 2). So the bound stays an upper bound, and the
-    digits a lower bound, without an mpmath modulus per step.
+        u_{k+1} = 2z (1 - u_k) / (2k + 1),
+
+    summed on Python integers scaled by 2^wp (mpmath's fixed-point idiom):
+    each step is one complex product, one shift by wp and one floor division
+    by 2k + 1 per component. The result is u_m z^{-m-1/2}, with
+    z^{-m-1/2} = (sqrt z)^{-2m-1}.
+
+    The sweep multiplies the error of u_k by |2z/(2k+1)| per step, so its
+    precision is the requested digits widened by the log10 of
+    prod_{k<m} max(1, 2|z|/(2k+1)), and of max(1, (m + 1/2)/|z|) for the
+    |u_m| it ends on, plus 10 digits, rounded up to a multiple of 10; log2|z|
+    comes from the exact |z|^2 in binary, never from a float of |z|. At the
+    optimal cut m ~ |z| the product is about e^{|z|}/sqrt 2, the |z| log10 e
+    digits the sweep loses there; at m << |z| it is about m log10(2|z|).
+
+    An a-posteriori loss check bounds the error e_k of u_k in units of 2^-wp.
+    The base case is allowed e_0 = 32 max(1, |u_0|), for the roundings of
+    erfcx's series (a few dozen terms at most) and of two products. In a step,
+    1 - u_k is exact; 2z 2^wp is floored once per component (modulus error
+    below sqrt 2, times |1 - u_k|), the product once by the shift (below
+    sqrt 2) and the quotient once by the division (below sqrt 2), so
+
+        e_{k+1} <= |2z/(2k+1)| e_k + sqrt(2) ((2 + |u_k|)/(2k+1) + 1)
+                <= |2z/(2k+1)| e_k + sqrt(2) (3 + |u_k|).
+
+    The bound is kept as a float log2, with |u_k| < 2^(b - wp + 1/2) for b
+    the larger bit length of its two integers, and |u_m| >= 2^(b - wp - 1).
+    The digits attained are log10 |u_m| / e_m less one bit; the rounding of
+    the final power is far below the 10 guard digits. A sweep short of the
+    requested digits is run once more, widened by the shortfall plus 10
+    digits; a second shortfall is a PrecisionError carrying ``attained``.
     """
     if m_max < 0:
         raise DomainError("m_max must be nonnegative, got %r" % (m_max,))
@@ -256,48 +301,45 @@ def upper_incomplete_gamma_half_ladder(
             "recurrence depth %d exceeds the configured cap %d"
             % (m_max, GAMMA_RECURRENCE_CAP)
         )
-    probe = to_mpc(ctx.mp(), z)
-    if probe == 0:
-        raise DomainError("the incomplete-gamma ladder requires z != 0")
-    absz = float(abs(probe))
+    mctx = ctx.mp()
+    probe = to_mpc(mctx, z)
+    if not (probe and mctx.isfinite(probe)):
+        raise DomainError("the incomplete-gamma ladder requires z != 0 and finite, got %s" % (probe,))
 
-    effective = _gamma_widening(absz, ctx.digits)
+    effective = _gamma_widening(_sweep_loss(m_max, _log2_abs(probe)), ctx.digits)
     attained = 0.0
     for attempt in range(2):
         wctx = mp_context(effective)
-        mag = wctx.mag
+        wp = wctx.prec
         zz = to_mpc(wctx, z)
-        inv_z = 1 / zz
-        g = _constants(wctx).sqrt_pi * erfcx(wctx.sqrt(zz), wctx)
-        a = wctx.mpf(1) / 2
-        za = zz ** (a - 1)  # z^{a-1}, kept in step with a
-        ladder = [g]
-        # err: log2 of the error bound over 10^-effective; lost: the most
-        # bits by which that bound has come within |g|. A zero g ends the
-        # sweep with every digit lost.
-        mg = err = mag(g)
-        lost = 0.0
-        for k in range(1, m_max + 1):
-            if not g:
-                break
-            mz = mag(za)
-            top = max(err, mg, mz)
-            err = top + math.log2(
-                2.0 ** (err - top) + 2.0 ** (mg - top) + 2.0 ** (mz - top)
-            ) - math.log2(k - 0.5)
-            a -= 1
-            g = (g - za) / a
-            za *= inv_z
-            ladder.append(g)
-            mg = mag(g)
-            lost = max(lost, err + 2 - mg)
-        attained = 0.0 if not g else effective - lost * math.log10(2)
+        root = wctx.sqrt(zz)
+        u = _constants(wctx).sqrt_pi * root * erfcx(root, wctx)
+        ur, ui = to_fixed(u.real._mpf_, wp), to_fixed(u.imag._mpf_, wp)
+        zr, zi = to_fixed(zz.real._mpf_, wp + 1), to_fixed(zz.imag._mpf_, wp + 1)  # 2z
+        one = 1 << wp
+        log2_2z = 1 + _log2_abs(zz)
+        # err: log2 of the bound on the error of u_k, in units of 2^-wp
+        err = 5 + max(0, max(ur.bit_length(), ui.bit_length()) - wp + 0.5)
+        for k in range(m_max):
+            b = max(ur.bit_length(), ui.bit_length()) - wp
+            grown = err + log2_2z - math.log2(2 * k + 1)
+            added = 1.5 + max(_LOG2_3, b + 0.5)  # log2 sqrt(2) (3 + |u_k|)
+            top = max(grown, added)
+            err = top + math.log2(1 + 2.0 ** (min(grown, added) - top))
+            tr, ti = one - ur, -ui
+            ur = ((zr * tr - zi * ti) >> wp) // (2 * k + 1)
+            ui = ((zr * ti + zi * tr) >> wp) // (2 * k + 1)
+        b = max(ur.bit_length(), ui.bit_length())
+        attained = max(0.0, (b - 2 - err) * math.log10(2)) if b else 0.0
         if attained >= ctx.digits:
-            return ladder
+            u = wctx.make_mpc((from_man_exp(ur, -wp, wp, round_nearest),
+                               from_man_exp(ui, -wp, wp, round_nearest)))
+            return u * root ** (-2 * m_max - 1)
         effective += round_widening(int(math.ceil(ctx.digits - attained)) + 10)
     raise PrecisionError(
-        "incomplete-gamma recurrence at m=%d, |z|=%.3g attained only %.0f of "
-        "%d requested digits despite widening" % (m_max, absz, attained, ctx.digits),
+        "incomplete-gamma recurrence at m=%d, |z|=%s attained only %.0f of "
+        "%d requested digits despite widening"
+        % (m_max, mctx.nstr(abs(probe), 3), attained, ctx.digits),
         attained=attained,
     )
 

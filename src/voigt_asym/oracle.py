@@ -11,8 +11,8 @@ expansion after m terms:
   convolution integral, sharing no code with the erfc route. Off the real
   axis it is one integral of the complex integrand of K - iL; on y = 0, K
   and L are two real integrals.
-* ``remainder_exact``: the terminant remainder, through a backward
-  recurrence for the upper incomplete gamma function at negative
+* ``remainder_exact``: the terminant remainder, through a downward
+  fixed-point sweep of the upper incomplete gamma function at negative
   half-integer order wherever its depth cap allows, and as a
   contour-rotated real integral past that cap off the Stokes line.
 
@@ -376,9 +376,18 @@ def remainder_exact(
     algebraic partial sum; see ``expansions.algebraic_partial_sums``. At
     m = 0 the remainder is the whole K - iL.
 
-    It is (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, by the backward
-    recurrence of ``upper_incomplete_gamma_half_ladder`` for every
-    m <= GAMMA_RECURRENCE_CAP. Past the cap, "auto" (the default) evaluates
+    It is (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, with z = w^2, for
+    every m <= GAMMA_RECURRENCE_CAP by the one value the downward sweep of
+    ``upper_incomplete_gamma_half_ladder`` returns. That sweep runs on
+    u_k = e^z Gamma(1/2 - k, z) z^{k+1/2} in fixed point, widened by the
+    digits its own amplification prod_{k<m} max(1, 2|z|/(2k+1)) costs, so
+    with Gamma(m + 1/2) = (1/2)_m sqrt(pi) and z^{-m-1/2} = w^{-2m-1} the
+    remainder is u_m times the first omitted algebraic term:
+
+        hat-K - i hat-L = u_m (-1)^m (1/2)_m w^{-2m-1} / sqrt(pi),
+
+    with u_m near 1 for m << |z| and of order 1 at the optimal cut. Past
+    the cap, "auto" (the default) evaluates
     a contour-rotated real integral instead (|z| = r^2 < 10^digits), except
     within EPS_POLE of the Stokes line, where that integral's pole nears its
     path and the recurrence refuses the depth. route="gamma" takes the
@@ -394,9 +403,9 @@ def remainder_exact(
         return _remainder_quadrature(arg, m, ctx)
     mctx = ctx.mp(extra=GUARD_DIGITS)
     z = arg.z(PrecisionContext(digits=ctx.digits + GUARD_DIGITS))
-    # the ladder's entry m is e^z Gamma(1/2 - m, z), and
+    # the ladder returns e^z Gamma(1/2 - m, z) = u_m w^{-2m-1}, and
     # Gamma(m + 1/2) / sqrt(pi) = (1/2)_m = (2m)! / (4^m m!) exactly
-    g = upper_incomplete_gamma_half_ladder(m, z, ctx)[m]
+    g = upper_incomplete_gamma_half_ladder(m, z, ctx)
     half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
     val = (-1) ** m * mctx.convert(half_poch) * (1 / _constants(mctx).sqrt_pi) * mctx.mpc(g)
     out = ctx.mp()

@@ -28,7 +28,7 @@ from voigt_asym import (
 from coefficient_reference import pochhammer
 from voigt_asym import numerics, oracle
 from voigt_asym.coefficients import _DOUBLE_FACTORIAL
-from voigt_asym.numerics import _gamma_widening, erfcx, mp_context
+from voigt_asym.numerics import GAMMA_RECURRENCE_CAP, _gamma_widening, erfcx, mp_context
 
 HALF = Fraction(1, 2)
 
@@ -241,11 +241,10 @@ def test_erfcx_series_failure_is_precision_error(monkeypatch):
 # ------------------------------------------------------ incomplete gamma
 
 def test_gamma_half_base_case(ctx40):
-    # the ladder holds e^z Gamma(1/2 - m, z); at m = 0 that is
-    # e^z sqrt(pi) erfc(sqrt(z))
+    # at m = 0 the ladder returns e^z Gamma(1/2, z) = e^z sqrt(pi) erfc(sqrt(z))
     mctx = ctx40.mp()
     for z in (mctx.mpf("0.5"), mctx.mpf(2), mctx.mpf(9)):
-        got = upper_incomplete_gamma_half_ladder(0, z, ctx40)[0]
+        got = upper_incomplete_gamma_half_ladder(0, z, ctx40)
         want = mctx.exp(z) * mctx.sqrt(mctx.pi) * mctx.erfc(mctx.sqrt(z))
         assert abs(got - want) <= mctx.mpf(10) ** (-(ctx40.digits - 3)) * abs(want)
 
@@ -257,7 +256,7 @@ def test_gamma_half_feeds_terminant_identity(ctx40):
     arg = VoigtArgument.from_polar("3.5", mctx.pi / 10, ctx40)
     z = arg.z(ctx40)
     m = 12
-    gm = upper_incomplete_gamma_half_ladder(m, z, ctx40)[m]  # e^z Gamma(1/2 - m, z)
+    gm = upper_incomplete_gamma_half_ladder(m, z, ctx40)  # e^z Gamma(1/2 - m, z)
     poch = mctx.convert(pochhammer(HALF, m)) * mctx.sqrt(mctx.pi)  # Gamma(m+1/2)
     via_gamma = (-1) ** m * poch * gm / mctx.pi
     ref = oracle._remainder_quadrature(arg, m, ctx40)
@@ -266,56 +265,86 @@ def test_gamma_half_feeds_terminant_identity(ctx40):
 
 
 def test_gamma_half_recurrence_round_trip(ctx40):
-    # climb back up from m = 36 and compare against the m = 0 base value;
-    # the upward direction amplifies error by ~e^{2|z|}, hence the documented
-    # 10^-(digits-35) allowance. On the scaled entries the upward step is
-    # G_{s+1} = s G_s + z^s.
+    # climb back up from the m = 36 value and compare against the m = 0
+    # value; the upward direction amplifies error by ~e^{2|z|}, hence the
+    # documented 10^-(digits-35) allowance. On the scaled values the upward
+    # step is G_{s+1} = s G_s + z^s.
     mctx = ctx40.mp()
     z = mctx.mpf(36)
-    ladder = upper_incomplete_gamma_half_ladder(36, z, ctx40)
-    G = mctx.mpc(ladder[36])
+    G = mctx.mpc(upper_incomplete_gamma_half_ladder(36, z, ctx40))
     for m in range(36, 0, -1):
         s = mctx.mpf(1) / 2 - m
         G = s * G + mctx.power(z, s)
-    base = mctx.mpc(ladder[0])
+    base = mctx.mpc(upper_incomplete_gamma_half_ladder(0, z, ctx40))
     assert abs(G - base) <= mctx.mpf(10) ** (-(ctx40.digits - 35)) * abs(base)
 
 
 def test_gamma_half_ladder_prefix_consistency(ctx40):
+    # each order is its own sweep, sized for that order, from its own base
+    # case; the values at consecutive orders must still be one downward
+    # step apart, G_{a-1} = (G_a - z^{a-1})/(a - 1) with a = 1/2 - m
     mctx = ctx40.mp()
     z = mctx.mpc(2, 3)
-    ladder = upper_incomplete_gamma_half_ladder(8, z, ctx40)
-    solo = upper_incomplete_gamma_half_ladder(5, z, ctx40)[5]
-    assert abs(ladder[5] - solo) <= mctx.mpf(10) ** (-(ctx40.digits - 5)) * abs(solo)
+    values = [mctx.mpc(upper_incomplete_gamma_half_ladder(m, z, ctx40)) for m in range(9)]
+    for m in range(8):
+        a = mctx.mpf(1) / 2 - m
+        step = (values[m] - mctx.power(z, a - 1)) / (a - 1)
+        assert abs(step - values[m + 1]) <= mctx.mpf(10) ** (-(ctx40.digits - 5)) * abs(
+            values[m + 1]), m
+
+
+def _gammainc_miss(ref_ctx, z, m, ctx):
+    # |e^{-z} ladder - Gamma(1/2 - m, z)| / |Gamma(1/2 - m, z)|, by mpmath
+    zr = ref_ctx.mpc(z)
+    want = ref_ctx.gammainc(ref_ctx.mpf(1) / 2 - m, zr)
+    got = ref_ctx.exp(-zr) * ref_ctx.mpc(upper_incomplete_gamma_half_ladder(m, z, ctx))
+    return abs(got - want) / abs(want)
 
 
 def test_scaled_ladder_matches_mpmath_gammainc():
-    # e^{-z} ladder[m] against mpmath's Gamma(1/2 - m, z) at 20 more digits,
-    # over seeded (digits, z, m <= 60); z = w^2 with w in the closed first
-    # quadrant, as the remainder route passes it, with arg z up to pi
+    # the ladder against mpmath's Gamma(1/2 - m, z) at 25 more digits, over
+    # seeded (digits, z, m <= GAMMA_RECURRENCE_CAP); z = w^2 with w in the
+    # closed first quadrant, as the remainder route passes it, with arg z up
+    # to pi
     rng = random.Random(2607)
     for _ in range(24):
         digits = rng.choice((16, 40, 100))
         ctx = PrecisionContext(digits=digits)
         w_abs = rng.uniform(0.5, 7.5)
         w_arg = rng.choice((0.0, math.pi / 2, rng.uniform(0, math.pi / 2)))
-        m_max = rng.randint(0, 60)
+        m_max = rng.randint(0, GAMMA_RECURRENCE_CAP)
         ref_ctx = mp_context(digits + 25)
         w = ref_ctx.mpc(w_abs * math.cos(w_arg), w_abs * math.sin(w_arg))
         z = ctx.mp().mpc(w * w)
-        ladder = upper_incomplete_gamma_half_ladder(m_max, z, ctx)
-        zr = ref_ctx.mpc(z)
         for m in sorted({0, m_max // 2, m_max}):
-            want = ref_ctx.gammainc(ref_ctx.mpf(1) / 2 - m, zr)
-            got = ref_ctx.exp(-zr) * ref_ctx.mpc(ladder[m])
-            assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (
-                digits, z, m)
+            miss = _gammainc_miss(ref_ctx, z, m, ctx)
+            assert miss <= ref_ctx.mpf(10) ** (1 - digits), (digits, z, m)
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_scaled_ladder_matches_gammainc_where_re_z_is_negative(digits):
+    # the sweep's value u_m stays O(1) through the Stokes phenomenon: on the
+    # line itself (theta = pi/2, so w = ix and z = -x^2 with arg z = pi)
+    # and with Re z < 0 off it (theta/pi in (1/4, 1/2)), against mpmath at
+    # 25 more digits, m from 0 to the cap
+    rng = random.Random(2622 + digits)
+    ctx = PrecisionContext(digits=digits)
+    mctx, ref_ctx = ctx.mp(), mp_context(digits + 25)
+    for on_line in (True, False) * 4:
+        theta = mctx.pi / 2 if on_line else mctx.mpf(rng.uniform(0.26, 0.49)) * mctx.pi
+        arg = VoigtArgument.from_polar(rng.uniform(0.5, 14.1), theta, ctx)
+        z = arg.z(ctx)
+        assert z.real < 0 and (z.imag == 0) == on_line
+        m0 = int(arg.r ** 2 + 0.5)
+        for m in sorted({0, rng.randint(0, GAMMA_RECURRENCE_CAP), min(m0, GAMMA_RECURRENCE_CAP)}):
+            miss = _gammainc_miss(ref_ctx, z, m, ctx)
+            assert miss <= ref_ctx.mpf(10) ** (1 - digits), (digits, z, m)
 
 
 def _starved(monkeypatch):
     # the first sweep runs at the requested digits, with no widening for
-    # the ~16 digits the recurrence loses at |z| = 36
-    monkeypatch.setattr(numerics, "_gamma_widening", lambda absz, digits: digits)
+    # the ~16 digits the recurrence loses at |z| = 36, m = 36
+    monkeypatch.setattr(numerics, "_gamma_widening", lambda loss, digits: digits)
 
 
 @pytest.mark.parametrize("w_arg", [0.0, 0.3])
@@ -323,18 +352,16 @@ def test_gamma_ladder_retries_a_sweep_that_falls_short(monkeypatch, w_arg):
     digits, m_max = 40, 36
     ctx = PrecisionContext(digits=digits)
     ref_ctx = mp_context(digits + 25)
-    zr = ref_ctx.mpf(36) * ref_ctx.expj(2 * w_arg)
+    z = ctx.mp().mpc(ref_ctx.mpf(36) * ref_ctx.expj(2 * w_arg))
     _starved(monkeypatch)
-    ladder = upper_incomplete_gamma_half_ladder(m_max, ctx.mp().mpc(zr), ctx)
     for m in (0, m_max // 2, m_max):
-        want = ref_ctx.gammainc(ref_ctx.mpf(1) / 2 - m, zr)
-        got = ref_ctx.exp(-zr) * ref_ctx.mpc(ladder[m])
-        assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (w_arg, m)
+        miss = _gammainc_miss(ref_ctx, z, m, ctx)
+        assert miss <= ref_ctx.mpf(10) ** (1 - digits), (w_arg, m)
 
 
 def test_gamma_ladder_refuses_when_both_sweeps_fall_short(monkeypatch):
     # with the retry starved too, the loss check must raise rather than
-    # hand back entries short of the requested digits
+    # hand back a value short of the requested digits
     _starved(monkeypatch)
     monkeypatch.setattr(numerics, "round_widening", lambda extra: 0)
     ctx = PrecisionContext(digits=40)
@@ -345,17 +372,35 @@ def test_gamma_ladder_refuses_when_both_sweeps_fall_short(monkeypatch):
 
 def test_gamma_widening_lands_on_few_precisions():
     # every widened precision is cached for good, so the widening is rounded
-    # up to a multiple of 10 digits; it never drops below the cancellation rule
+    # up to a multiple of 10 digits, and it never drops below the loss it is
+    # sized by. At the optimal cut m = |z| + 1/2 rounded down, the loss is
+    # about |z| log10(e), and the widening is within one step of the rule
+    # digits + |z| log10(e) + 10 of an mpc sweep
     rng = random.Random(1403)
     seen = set()
+    digits = 40
     for _ in range(200):
         absz = rng.uniform(9, 64)
-        digits = 40
-        widened = _gamma_widening(absz, digits)
-        assert widened >= digits + math.ceil(absz * math.log10(math.e)) + 10
+        m = int(absz + 0.5)
+        loss = numerics._sweep_loss(m, math.log2(absz))
+        assert abs(loss - absz * math.log10(math.e)) < 0.5
+        widened = _gamma_widening(loss, digits)
+        assert widened >= digits + math.ceil(loss) + 10
         assert (widened - digits) % 10 == 0
+        old = digits + numerics.round_widening(math.ceil(absz * math.log10(math.e)) + 10)
+        assert old - 10 <= widened <= old
         seen.add(widened)
     assert len(seen) <= 8
+
+
+def test_gamma_sweep_loss_follows_the_order_not_the_modulus():
+    # far below the optimal cut the sweep loses 5 log10(2|z|) - log10(945)
+    # digits at m = 5: 23.5 at |z| = 1e5 and 2998.5 at |z| = 1e600, where
+    # the rule |z| log10(e) asked for 43,430 digits and then overflowed a
+    # float. Past the cut only the smallness of |u_m| ~ |z|/m is added
+    for log2_z, want in ((math.log2(1e5), 23.53), (2 * math.log2(1e300), 2998.53)):
+        assert abs(numerics._sweep_loss(5, log2_z) - want) < 0.01
+    assert abs(numerics._sweep_loss(200, math.log2(0.25)) - math.log10(200.5 / 0.25)) < 1e-9
 
 
 # ------------------------------------------------------------- quadrature
@@ -441,8 +486,8 @@ def test_precision_monotonicity(ctx40, ctx60):
     pairs = [
         (erfcx(z, ctx40.mp()), erfcx(z, ctx60.mp())),
         (
-            upper_incomplete_gamma_half_ladder(5, z, ctx40)[5],
-            upper_incomplete_gamma_half_ladder(5, z, ctx60)[5],
+            upper_incomplete_gamma_half_ladder(5, z, ctx40),
+            upper_incomplete_gamma_half_ladder(5, z, ctx60),
         ),
         (
             integrate_semi_infinite(poly_exp(ctx40.mp()), ctx40).value,

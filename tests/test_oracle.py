@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from quadrature_reference import voigt_fourier
 from voigt_asym import (
     DomainError,
     PrecisionContext,
+    PrecisionError,
     VoigtArgument,
     algebraic_partial_sums,
     mp_context,
@@ -27,7 +29,7 @@ from voigt_asym import (
     voigt_quadrature,
 )
 from voigt_asym.numerics import GAMMA_RECURRENCE_CAP
-from voigt_asym.oracle import COORDINATE_MAG_MAX, QUADRATURE_DIGITS_MAX
+from voigt_asym.oracle import COORDINATE_MAG_MAX, EPS_POLE, QUADRATURE_DIGITS_MAX
 
 # exact remainders at |w| = 3.5 with the m = 12 cut, frozen from the
 # high-precision subtraction oracle before the terminant routes existed
@@ -546,6 +548,63 @@ def test_remainder_quadrature_error_estimate_is_honest(ctx40):
             assert err <= got.err_estimate, (r, theta_over_pi, m)
 
 
+def _remainder_by_gammainc(arg, m, digits):
+    # (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi by mpmath's gammainc,
+    # as hat-K - i hat-L, with z = w^2 squared at the reference precision
+    ref = mp_context(digits)
+    w = ref.mpc(arg.y, arg.x)
+    z = w * w
+    return ((-1) ** m * ref.gamma(m + ref.mpf(1) / 2) * ref.exp(z)
+            * ref.gammainc(ref.mpf(1) / 2 - m, z) / ref.pi)
+
+
+@pytest.mark.parametrize("x", [1e3, 1e5])
+def test_remainder_at_small_order_and_large_modulus(ctx40, x):
+    # at m = 5 << |z| the sweep loses about 5 log10(2|z|) digits, not
+    # |z| log10(e): sized by the latter it widened by 434,000 digits at
+    # x = 1e3 and did not return within a minute
+    arg = VoigtArgument.from_xy(x, 1, ctx40)
+    start = time.perf_counter()
+    ev = remainder_exact(arg, 5, ctx40)
+    assert time.perf_counter() - start < 1
+    want = _remainder_by_gammainc(arg, 5, 70)
+    assert abs(ev.K - want.real) + abs(ev.L + want.imag) <= ev.err_estimate
+
+
+def test_remainder_at_small_order_past_the_float_range(ctx40):
+    # |z| = 1e600 does not fit a float: the sizing takes log2 |z| from the
+    # exact |z|^2, where a float of it raised an untyped OverflowError
+    arg = VoigtArgument.from_xy(1e300, 1, ctx40)
+    try:
+        ev = remainder_exact(arg, 5, ctx40)
+    except (DomainError, PrecisionError):
+        return
+    mctx = ctx40.mp()
+    assert mctx.isfinite(ev.K) and mctx.isfinite(ev.L)
+    want = _remainder_by_gammainc(arg, 5, 70)
+    assert abs(ev.K - want.real) + abs(ev.L + want.imag) <= ev.err_estimate
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_remainder_gamma_agrees_with_the_contour_quadrature(digits):
+    # the contour integral shares no code with the sweep; off the EPS_POLE
+    # collar, where its pole stays off the path, the two must agree within
+    # the sum of their error estimates, at and around the optimal cut. At
+    # m = 0 the integrand's tau^(m - 1/2) end point held the quadrature to
+    # 1e-66 at 100 digits, so m starts at 1
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    rng = random.Random(2211 + digits)
+    for _ in range(3 if digits == 100 else 5):
+        theta = mctx.mpf(rng.uniform(0, 0.5 - 2 * EPS_POLE / math.pi)) * mctx.pi
+        arg = VoigtArgument.from_polar(rng.uniform(1, 8), theta, ctx)
+        m = max(1, int(arg.r ** 2 + 0.5) + rng.randint(-4, 4))
+        got = remainder_exact(arg, m, ctx)
+        quad = oracle._remainder_quadrature(arg, m, ctx)
+        miss = abs(got.K - quad.K) + abs(got.L - quad.L)
+        assert miss <= got.err_estimate + quad.err_estimate, (digits, arg.r, theta, m)
+
+
 def test_remainder_order_zero_is_whole_function(ctx40):
     # at m = 0 nothing has been summed, so the remainder is K - iL itself,
     # on either side of the pole collar
@@ -562,12 +621,12 @@ def test_remainder_order_zero_is_whole_function(ctx40):
 def test_remainder_ladder_consistency(ctx40):
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar("3.5", mctx.pi / 5, ctx40)
-    # the ladder's entry 0 is the whole function
+    # the ladder's value at m = 0 is the whole function
     zero = remainder_exact(arg, 0, ctx40)
     full = voigt_exact_erfc(arg, ctx40)
     assert abs(zero.K - full.K) < mctx.mpf(10) ** (-35) * abs(full.K)
     assert abs(zero.L - full.L) < mctx.mpf(10) ** (-35) * abs(full.L)
-    # entry 12 equals the contour integral
+    # its value at m = 12 equals the contour integral
     twelve = remainder_exact(arg, 12, ctx40)
     solo = oracle._remainder_quadrature(arg, 12, ctx40)
     scale = abs(mctx.mpc(solo.K, -solo.L))
