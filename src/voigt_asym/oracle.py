@@ -8,9 +8,8 @@ expansion after m terms:
 * ``voigt_exact_erfc``: K - iL = e^{w^2} erfc(w) with w = y + ix, via the
   complementary error function. Fast and exact to working precision.
 * ``voigt_quadrature``: direct numerical integration of the defining
-  convolution integral, sharing no code with the erfc route. Off the real
-  axis it is one integral of the complex integrand of K - iL; on y = 0, K
-  and L are two real integrals.
+  convolution integral, sharing no code with the erfc route: one folded
+  integral at every point; K on y = 0 in closed form.
 * ``remainder_exact``: the terminant remainder, through a downward
   fixed-point sweep of the upper incomplete gamma function at negative
   half-integer order wherever its depth cap allows, and as a
@@ -63,7 +62,7 @@ COORDINATE_MAG_MAX = 2048
 # voigt_quadrature refuses more digits than this. Its work grows steeply
 # past it: at (3, 4), on a 2-vCPU host with Python 3.11 and pure-Python
 # mpmath 1.3, it took 0.41 s at 100 digits, 1.2 s at 150, 11 s at 175 and
-# 13 s at 200; at (3, 0) the y = 0 form took 0.29, 0.96 and 7.6 s.
+# 13 s at 200, and at (3, 0) 0.29, 0.56 and 2.8 s at 100 to 175 digits.
 QUADRATURE_DIGITS_MAX = 150
 
 
@@ -220,81 +219,55 @@ def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
     return Evaluation(K=K, L=L, method="oracle-erfc", err_estimate=eps * (abs(K) + abs(L)))
 
 
-def _quad_real_axis(arg: VoigtArgument, ctx: PrecisionContext):
-    """(K, L, error estimate) at y = 0, as two real integrals: K is the
-    Cauchy kernel against the Gaussian, which factors out of it, and L the
-    folded principal value. At the origin L = 0 is not integrated."""
-    wctx = mp_context(ctx.digits + GUARD_DIGITS)
-    x = wctx.convert(arg.x)
-    pi = wctx.pi
-    tail = max(8, float(x) + 8)
-    gauss = wctx.exp(-x * x)
-
-    def f_K(t):
-        return 2 * gauss / (pi * (1 + t * t))
-
-    res_K = integrate_semi_infinite(f_K, ctx, extra_points=(1, tail))
-    if arg.x == 0:
-        return res_K.value, 0, res_K.err_estimate
-
-    # the 1/u singularity cancels exactly in the folded form: the integrand
-    # extends continuously with value (2x/pi) e^{-x^2} at u = 0
-    def f_L(u):
-        return 2 * gauss * wctx.exp(-u * u) * wctx.sinh(2 * x * u) / (pi * u)
-
-    res_L = integrate_semi_infinite(f_L, ctx, extra_points=(x, tail))
-    return res_K.value, res_L.value, res_K.err_estimate + res_L.err_estimate
-
-
-def _quad_off_axis(arg: VoigtArgument, ctx: PrecisionContext):
-    """(K, L, error estimate) at y > 0, as one integral of the complex
-    integrand of K - iL: (1/pi) int e^{-t^2} / (y + i(x - t)) dt over the
-    real line, folded about the kernel's peak t = x -+ s, so that the nodes
-    near the peak hold s = |t - x| to full relative precision."""
-    wctx = mp_context(ctx.digits + GUARD_DIGITS)
-    x, y = wctx.convert(arg.x), wctx.convert(arg.y)
-    pi = wctx.pi
-
-    # the pair of Gaussians e^{-(x -+ s)^2} is written as e^{-(x - s)^2}
-    # times 2 + d and d, d = expm1(-4xs) in [-1, 0]: their difference,
-    # which carries L, would cancel at tiny x, and a rounded exponent of
-    # order x^2, as in e^{-x^2 - s^2}, would cost log10(x^2) digits at
-    # large x
-    def f(s):
-        g = wctx.exp(-(x - s) ** 2) / (pi * (y * y + s * s))
-        d = wctx.expm1(-4 * x * s)
-        return wctx.mpc(g * y * (2 + d), g * s * d)
-
-    # the kernel is a spike of width y at s = 0 that falls off like 1/s
-    # past it: one panel per decade from y up to 1 resolves it however
-    # small y is, and the Gaussian peaks at s = x
-    decades = max(1, 1 - math.floor(float(wctx.log10(y))))
-    pts = (x, max(8, float(x) + 8)) + tuple(y * 10 ** k for k in range(decades))
-    res = integrate_semi_infinite(f, ctx, extra_points=pts)
-    return res.value.real, -res.value.imag, res.err_estimate
-
-
 def voigt_quadrature(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Evaluation:
     """(K, L) by direct integration of the defining convolution integral.
 
-    For y > 0 it is one integral of the complex integrand of K - iL, the
-    Gaussian against the Cauchy kernel 1/(y + i(x - t)) over the real line,
-    whose real part gives K and minus its imaginary part L; at y = 0, K and
-    L are two real integrals (K alone at the origin). The error estimate is
-    the quadrature's, plus one unit 10^(1-digits) of |K| + |L|. More than
-    ``QUADRATURE_DIGITS_MAX`` digits is a DomainError, because the work
-    grows steeply past it.
+    K - iL is (1/pi) int e^{-t^2} / (y + i(x - t)) dt over the real line, the
+    Gaussian against the Cauchy kernel: one folded integral at every point,
+    whose real part gives K and minus its imaginary part L. On y = 0 the
+    kernel's real part is a delta at t = x, so K is e^{-x^2} in closed form,
+    with -x^2 exact. The error estimate is the quadrature's, plus 10^(1-digits)
+    (|K| + |L|); more than ``QUADRATURE_DIGITS_MAX`` digits is a DomainError.
     """
     if ctx.digits > QUADRATURE_DIGITS_MAX:
         raise DomainError(
             "quadrature covers at most %d digits (QUADRATURE_DIGITS_MAX), got %d; "
             "voigt_exact_erfc has no such cap" % (QUADRATURE_DIGITS_MAX, ctx.digits)
         )
-    K, L, err = (_quad_off_axis if arg.y else _quad_real_axis)(arg, ctx)
+    wctx = mp_context(ctx.digits + GUARD_DIGITS)
+    x, y = wctx.convert(arg.x), wctx.convert(arg.y)
+    pi, prec = wctx.pi, wctx.prec
+
+    # folded about the kernel's peak t = x -+ s, so that nodes near it hold
+    # s = |t - x| to full relative precision; e^{-(x -+ s)^2} is
+    # e^{-(x - s)^2} times 2 + d and d, d = expm1(-4xs) in [-1, 0], since
+    # their difference, which carries L, would cancel at tiny x, and a
+    # rounded exponent of order x^2 would cost log10(x^2) digits at large x
+    def f(s):
+        t = -4 * x * s
+        # d is -1 to the last bit once e^t < 2^-prec, and e^t - 1 cannot
+        # cancel once t <= -1, where it costs a third of expm1
+        d = -1 if t < -prec else wctx.exp(t) - 1 if t <= -1 else wctx.expm1(t)
+        e = wctx.exp(-(x - s) ** 2)
+        if not y:  # the imaginary part alone
+            return e * d / (pi * s)
+        g = e / (pi * (y * y + s * s))
+        return wctx.mpc(g * y * (2 + d), g * s * d)
+
+    # the Gaussian peaks at s = x, and a float of x would overflow past
+    # 1.8e308; off the axis one panel per decade from y up to 1 resolves the
+    # kernel's spike of width y at s = 0, however small y is
+    decades = max(1, 1 - math.floor(float(wctx.log10(y)))) if y else 0
+    pts = (x, x + 8) + tuple(y * 10 ** k for k in range(decades))
+    res = integrate_semi_infinite(f, ctx, extra_points=pts)
+    if y:
+        K, L = res.value.real, -res.value.imag
+    else:
+        K, L = wctx.exp(wctx.fneg(wctx.fmul(x, x, exact=True), exact=True)), -res.value
     out = ctx.mp()
     K, L = out.mpf(K), out.mpf(L)
     return Evaluation(K=K, L=L, method="oracle-quadrature",
-                      err_estimate=out.mpf(err + ctx.eps() * (abs(K) + abs(L))))
+                      err_estimate=out.mpf(res.err_estimate + ctx.eps() * (abs(K) + abs(L))))
 
 
 def _remainder_prefactors(mctx, arg: VoigtArgument, m: int):

@@ -370,9 +370,9 @@ def test_route_agreement_grid(ctx40):
             assert abs(e1.L - e2.L) <= 1e-12 * max(abs(e1.L), 1e-30)
 
 
-def test_quadrature_is_one_integral_per_route_off_the_axis(ctx40, monkeypatch):
-    # K - iL is one complex integrand off the axis; y = 0 takes K and the
-    # principal value L apart, and K alone at the origin
+def test_quadrature_is_one_integral_at_every_point(ctx40, monkeypatch):
+    # K - iL is one folded integral everywhere: on y = 0 K is the Gaussian
+    # in closed form and the integral gives L, which is 0 at the origin
     calls = []
     real = oracle.integrate_semi_infinite
 
@@ -381,10 +381,10 @@ def test_quadrature_is_one_integral_per_route_off_the_axis(ctx40, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "integrate_semi_infinite", spy)
-    for x, y, want in ((3, 4, 1), (0, 1, 1), ("0.3", "1e-20", 1), (7, 0, 2), (0, 0, 1)):
+    for x, y in ((3, 4), (0, 1), ("0.3", "1e-20"), (7, 0), (0, 0)):
         calls.clear()
         voigt_quadrature(VoigtArgument.from_xy(x, y, ctx40), ctx40)
-        assert len(calls) == want, (x, y)
+        assert len(calls) == 1, (x, y)
 
 
 def _quadrature_miss(arg, ctx, route=voigt_quadrature):
@@ -395,22 +395,34 @@ def _quadrature_miss(arg, ctx, route=voigt_quadrature):
     return got, abs(got.K - want.K) + abs(got.L - want.L)
 
 
-@pytest.mark.parametrize("digits", [16, 40])
+@pytest.mark.parametrize("digits", [16, 40, 100])
 def test_convolution_holds_its_estimate_as_y_goes_to_zero(digits):
     # the Cauchy kernel is a spike of width y at t = x: the route must
     # resolve it for y down to 1e-300, and keep t - x to full precision
     # where x >> y. L is odd in x, and at (1e-300, 1e-300), where it is
     # 1.13e-300, far below the estimate, it must still come out nonzero.
-    # At x ~ 1e3 and 1e30 no exponent of order x^2 may be rounded
+    # At x ~ 1e3 and 1e30 no exponent of order x^2 may be rounded. On
+    # y = 0 the kernel's real part is a delta: K is e^{-x^2}, which must
+    # match the oracle's closed form to one unit
     rng = random.Random(digits)
     ctx = PrecisionContext(digits=digits)
-    tiny = "1e-300" if digits == 16 else "1e-%d" % rng.randint(15, 40)
-    points = [(x, y) for y in (tiny, "1e-%d" % rng.randint(1, 14), "1") for x in ("0", y, "1", "3")]
-    far = ["%.17ge%d" % (rng.uniform(1, 10), e) for e in (3, 30)]
-    for x, y in points + [(x, y) for x in far for y in ("1", "0.01")]:
+    unit = ctx.mp().mpf(10) ** (1 - digits)
+    if digits == 100:
+        points = [("1.23e8", "0")]
+    else:
+        tiny = "1e-300" if digits == 16 else "1e-%d" % rng.randint(15, 40)
+        points = [(x, y) for y in (tiny, "1e-%d" % rng.randint(1, 14), "1") for x in ("0", y, "1", "3")]
+        far = ["%.17ge%d" % (rng.uniform(1, 10), e) for e in (3, 30)]
+        points += [(x, y) for x in far for y in ("1", "0.01")]
+        axis = ["0", "0.5", "3"] + ["%.17ge%d" % (rng.uniform(1, 10), e) for e in (3, 8, 15, 30)]
+        points += [(x, "0") for x in axis]
+    for x, y in points:
         arg = VoigtArgument.from_xy(x, y, ctx)
         got, miss = _quadrature_miss(arg, ctx)
         assert miss <= got.err_estimate and (got.L or x == "0"), (x, y, miss, got)
+        if y == "0":
+            want = voigt_exact_erfc(arg, PrecisionContext(digits=digits + 20))
+            assert abs(got.K - want.K) <= unit * want.K, (x, got.K, want.K)
 
 
 @pytest.mark.parametrize("digits", [40, 100])
