@@ -11,11 +11,17 @@ pair cos, sin(phi/2), building each order when first read: u = (-1 + i
 cot(phi/2))/2, the h_j = C(alpha, j) + u h_{j-1} and the A_2k for theorem1;
 B_2k and c(phi) for theorem2, from one phase p = e^{i phi (alpha - 1/2)} and
 e^{i phi alpha}/(1 - e^{i phi}) = i p/(2 sin(phi/2)); B^_2k = -2i conj(p)
-B_2k for ``coefficient_set`` alone. Off the Stokes line passes are memoized
-on (phi, alpha, digits) in a small LRU cache, so both estimates at any
-orders share one per point, and ``table1`` builds 2 passes. The Stirling
-gamma_k and the table c_{j,k} come from the exact series reversion of
-(1/2) w^2 = t - log(1 + t), once per process; nothing is typed in by hand.
+B_2k for ``coefficient_set`` alone. Those few transcendental inputs are
+floating point; the h_j, A_2k, B_2k and the pole powers c^{-2k-1} are
+summed in one fixed-point sweep on Python integers scaled by 2^wp, wp the
+widened precision plus ``PASS_GUARD_BITS``, chosen from the rounding bound
+``_Pass`` states, and each coefficient is rounded once to the working
+context. Off the Stokes line passes are memoized on (phi, alpha, digits)
+in a small LRU cache, so both estimates at any orders share one per point,
+and ``table1`` builds 2 passes. The Stirling gamma_k and the table c_{j,k}
+come from the exact series reversion of (1/2) w^2 = t - log(1 + t), once
+per process, and enter the sweep as integers per wp; nothing is typed in
+by hand.
 
 The geometry, fixed throughout: a first-quadrant point has theta = arg w in
 [0, pi/2] and phi = pi - 2 theta in [0, pi]. phi = 0 is the Stokes line. The
@@ -36,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from mpmath.libmp import mpc_pos
+from mpmath.libmp import from_man_exp, mpc_pos, round_nearest, to_fixed
 
 from .exceptions import DomainError, UnsupportedOrderError
 from .numerics import (
@@ -62,6 +68,10 @@ PHI_MIN_EXP = -2 * COORDINATE_MAG_MAX
 # Coefficient tables stop here; beyond is an error, never an extrapolation.
 K_MAX = 5
 
+# Bits the fixed-point coefficient pass carries past its widened context's
+# prec, for the floors its rounding bound counts (see _Pass)
+PASS_GUARD_BITS = 24
+
 # (2k-1)!! = 2^k (1/2)_k for k = 0..K_MAX
 _DOUBLE_FACTORIAL = tuple(math.prod(range(1, 2 * k, 2)) for k in range(K_MAX + 1))
 
@@ -78,15 +88,30 @@ def _check_phi(mctx, phi):
     return p
 
 
-def _h_sums(alpha, u, n: int) -> list:
-    """h_0..h_n with h_j = sum_{r <= j} C(alpha, j - r) u^r, by the
-    recurrence h_j = C(alpha, j) + u h_{j-1}; C(alpha, j) is the falling
-    product. Works in the arithmetic of alpha and u (exact for Fractions)."""
-    binom = alpha * 0 + 1  # one, in alpha's arithmetic (alpha may be zero)
-    h = [binom]
+def _fixed(z, wp: int) -> tuple:
+    # an mpc as (re, im) integers scaled by 2^wp, each part floored
+    re, im = z._mpc_
+    return to_fixed(re, wp), to_fixed(im, wp)
+
+
+def _mul(x: tuple, y: tuple, wp: int) -> tuple:
+    # the product of two complex numbers scaled by 2^wp, floored once per part
+    (xr, xi), (yr, yi) = x, y
+    return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp
+
+
+def _h_sweep(alpha: int, u: tuple, n: int, wp: int) -> list:
+    """h_0..h_n by h_j = C(alpha, j) + u h_{j-1}, on integers scaled by
+    2^wp: ``alpha`` one of them, ``u`` and each h_j a pair (re, im). The
+    binomial C(alpha, j) = C(alpha, j-1) (alpha - j + 1)/j takes one floor
+    for its product and one for its division by j, and u h_{j-1} one per
+    part."""
+    one = 1 << wp
+    binom, h = one, [(one, 0)]
     for j in range(1, n + 1):
-        binom *= (alpha - (j - 1)) / j
-        h.append(binom + u * h[-1])
+        binom = ((binom * (alpha - (j - 1) * one)) >> wp) // j
+        hr, hi = _mul(u, h[-1], wp)
+        h.append((binom + hr, hi))
     return h
 
 
@@ -188,37 +213,92 @@ def _pass(phi, alpha, ctx: PrecisionContext) -> "_Pass":
 class _Pass:
     """The coefficients at one (phi, alpha, ctx), each order built when first
     read: A_2k (theorem1), B_2k with c(phi) (theorem2), B^_2k in ``as_set``.
-    At phi > 0 it runs widened by ``_b_widening`` and rounds to ctx.mp() by
-    libmp (as mctx.mpc(v), in a third of the time); at phi = 0 every B_2k is
-    its derived limit and there is no A. A new top order redoes its family
-    from the h_j on into new tuples, so threads never see one half built."""
+    At phi = 0 every B_2k is its derived limit and there is no A. A new top
+    order redoes its family from the h_j on into new tuples, so threads never
+    see one half built.
+
+    At phi > 0 the pass is a fixed-point sweep. The transcendental inputs
+    come from the context widened by ``_b_widening``: cos and sin of phi/2
+    and u = (-1 + i cot(phi/2))/2, then for the B_2k the phase p, c(phi),
+    t = i p/(2 sin(phi/2)) and 1/c. Each is converted once to integers
+    scaled by 2^wp, wp = that context's prec + PASS_GUARD_BITS; gamma_k and
+    c_{j,k} are integer tables per wp. On them
+
+        h_j = C(alpha, j) + u h_{j-1},
+        A_2k = (-1)^k gamma_k + sum_j c_{j,k} h_j,
+        B_2k = t A_2k - i (-1)^k (2k-1)!! c^{-2k-1},
+
+    the pole powers as integer products, and B^_2k = -2i conj(p) B_2k.
+    Each coefficient is rounded once into ctx.mp().
+
+    Every conversion and every product's shift floors each part once (an
+    error below 1 unit of 2^-wp, or sqrt 2 for a complex pair), and each
+    division by j floors once more. With |x| the modulus of an exact input
+    or result and eps = 2^-wp for the product of two errors, the errors in
+    units of 2^-wp are at most
+
+        C(alpha, j):  e_0 = 0, e_j = ((|alpha - j + 1| + eps) e_{j-1}
+                      + |C(alpha, j - 1)| + 1)/j + 1
+        h_j:          d_0 = 0, d_j = e_j + (|u| + eps) d_{j-1}
+                      + |h_{j-1}| + sqrt 2
+        A_2k:         a_k = 3 + sum_{j=2}^{2k} ((|c_{j,k}| + eps) d_j + |h_j|)
+        1/c^2:        s = 2 sqrt(2) |1/c| + 2 eps + sqrt 2
+        c^{-2k-1}:    q_0 = sqrt 2, q_k = (|1/c|^2 + eps s) q_{k-1}
+                      + |1/c|^{2k-1} s + sqrt 2
+        B_2k:         b_k = (|t| + sqrt(2) eps) a_k + sqrt(2) (|A_2k| + 1)
+                      + (2k-1)!! q_k.
+
+    Near the Stokes line these grow as |u|^j and |1/c|^{2k+1}, about
+    phi^{-2k-1} at B_2k, as the parts of B_2k do; B_2k cancels across that
+    growth, and ``_b_widening`` widens the pass for it. Apart from the
+    growth they count floors: over the tests' draws (phi down to 1e-60,
+    alpha in (-1, 1) and at -389.5 and 10.5, k <= K_MAX, 16 to 100 digits)
+    each bound stays below 2^11 times the moduli of its coefficient's terms
+    (gamma_k, the c_{j,k} h_j and the pole term). PASS_GUARD_BITS = 24
+    covers those 11 bits with 13 to spare, so a coefficient errs by less
+    than 2^-prec times the moduli of its terms: one rounding at the widened
+    precision, as a floating-point pass would.
+    """
 
     def __init__(self, phi, alpha, ctx: PrecisionContext):
         self._mctx = mctx = ctx.mp()
         if not phi:  # the phase p of B^ = -2i conj(p) B is 1 there
             limits = ([mctx.convert(c) for c in reversed(q)] for q in _stokes_limits())
             B = tuple(mctx.mpc(mctx.polyval(q, alpha)) for q in limits)
-            self._wctx, self._A, self._forms = mctx, None, (B, mctx.mpc(0), mctx.mpc(1))
+            self._wp, self._A, self._forms = None, None, (B, mctx.mpc(0), None)
             return
         self._wctx = wctx = ctx.mp(extra=_b_widening(phi))
+        self._wp = wp = wctx.prec + PASS_GUARD_BITS
         self._at = wctx.convert(phi), wctx.convert(alpha)
-        self._half = wctx.cos_sin(self._at[0] / 2)
-        self.sin_half, self._A, self._forms = self._half[1], (), ((),)
+        self._half = cos_half, sin_half = wctx.cos_sin(self._at[0] / 2)
+        self.sin_half = sin_half
+        # alpha and u = (-1 + i cot(phi/2))/2 as the sweep's integers
+        cot_half = to_fixed((cos_half / sin_half)._mpf_, wp - 1)
+        self._sweep_in = to_fixed(alpha._mpf_, wp), (-1 << (wp - 1), cot_half)
+        self._A, self._forms = (), ((),)
 
     def _rounded(self, values) -> tuple:
-        mctx = self._mctx
-        if self._wctx is mctx:
+        if self._wp is None:  # the limits, already numbers of ctx.mp()
             return tuple(values)
-        return tuple(mctx.make_mpc(mpc_pos(v._mpc_, mctx.prec, "n")) for v in values)
+        mctx, wp = self._mctx, self._wp
+        return tuple(
+            mctx.make_mpc((from_man_exp(re, -wp, mctx.prec, round_nearest),
+                           from_man_exp(im, -wp, mctx.prec, round_nearest)))
+            for re, im in values
+        )
 
     def _A_to(self, k: int) -> tuple:
-        # A_0 up to at least A_2k, from the h_j at u = (-1 + i cot(phi/2))/2
+        # A_0 up to at least A_2k, from the h_j
         A = self._A
         if len(A) <= k:
-            wctx, (cos_half, sin_half) = self._wctx, self._half
-            signed_gamma, cjk = _laplace_tables_in(wctx)
-            h = _h_sums(self._at[1], wctx.mpc(-1, cos_half / sin_half) / 2, 2 * k)
-            A = self._A = tuple(signed_gamma[j] + wctx.fdot(cjk[j], h[2:]) for j in range(k + 1))
+            wp = self._wp
+            h = _h_sweep(*self._sweep_in, 2 * k, wp)[2:]
+            signed_gamma, cjk = _laplace_tables_fixed(wp)
+            A = self._A = tuple(
+                (g + (sum(c * hr for c, (hr, _) in zip(row, h)) >> wp),
+                 sum(c * hi for c, (_, hi) in zip(row, h)) >> wp)
+                for g, row in zip(signed_gamma[: k + 1], cjk)
+            )
         return A
 
     def A(self, k: int) -> tuple:
@@ -226,33 +306,41 @@ class _Pass:
         return self._rounded(self._A_to(k)[: k + 1])
 
     def _forms_to(self, k: int) -> tuple:
-        # B_0 up to at least B_2k, with c(phi) and B^'s phase p
+        # B_0 up to at least B_2k, with c(phi) rounded and B^'s phase p
         forms = self._forms
         if len(forms[0]) <= k:
-            wctx, (phi, alpha), (cos_half, sin_half) = self._wctx, self._at, self._half
+            wctx, wp, (phi, alpha) = self._wctx, self._wp, self._at
+            cos_half, sin_half = self._half
             p = wctx.expj(phi * (alpha - 0.5))
-            to_B = 1j * p / (2 * sin_half)
             c = _c_raw(wctx, phi, cos_half, sin_half)
-            pole = 1 / c  # c^{-2k-1}
-            inv_c_sq = pole * pole
+            to_B = _fixed(1j * p / (2 * sin_half), wp)
+            pole = _fixed(1 / c, wp)  # c^{-2k-1}
+            inv_c_sq = _mul(pole, pole, wp)
             B = []
             for j, a_j in enumerate(self._A_to(k)):
-                B.append(to_B * a_j - 1j * (-1) ** j * _DOUBLE_FACTORIAL[j] * pole)
-                pole *= inv_c_sq
+                sign_df = (-1) ** j * _DOUBLE_FACTORIAL[j]
+                br, bi = _mul(to_B, a_j, wp)
+                B.append((br + sign_df * pole[1], bi - sign_df * pole[0]))
+                pole = _mul(pole, inv_c_sq, wp)
+            c = self._mctx.make_mpc(mpc_pos(c._mpc_, self._mctx.prec, "n"))
             forms = self._forms = tuple(B), c, p
         return forms
 
     def uniform(self, k: int):
         """B_0..B_2k and c(phi)."""
         B, c, _ = self._forms_to(k)
-        return self._rounded(B[: k + 1]), self._rounded([c])[0]
+        return self._rounded(B[: k + 1]), c
 
     def as_set(self, k_max: int) -> CoefficientSet:
         B, c, p = self._forms_to(k_max)
         B = B[: k_max + 1]
-        Bhat = [-2j * self._wctx.conj(p) * b for b in B]
+        if p is None:
+            Bhat = [-2j * b for b in B]
+        else:  # -2i conj(p) = -2 Im p - 2i Re p
+            pr, pi = _fixed(p, self._wp)
+            Bhat = [_mul((-2 * pi, -2 * pr), b, self._wp) for b in B]
         A = None if self._A is None else self.A(k_max)
-        return CoefficientSet(A, self._rounded(B), self._rounded(Bhat), self._rounded([c])[0])
+        return CoefficientSet(A, self._rounded(B), self._rounded(Bhat), c)
 
 
 # the estimates at one point ask for the same pass at any orders; a few
@@ -263,12 +351,13 @@ _coefficient_pass = lru_cache(maxsize=8)(_Pass)
 
 
 @lru_cache(maxsize=None)
-def _laplace_tables_in(mctx):
-    """(-1)^k gamma_k and the c_{j,k} rows as numbers of ``mctx``, cached."""
+def _laplace_tables_fixed(wp: int):
+    """(-1)^k gamma_k and the c_{j,k} rows as integers scaled by 2^wp,
+    floored, cached per wp."""
     gamma, cjk = _laplace_tables()
     return (
-        tuple(mctx.mpc(mctx.convert((-1) ** k * g)) for k, g in enumerate(gamma)),
-        tuple(tuple(mctx.convert(c) for c in row) for row in cjk),
+        tuple(((-1) ** k * g.numerator << wp) // g.denominator for k, g in enumerate(gamma)),
+        tuple(tuple((c.numerator << wp) // c.denominator for c in row) for row in cjk),
     )
 
 

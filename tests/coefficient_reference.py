@@ -6,6 +6,8 @@ gamma_k, c_{j,k}, and the Stokes-line limits of B_0, B_2 and B_4. The
 phi-slope of B_0 at the Stokes line is here too, which the finite-difference
 slope of the library's coefficients must match. ``pochhammer`` gives the
 exact rising factorials, (1/2)_k among them, that the checks use.
+``h_sums`` is the h_j recurrence in the arithmetic of its inputs, exact for
+Fractions, against which the library's integer sweep is checked.
 ``bhat2k_alt`` is the second closed form of the hatted coefficient, kept
 here as an independent check on the one the library evaluates, and
 ``c_closed_form`` is c(phi) from its defining radicand, where the library
@@ -88,6 +90,18 @@ def pochhammer(a, k: int) -> Fraction:
     for j in range(k):
         acc *= Fraction(a) + j
     return acc
+
+
+def h_sums(alpha, u, n: int) -> list:
+    """h_0..h_n with h_j = sum_{r <= j} C(alpha, j - r) u^r, by the
+    recurrence h_j = C(alpha, j) + u h_{j-1}; C(alpha, j) is the falling
+    product. Works in the arithmetic of alpha and u (exact for Fractions)."""
+    binom = alpha * 0 + 1  # one, in alpha's arithmetic (alpha may be zero)
+    h = [binom]
+    for j in range(1, n + 1):
+        binom *= (alpha - (j - 1)) / j
+        h.append(binom + u * h[-1])
+    return h
 
 
 def h_power_sum(mctx, phi, alpha, j):

@@ -19,6 +19,7 @@ from coefficient_reference import (
     STIRLING_GAMMA,
     bhat2k_alt,
     h_power_sum,
+    h_sums,
     pochhammer,
 )
 from voigt_asym import (
@@ -33,10 +34,11 @@ from voigt_asym import (
 from voigt_asym import coefficients
 from voigt_asym.coefficients import (
     K_MAX,
+    PASS_GUARD_BITS,
     PHI_MIN_EXP,
     PHI_SWITCH,
     _b_widening,
-    _h_sums,
+    _h_sweep,
     _laplace_tables,
     _reversion_series,
     _stokes_limits,
@@ -49,33 +51,88 @@ def _u(mctx, phi):
     return e / (1 - e)
 
 
+# the scale of the integer h_j sweeps below, and a context for error bounds
+WP = 200
+BOUND_CTX = mp_context(30)
+
+
+def _dyadic(x) -> Fraction:
+    # an mpf as the exact Fraction it is
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _scaled(x: Fraction) -> int:
+    # a Fraction as the sweep takes it: scaled by 2^WP and floored
+    return (x.numerator << WP) // x.denominator
+
+
+def _modulus(pair, wp: int):
+    # |re + i im| 2^-wp of a pair of the sweep's integers
+    return BOUND_CTX.hypot(*(BOUND_CTX.ldexp(v, -wp) for v in pair))
+
+
+def _mpf(x: Fraction):
+    return BOUND_CTX.mpf(x.numerator) / x.denominator
+
+
+def _sweep_bounds(alpha: Fraction, u_abs, h_abs, eps) -> list:
+    """d_0..d_n of the _Pass docstring: the error bound of the integer h_j in
+    units of 2^-wp, from the exact alpha and the moduli |u| and |h_j|."""
+    mctx = BOUND_CTX
+    binom = [_mpf(b) for b in h_sums(alpha, Fraction(0), len(h_abs) - 1)]
+    alpha = _mpf(alpha)
+    e, d = 0, [0]
+    for j in range(1, len(h_abs)):
+        e = ((abs(alpha - j + 1) + eps) * e + abs(binom[j - 1]) + 1) / j + 1
+        d.append(e + (u_abs + eps) * d[-1] + h_abs[j - 1] + mctx.sqrt(2))
+    return d
+
+
+def _assert_sweep_within_bound(alpha: Fraction, u: Fraction, n: int):
+    # the integer sweep at real u against the exact Fraction recurrence
+    got = _h_sweep(_scaled(alpha), (_scaled(u), 0), n, WP)
+    want = h_sums(alpha, u, n)
+    eps = BOUND_CTX.ldexp(1, -WP)
+    bound = _sweep_bounds(alpha, _mpf(abs(u)), [_mpf(abs(h)) for h in want], eps)
+    for j, ((hr, hi), h, b) in enumerate(zip(got, want, bound)):
+        assert hi == 0
+        assert _mpf(abs(hr - h * 2**WP)) <= b, (alpha, u, j)
+
+
 # ------------------------------------------------------------------- h_j
 
 def test_h0_is_one_everywhere(ctx40):
+    # h_0 = 2^wp exactly, whatever alpha and u the pass converts
     mctx = ctx40.mp()
     for phi in ("0.3", "1.0", "3.0"):
         for alpha in ("0.25", "0.5", "1.0"):
-            v = _h_sums(mctx.mpf(alpha), _u(mctx, mctx.mpf(phi)), 0)[0]
-            assert abs(v - 1) < mctx.mpf(10) ** (-38)
+            run = coefficients._Pass(mctx.mpf(phi), mctx.mpf(alpha), ctx40)
+            assert _h_sweep(*run._sweep_in, 0, run._wp) == [(1 << run._wp, 0)]
+    assert h_sums(Fraction(1, 2), Fraction(-1, 2), 0) == [1]
 
 
 def test_h1_closed_form(ctx40):
+    # h_1 = alpha + u with no floor: both are the pass's own integers
     mctx = ctx40.mp()
     phi = mctx.mpf("0.7")
     alpha = mctx.mpf("0.3")
-    u = _u(mctx, phi)
-    got = _h_sums(alpha, u, 1)[1]
-    assert abs(got - (alpha + u)) < mctx.mpf(10) ** (-38)
+    run = coefficients._Pass(phi, alpha, ctx40)
+    a, u = run._sweep_in
+    got = _h_sweep(a, u, 1, run._wp)[1]
+    assert got == (a + u[0], u[1])
+    value = mctx.mpc(*(mctx.ldexp(v, -run._wp) for v in got))
+    assert abs(value - (alpha + _u(mctx, phi))) < mctx.mpf(10) ** (-38)
 
 
 def test_h2_on_stokes_line_is_one_thirtysecond(ctx40):
     # u = -1/2 at phi = pi, so h_2(pi, 1/4) collapses to a small rational,
-    # and A_2 = 1/12 + h_2 with it
+    # exact in the sweep's integers, and A_2 = 1/12 + h_2 with it
     mctx = ctx40.mp()
+    got = _h_sweep(_scaled(Fraction(1, 4)), (_scaled(Fraction(-1, 2)), 0), 2, WP)[2]
+    assert got == (_scaled(Fraction(1, 32)), 0)
+    assert h_sums(Fraction(1, 4), Fraction(-1, 2), 2)[2] == Fraction(1, 32)
     alpha = mctx.mpf("0.25")
-    got = _h_sums(alpha, _u(mctx, mctx.pi), 2)[2]
-    assert abs(got - mctx.mpf(1) / 32) < mctx.mpf(10) ** (-38)
-    assert abs(got.imag) < mctx.mpf(10) ** (-38)
     A2 = coefficient_set(mctx.pi, alpha, 1, ctx40).A[1]
     assert abs(A2 - (mctx.mpf(1) / 12 + mctx.mpf(1) / 32)) < mctx.mpf(10) ** (-38)
 
@@ -90,25 +147,29 @@ def test_h_k_rejects_phi_zero(ctx40):
 
 def test_binomial_alpha_rational_path():
     # at u = 0 the sums reduce to the binomials C(alpha, j), exact for Fractions
-    assert _h_sums(Fraction(1, 4), Fraction(0), 2)[2] == Fraction(1, 4) * Fraction(-3, 4) / 2
-    assert _h_sums(Fraction(1, 2), Fraction(0), 0) == [1]
+    assert h_sums(Fraction(1, 4), Fraction(0), 2)[2] == Fraction(1, 4) * Fraction(-3, 4) / 2
+    assert h_sums(Fraction(1, 2), Fraction(0), 0) == [1]
     # the recurrence h_j = C(alpha, j) + u h_{j-1} equals the defining sum
     alpha, u = Fraction(3, 7), Fraction(-5, 2)
     binom = [Fraction(1)]
     for n in range(1, 11):
         binom.append(binom[-1] * (alpha - n + 1) / n)
-    h = _h_sums(alpha, u, 10)
+    h = h_sums(alpha, u, 10)
     for j in range(11):
         assert h[j] == sum(binom[j - r] * u**r for r in range(j + 1))
+    # the integer sweep meets the Fraction recurrence within its stated
+    # bound, for alpha and u exact in binary or floored, small or large
+    for alpha in (Fraction(3, 7), Fraction(1, 4), Fraction(-779, 2), Fraction(21, 2)):
+        for u in (Fraction(0), Fraction(-5, 2), Fraction(-1, 2), Fraction(10**30, 3)):
+            _assert_sweep_within_bound(alpha, u, 2 * K_MAX)
 
 
 def test_alpha_zero_matches_fraction_path(ctx40):
-    # C(0, n) is 1 for n = 0 and 0 after; the mpf path must agree with the
-    # exact one instead of dividing zero by itself
+    # C(0, n) is 1 for n = 0 and 0 after; the integer sweep must agree with
+    # the exact recurrence instead of dividing zero by itself
     mctx = ctx40.mp()
-    assert _h_sums(mctx.mpf(0), mctx.mpf(0), 2 * K_MAX) == _h_sums(
-        Fraction(0), Fraction(0), 2 * K_MAX
-    )
+    exact = h_sums(Fraction(0), Fraction(0), 2 * K_MAX)
+    assert _h_sweep(0, (0, 0), 2 * K_MAX, WP) == [(_scaled(h), 0) for h in exact]
     phi = mctx.mpf(1)
     got = coefficient_set(phi, 0, K_MAX, ctx40).A
     for k in range(K_MAX + 1):
@@ -557,6 +618,58 @@ def test_coefficient_set_meets_its_contract_over_phi(digits):
                 if name != "A" and any(abs(alpha - x) < 1e-3 for x in _stokes_roots(k)):
                     scale = max(scale, rctx.mpf("1e-3"))
                 assert abs(g - w) <= tol * scale, (phi, alpha, name, k)
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_pass_rounding_stays_within_its_stated_bound(monkeypatch, digits):
+    # over the draws of the contract test above, the integer A_2k and B_2k
+    # of a pass differ from the same kernel's 200 bits wider, fed the same
+    # floating inputs, by no more than the bound the _Pass docstring states;
+    # and that bound stays below the 2^11 times the moduli of each
+    # coefficient's terms that PASS_GUARD_BITS is chosen to cover. The
+    # moduli in the bound are known to the working precision, hence a slack
+    rng = random.Random(1403 + digits)
+    draws = [(10 ** rng.uniform(-60, math.log10(math.pi)), rng.uniform(-1, 1)) for _ in range(40)]
+    draws += [(rng.uniform(0, math.pi) or 1.0, rng.uniform(-1, 1)) for _ in range(40)]
+    draws += [(rng.uniform(0, math.pi) or 1.0, a) for a in (-389.5, 10.5) for _ in range(10)]
+    ctx, bctx = PrecisionContext(digits), BOUND_CTX
+    mctx, sqrt2, slack = ctx.mp(), bctx.sqrt(2), 1 + bctx.mpf(10) ** -12
+    gamma, cjk = _laplace_tables()
+    assert PASS_GUARD_BITS > 11
+    for phi, alpha in draws:
+        p, a = mctx.convert(phi), mctx.convert(alpha)
+        run = coefficients._Pass(p, a, ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(coefficients, "PASS_GUARD_BITS", PASS_GUARD_BITS + 200)
+            wide = coefficients._Pass(p, a, ctx)
+        wp, eps = run._wp, bctx.ldexp(1, -run._wp)
+        assert wide._wp == wp + 200
+        B, c, _ = run._forms_to(K_MAX)
+        B_wide, A, A_wide = wide._forms_to(K_MAX)[0], run._A_to(K_MAX), wide._A_to(K_MAX)
+        u_abs = _modulus(wide._sweep_in[1], wide._wp)
+        h_abs = [_modulus(h, wide._wp) for h in _h_sweep(*wide._sweep_in, 2 * K_MAX, wide._wp)]
+        d = _sweep_bounds(_dyadic(a), u_abs, h_abs, eps)
+        binom = [abs(_mpf(b)) for b in h_sums(_dyadic(a), Fraction(0), 2 * K_MAX)]
+        H = [sum(binom[j - r] * u_abs**r for r in range(j + 1)) for j in range(2 * K_MAX + 1)]
+        t_abs = 1 / (2 * bctx.convert(run.sin_half))  # |i p / (2 sin(phi/2))|, |p| = 1
+        inv_c = 1 / abs(bctx.convert(c))
+        s = 2 * sqrt2 * inv_c + 2 * eps + sqrt2
+        q = sqrt2
+        for k in range(K_MAX + 1):
+            if k:
+                q = (inv_c**2 + eps * s) * q + inv_c ** (2 * k - 1) * s + sqrt2
+            cs = [abs(_mpf(x)) for x in cjk[k]]
+            a_k = 3 + sum((cj + eps) * d[j] + h_abs[j] for j, cj in enumerate(cs, start=2))
+            double_factorial = math.prod(range(1, 2 * k, 2))
+            A_abs = _modulus(A_wide[k], wide._wp)
+            b_k = (t_abs + sqrt2 * eps) * a_k + sqrt2 * (A_abs + 1) + double_factorial * q
+            for name, got, want, bound in (("A", A, A_wide, a_k), ("B", B, B_wide, b_k)):
+                gap = _modulus([(g << 200) - w for g, w in zip(got[k], want[k])], 200)
+                assert gap <= bound * slack, (phi, alpha, name, k, gap, bound)
+            terms_A = abs(_mpf(gamma[k])) + sum(cj * H[j] for j, cj in enumerate(cs, start=2))
+            terms_B = t_abs * terms_A + double_factorial * inv_c ** (2 * k + 1)
+            assert a_k <= 2**11 * terms_A, (phi, alpha, k)
+            assert b_k <= 2**11 * terms_B, (phi, alpha, k)
 
 
 def test_B2k_closed_form_on_stokes_line(ctx40):

@@ -943,7 +943,7 @@ def test_each_estimate_builds_only_the_coefficients_it_reads(monkeypatch, coeffi
     # either (their pole terms are powers of 1/c), directly or inside
     # evaluate_via_expansion; theorem2 (eq42) forms c(phi) and B_2k once
     # per pass and builds no coefficient set, the only holder of B^_2k; and
-    # theorem2 after theorem1 at one point sums the h_j once. phi falls on
+    # theorem2 after theorem1 at one point sweeps the h_j once. phi falls on
     # both sides of PHI_SWITCH
     calls = collections.Counter()
 
@@ -956,7 +956,7 @@ def test_each_estimate_builds_only_the_coefficients_it_reads(monkeypatch, coeffi
 
         return spy
 
-    for name in ("_h_sums", "_c_raw", "CoefficientSet"):
+    for name in ("_h_sweep", "_c_raw", "CoefficientSet"):
         monkeypatch.setattr(coefficients, name, counted(name))
     mctx = ctx40.mp()
     for theta_over_pi in ("0.2", "0.1"):
@@ -965,15 +965,15 @@ def test_each_estimate_builds_only_the_coefficients_it_reads(monkeypatch, coeffi
         coefficient_pass.cache_clear()
         calls.clear()
         theorem1(arg, plan, 3, ctx40)
-        assert calls == {"_h_sums": 1}, theta_over_pi
+        assert calls == {"_h_sweep": 1}, theta_over_pi
         theorem2(arg, plan, 3, ctx40)
         theorem2(arg, plan, 3, ctx40)
         theorem1(arg, plan, 3, ctx40)
-        assert calls == {"_h_sums": 1, "_c_raw": 1}, theta_over_pi
+        assert calls == {"_h_sweep": 1, "_c_raw": 1}, theta_over_pi
         coefficient_pass.cache_clear()
         calls.clear()
         evaluate_via_expansion(arg, "eq41", 3, None, ctx40)
-        assert calls == {"_h_sums": 1}, theta_over_pi
+        assert calls == {"_h_sweep": 1}, theta_over_pi
 
 
 def test_evaluate_via_expansion_tracks_oracle(ctx40):

@@ -2,22 +2,28 @@
 """Per-call times of the main paths at fixed points, before and after a change.
 
 Times E_of_phi, remainder_exact(route="gamma") at optimal m, theorem2 and
-theorem1 at k = 3, algebraic_partial_sums at optimal m,
+theorem1 at k = 3, theorem2's coefficient pass alone (B_0..B_6 and c(phi),
+``coefficient_pass_k3``), algebraic_partial_sums at optimal m,
 evaluate_via_expansion (eq42 and eq41, k = 3), voigt_exact_erfc and a
 table2 cell (remainder_exact, theorem2 and theorem1 at k = 3 and optimal
 m, as ``voigt-asym table2`` runs them) at 40 and 100 digits, each next to
 the digits it attains against an mpmath reference at 20 more digits (for
 the partial sum, the full m-term sum there; for the table2 cell, the
-least of its three). The points are
+least of its three; for the pass, the least over its values, against the
+closed forms of B_2k and c(phi) at a precision that covers their
+cancellation). The points are
 (x, y) = (3, 4), where r = 5 and m = 25; (12, 5), where r = 13 and m = 169:
 there the partial sum stops early at 40 digits but needs every term at 100;
-and (16, 5), where r^2 = 281 puts e^{-r^2} ~ 1e-122 below the last digit of
+(16, 5), where r^2 = 281 puts e^{-r^2} ~ 1e-122 below the last digit of
 K and L at both precisions, so evaluate_via_expansion skips the remainder
-estimate. m = 281 is past the incomplete-gamma ladder's depth cap, so that
-point has no remainder_exact or table2 cell row. Two source trees are timed
+estimate; and (6, 0.01), where phi = 3.3e-3 lies near the Stokes line:
+the pass is widened by about 40 digits there, and theorem1, inside its
+collar, refuses the point, so it has no theorem1, eq41 or table2 cell row.
+m = 281 is past the incomplete-gamma ladder's depth cap, so (16, 5) has
+no remainder_exact or table2 cell row. Two source trees are timed
 in alternating child processes, so that host drift hits both alike:
 
-    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_18.json
+    python3 tools/bench_point.py --before ../parent/src --after src --out BENCH_24.json
 
 Each time is the median over rounds of the mean of ``--calls`` calls, scaled
 to a reference machine speed by the ``SpeedProbe`` of ``benchmarks/run.py``
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -40,7 +47,7 @@ import warnings
 from time import perf_counter
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
-POINTS = ((3, 4), (12, 5), (16, 5))
+POINTS = ((3, 4), (12, 5), (16, 5), (6, 0.01))
 DIGITS = (40, 100)
 REF_EXTRA = 20
 
@@ -63,7 +70,7 @@ def measure(src, calls):
     probes = {d: SpeedProbe(d) for d in DIGITS}
     out = {}
     for X, Y in POINTS:
-        out["%d,%d" % (X, Y)] = {
+        out["%g,%g" % (X, Y)] = {
             str(d): _measure_point(va, X, Y, d, calls, probes[d]) for d in DIGITS
         }
     return out
@@ -88,6 +95,7 @@ def _measure_point(va, X, Y, digits, calls, probe):
     # every one of the m algebraic terms, (-1)^k (1/2)_k w^{-2k-1} / sqrt(pi)
     sums_ref = sum(ref.rf(ref.mpf(1) / 2, k) * (-1 / z) ** k for k in range(m)) / (
         w * ref.sqrt(ref.pi))
+    pass_ref = _pass_reference(va, arg.phi, plan.alpha, digits)
 
     def pair(ev):
         return ref.mpc(ev.K, -ev.L)
@@ -105,6 +113,9 @@ def _measure_point(va, X, Y, digits, calls, probe):
             lambda: va.remainder_exact(arg, m, ctx, route="gamma"), pair, rem_ref),
         "theorem2_k3": (lambda: va.theorem2(arg, plan, 3, ctx), estimate, rem_ref),
         "theorem1_k3": (lambda: va.theorem1(arg, plan, 3, ctx), estimate, rem_ref),
+        "coefficient_pass_k3": (
+            lambda: va.coefficients._pass(arg.phi, plan.alpha, ctx).uniform(3),
+            lambda Bc: (*Bc[0], Bc[1]), pass_ref),
         "algebraic_partial_sums": (
             lambda: va.algebraic_partial_sums(arg, m, ctx), pair, sums_ref),
         "evaluate_via_expansion_eq42": (
@@ -117,6 +128,11 @@ def _measure_point(va, X, Y, digits, calls, probe):
     }
     if m > va.numerics.GAMMA_RECURRENCE_CAP:
         del paths["remainder_exact_gamma"], paths["table2_cell"]
+    try:
+        va.theorem1(arg, plan, 3, ctx)
+    except va.DomainError:  # inside theorem1's Stokes collar
+        for name in ("theorem1_k3", "evaluate_via_expansion_eq41", "table2_cell"):
+            paths.pop(name, None)
     memo = getattr(va.coefficients, "_coefficient_pass", None)
     clear = memo.cache_clear if memo is not None else lambda: None
     row = {}
@@ -124,6 +140,8 @@ def _measure_point(va, X, Y, digits, calls, probe):
         got = value(call())  # warm-up, and the value judged
         if not isinstance(got, tuple):
             got = (got,)
+        if not isinstance(want, tuple):
+            want = (want,) * len(got)
         busy = 0.0
         for _ in range(calls):
             clear()
@@ -131,8 +149,32 @@ def _measure_point(va, X, Y, digits, calls, probe):
             call()
             busy += perf_counter() - t0
         ms = busy * 1e3 / calls * probe.factor()
-        row[name] = (ms, min(_digits(ref, v, want, digits) for v in got))
+        row[name] = (ms, min(_digits(ref, v, w, digits) for v, w in zip(got, want)))
     return row
+
+
+def _pass_reference(va, phi, alpha, digits):
+    """B_0..B_6 and c(phi) from their closed forms, term by term:
+    u = e^{i phi}/(1 - e^{i phi}), h_j = sum_r C(alpha, j - r) u^r,
+    A_2k = (-1)^k gamma_k + sum_j c_{j,k} h_j, c = sqrt(2 (1 - i phi - e^{-i phi})),
+    B_2k = e^{i phi alpha} A_2k/(1 - e^{i phi}) - i (-1)^k (2k-1)!! c^{-2k-1}.
+    They cancel across about 13 log10(2/phi) digits near the Stokes line, and
+    the precision adds that to the reference's 20 more digits."""
+    cancel = 13 * max(0.0, math.log10(2 / float(phi)))
+    ref = va.mp_context(digits + va.numerics.GUARD_DIGITS + REF_EXTRA + int(cancel) + 10)
+    phi, alpha = ref.convert(phi), ref.convert(alpha)
+    gamma, cjk = va.coefficients._laplace_tables()
+    e = ref.expj(phi)
+    u = e / (1 - e)
+    h = [sum(ref.binomial(alpha, j - r) * u**r for r in range(j + 1)) for j in range(7)]
+    c = ref.sqrt(2 * (1 - 1j * phi - ref.expj(-phi)))
+    B = []
+    for k in range(4):
+        A = (-1) ** k * ref.convert(gamma[k]) + sum(
+            ref.convert(cj) * h[j] for j, cj in enumerate(cjk[k], start=2))
+        B.append(ref.expj(phi * alpha) * A / (1 - e)
+                 - 1j * (-1) ** k * math.prod(range(1, 2 * k, 2)) / c ** (2 * k + 1))
+    return (*B, c)
 
 
 def main(argv=None):
