@@ -39,7 +39,6 @@ from .oracle import (
 )
 from .coefficients import (
     CoefficientSet,
-    E_of_phi,
     coefficient_set,
 )
 from .expansions import (
@@ -60,7 +59,6 @@ __all__ = [
     "CoefficientSet",
     "DEFAULT_CONTEXT",
     "DomainError",
-    "E_of_phi",
     "Evaluation",
     "PrecisionContext",
     "PrecisionError",

@@ -66,21 +66,9 @@ def format_mantissa_exp(value, sig: int, signed: bool = True) -> str:
     if v == 0:
         return ("+" if signed else "") + "0." + "0" * (sig - 1) + "(+0)"
     sign = "-" if v < 0 else ("+" if signed else "")
-    a = abs(v)
-    expo = int(mctx.floor(mctx.log10(a)))
-    mant = a / mctx.mpf(10) ** expo
-    q = mctx.mpf(10) ** (sig - 1)
-    mant = mctx.floor(mant * q + mctx.mpf(1) / 2) / q
-    if mant >= 10:
-        mant /= 10
-        expo += 1
-    mant_s = mctx.nstr(mant, sig, strip_zeros=False)
-    if "." not in mant_s:
-        mant_s += "." + "0" * (sig - 1)
-    frac = sig - 1
-    head, tail = mant_s.split(".")
-    mant_s = head + "." + (tail + "0" * frac)[:frac]
-    return "%s%s(%+d)" % (sign, mant_s, expo)
+    mant, expo = mctx.nstr(abs(v), sig, min_fixed=1, max_fixed=0, show_zero_exponent=True,
+                           strip_zeros=False).split("e")
+    return "%s%s(%+d)" % (sign, mant, int(expo))
 
 
 def _numstr(v, digits: int) -> str:

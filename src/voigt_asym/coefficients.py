@@ -13,15 +13,15 @@ B_2k and c(phi) for theorem2, from one phase p = e^{i phi (alpha - 1/2)} and
 e^{i phi alpha}/(1 - e^{i phi}) = i p/(2 sin(phi/2)); B^_2k = -2i conj(p)
 B_2k for ``coefficient_set`` alone. Those few transcendental inputs are
 floating point; the h_j, A_2k, B_2k and the pole powers c^{-2k-1} are
-summed in one fixed-point sweep on Python integers scaled by 2^wp, wp the
-widened precision plus ``PASS_GUARD_BITS``, chosen from the rounding bound
-``_Pass`` states, and each coefficient is rounded once to the working
-context. Off the Stokes line passes are memoized on (phi, alpha, digits)
-in a small LRU cache, so both estimates at any orders share one per point,
-and ``table1`` builds 2 passes. The Stirling gamma_k and the table c_{j,k}
-come from the exact series reversion of (1/2) w^2 = t - log(1 + t), once
-per process, and enter the sweep as integers per wp; nothing is typed in
-by hand.
+summed in one fixed-point sweep on Python integers scaled by 2^wp (by the
+fixed-point helpers of ``numerics``), wp the widened precision plus
+``PASS_GUARD_BITS``, chosen from the rounding bound ``_Pass`` states, and
+each coefficient is rounded once to the working context. Off the Stokes
+line passes are memoized on (phi, alpha, digits) in a small LRU cache, so
+both estimates at any orders share one per point, and ``table1`` builds 2
+passes. The Stirling gamma_k and the table c_{j,k} come from the exact
+series reversion of (1/2) w^2 = t - log(1 + t), once per process, and
+enter the sweep as integers per wp; nothing is typed in by hand.
 
 The geometry, fixed throughout: a first-quadrant point has theta = arg w in
 [0, pi/2] and phi = pi - 2 theta in [0, pi]. phi = 0 is the Stokes line. The
@@ -42,13 +42,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from mpmath.libmp import from_man_exp, mpc_pos, round_nearest, to_fixed
-
 from .exceptions import DomainError, UnsupportedOrderError
 from .numerics import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     _constants,
+    _fixed,
+    _fixed_mul,
+    _float_log,
+    _from_fixed,
     erfcx,
     round_widening,
     to_mpf,
@@ -88,18 +90,6 @@ def _check_phi(mctx, phi):
     return p
 
 
-def _fixed(z, wp: int) -> tuple:
-    # an mpc as (re, im) integers scaled by 2^wp, each part floored
-    re, im = z._mpc_
-    return to_fixed(re, wp), to_fixed(im, wp)
-
-
-def _mul(x: tuple, y: tuple, wp: int) -> tuple:
-    # the product of two complex numbers scaled by 2^wp, floored once per part
-    (xr, xi), (yr, yi) = x, y
-    return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp
-
-
 def _h_sweep(alpha: int, u: tuple, n: int, wp: int) -> list:
     """h_0..h_n by h_j = C(alpha, j) + u h_{j-1}, on integers scaled by
     2^wp: ``alpha`` one of them, ``u`` and each h_j a pair (re, im). The
@@ -110,7 +100,7 @@ def _h_sweep(alpha: int, u: tuple, n: int, wp: int) -> list:
     binom, h = one, [(one, 0)]
     for j in range(1, n + 1):
         binom = ((binom * (alpha - (j - 1) * one)) >> wp) // j
-        hr, hi = _mul(u, h[-1], wp)
+        hr, hi = _fixed_mul(u, h[-1], wp)
         h.append((binom + hr, hi))
     return h
 
@@ -133,31 +123,18 @@ def _c_raw(mctx, phi, cos_half, sin_half):
     return mctx.sqrt(mctx.mpc(4 * sin_half * sin_half, -2 * diff))
 
 
-def E_of_phi(phi, r, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Stokes smoothing factor E(phi) = sqrt(2 pi) e^{zeta^2} erfc(zeta)
-    with zeta = c(phi) r / sqrt(2), evaluated as sqrt(2 pi) erfcx(zeta) by
-    the scaled kernel (zeta lies in the closed fourth quadrant, its domain),
-    which never forms e^{-zeta^2} only to cancel it. E(0) = sqrt(2 pi)."""
-    mctx = ctx.mp()
-    p = _check_phi(mctx, phi)
-    rr = to_mpf(mctx, r)
-    if not rr > 0:
-        raise DomainError("E_of_phi needs r > 0, got %s" % (rr,))
-    return _E_of_c(mctx, _c_raw(mctx, p, *mctx.cos_sin(p / 2)), rr)
-
-
 def _E_of_c(mctx, c, r):
-    # E = sqrt(2 pi) erfcx(c r / sqrt 2), from a c(phi) already at hand
+    # E(phi) = sqrt(2 pi) erfcx(zeta), zeta = c(phi) r / sqrt 2, from a c(phi) at hand
     return _constants(mctx).sqrt_2pi * erfcx(c * r / _constants(mctx).sqrt2, mctx)
 
 
 def _b_widening(phi) -> int:
     # B_2k cancels across about (2k+3) log10(PHI_SWITCH/phi) digits, most at
-    # k = K_MAX; float logs of mantissa and exponent take a phi below the
-    # float range too, and one just below PHI_SWITCH (float log 0) gets 1
+    # k = K_MAX; the float log takes a phi below the float range too, and
+    # one just below PHI_SWITCH (float log 0) gets 1
     if phi >= PHI_SWITCH:
         return 0
-    log10_ratio = math.log10(PHI_SWITCH) - math.log10(phi.man) - phi.exp * math.log10(2)
+    log10_ratio = (math.log(PHI_SWITCH) - _float_log(phi)) / math.log(10)
     return round_widening(max(1, math.ceil((2 * K_MAX + 3) * log10_ratio)))
 
 
@@ -231,11 +208,11 @@ class _Pass:
     the pole powers as integer products, and B^_2k = -2i conj(p) B_2k.
     Each coefficient is rounded once into ctx.mp().
 
-    Every conversion and every product's shift floors each part once (an
-    error below 1 unit of 2^-wp, or sqrt 2 for a complex pair), and each
-    division by j floors once more. With |x| the modulus of an exact input
-    or result and eps = 2^-wp for the product of two errors, the errors in
-    units of 2^-wp are at most
+    Every conversion and every product's shift floors by the error model of
+    the fixed-point helpers in ``numerics``, and each division by j floors
+    once more. With |x| the modulus of an exact input or result and
+    eps = 2^-wp for the product of two errors, the errors in units of 2^-wp
+    are at most
 
         C(alpha, j):  e_0 = 0, e_j = ((|alpha - j + 1| + eps) e_{j-1}
                       + |C(alpha, j - 1)| + 1)/j + 1
@@ -273,19 +250,14 @@ class _Pass:
         self._half = cos_half, sin_half = wctx.cos_sin(self._at[0] / 2)
         self.sin_half = sin_half
         # alpha and u = (-1 + i cot(phi/2))/2 as the sweep's integers
-        cot_half = to_fixed((cos_half / sin_half)._mpf_, wp - 1)
-        self._sweep_in = to_fixed(alpha._mpf_, wp), (-1 << (wp - 1), cot_half)
+        cot_half = _fixed(cos_half / sin_half, wp - 1)
+        self._sweep_in = _fixed(alpha, wp), (-1 << (wp - 1), cot_half)
         self._A, self._forms = (), ((),)
 
     def _rounded(self, values) -> tuple:
         if self._wp is None:  # the limits, already numbers of ctx.mp()
             return tuple(values)
-        mctx, wp = self._mctx, self._wp
-        return tuple(
-            mctx.make_mpc((from_man_exp(re, -wp, mctx.prec, round_nearest),
-                           from_man_exp(im, -wp, mctx.prec, round_nearest)))
-            for re, im in values
-        )
+        return tuple(_from_fixed(self._mctx, v, self._wp) for v in values)
 
     def _A_to(self, k: int) -> tuple:
         # A_0 up to at least A_2k, from the h_j
@@ -315,14 +287,14 @@ class _Pass:
             c = _c_raw(wctx, phi, cos_half, sin_half)
             to_B = _fixed(1j * p / (2 * sin_half), wp)
             pole = _fixed(1 / c, wp)  # c^{-2k-1}
-            inv_c_sq = _mul(pole, pole, wp)
+            inv_c_sq = _fixed_mul(pole, pole, wp)
             B = []
             for j, a_j in enumerate(self._A_to(k)):
                 sign_df = (-1) ** j * _DOUBLE_FACTORIAL[j]
-                br, bi = _mul(to_B, a_j, wp)
+                br, bi = _fixed_mul(to_B, a_j, wp)
                 B.append((br + sign_df * pole[1], bi - sign_df * pole[0]))
-                pole = _mul(pole, inv_c_sq, wp)
-            c = self._mctx.make_mpc(mpc_pos(c._mpc_, self._mctx.prec, "n"))
+                pole = _fixed_mul(pole, inv_c_sq, wp)
+            c = self._mctx.mpc(c)
             forms = self._forms = tuple(B), c, p
         return forms
 
@@ -338,7 +310,7 @@ class _Pass:
             Bhat = [-2j * b for b in B]
         else:  # -2i conj(p) = -2 Im p - 2i Re p
             pr, pi = _fixed(p, self._wp)
-            Bhat = [_mul((-2 * pi, -2 * pr), b, self._wp) for b in B]
+            Bhat = [_fixed_mul((-2 * pi, -2 * pr), b, self._wp) for b in B]
         A = None if self._A is None else self.A(k_max)
         return CoefficientSet(A, self._rounded(B), self._rounded(Bhat), c)
 

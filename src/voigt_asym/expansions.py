@@ -44,6 +44,7 @@ from .numerics import (
     GUARD_DIGITS,
     PrecisionContext,
     _constants,
+    _float_log,
     asymptotic_series,
     to_mpf,
 )
@@ -325,11 +326,10 @@ def _visible_remainder(arg, plan, sums, k_terms, uniform, ctx) -> RemainderEstim
         return _series_estimate(arg, plan, k_terms, uniform, ctx)
     r2 = ctx.mp().fmul(arg.r, arg.r, exact=True)
     # ln(|S| / B) = r^2 - gap; r^2 may pass the float range, so it meets the
-    # skip threshold through its log, as in numerics._series_length
-    ln2 = math.log(2)
-    gap = math.log(OPTIMAL_REMAINDER_BOUND) - (math.log(small.man) + small.exp * ln2)
+    # skip threshold through its log
+    gap = math.log(OPTIMAL_REMAINDER_BOUND) - _float_log(small)
     room = ctx.digits * math.log(10) + gap
-    if room <= 0 or math.log(r2.man) + r2.exp * ln2 >= math.log(room):
+    if room <= 0 or _float_log(r2) >= math.log(room):
         low = PrecisionContext(digits=REMAINDER_DIGITS_STEP).mp()
         bound = OPTIMAL_REMAINDER_BOUND * low.exp(low.fneg(r2, exact=True))
         return RemainderEstimate(Khat=0, Lhat=0, method="bound", err_estimate=bound)

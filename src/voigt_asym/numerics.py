@@ -15,6 +15,9 @@ context; instances are created once, cached per decimal-digit count, and
 never mutated afterwards, which keeps every operation in this package a pure
 function of its inputs and safe for unrestricted concurrent use.
 
+No other module reads mpmath's raw number format; they reach it through
+the helpers ``_fixed``, ``_fixed_mul``, ``_from_fixed`` and ``_float_log``.
+
 Branch conventions: principal branch for sqrt and log everywhere. All square
 roots of complex quantities below are principal (argument in (-pi, pi]).
 """
@@ -133,6 +136,37 @@ def to_mpc(ctx, z):
     return ctx.mpc(ctx.convert(z))
 
 
+def _fixed(v, wp: int):
+    """An mpf as an integer scaled by 2^wp, an mpc as the pair (re, im).
+
+    The fixed-point sweeps (the ladder below, the coefficient pass) run on
+    such integers, through this helper, ``_fixed_mul`` and ``_from_fixed``
+    alone. A conversion, and a product's shift, floors each part once: an
+    error below 1 unit of 2^-wp per part, and below sqrt 2 in modulus for a
+    complex pair. ``_from_fixed`` rounds back to nearest.
+    """
+    if hasattr(v, "_mpc_"):
+        return to_fixed(v._mpc_[0], wp), to_fixed(v._mpc_[1], wp)
+    return to_fixed(v._mpf_, wp)
+
+
+def _fixed_mul(x: tuple, y: tuple, wp: int) -> tuple:
+    (xr, xi), (yr, yi) = x, y  # the complex product, one shift per part
+    return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp
+
+
+def _from_fixed(mctx, z: tuple, wp: int):
+    # a pair scaled by 2^wp as an mpc of mctx, each part rounded to nearest
+    (re, im), prec = z, mctx.prec
+    return mctx.make_mpc((from_man_exp(re, -wp, prec, round_nearest),
+                          from_man_exp(im, -wp, prec, round_nearest)))
+
+
+def _float_log(v) -> float:
+    # ln v of a positive mpf as a float, also past the float range
+    return math.log(v.man) + v.exp * math.log(2)
+
+
 def _series_length(r2, m, prec: int) -> int:
     # How many terms of asymptotic_series to sum. The k-th term has modulus
     # |t_0| (1/2)_k / r2^k, which shrinks while k < r2 + 1/2. A finite cut m
@@ -151,7 +185,7 @@ def _series_length(r2, m, prec: int) -> int:
     if not r2 > limit:
         # log((1/2)_k / r2^k) >= k log(k / r2) - k >= -r2: no term is small enough
         return m
-    log_r2 = math.log(r2.man) + r2.exp * math.log(2)  # r2 may exceed the float range
+    log_r2 = _float_log(r2)
     log_term = 0.0
     for n in range(1, m):
         log_term += math.log(n - 0.5) - log_r2
@@ -264,8 +298,8 @@ def upper_incomplete_gamma_half_ladder(
 
         u_{k+1} = 2z (1 - u_k) / (2k + 1),
 
-    summed on Python integers scaled by 2^wp (mpmath's fixed-point idiom):
-    each step is one complex product, one shift by wp and one floor division
+    summed on Python integers scaled by 2^wp (mpmath's fixed-point idiom,
+    by ``_fixed``): each step is one ``_fixed_mul`` and one floor division
     by 2k + 1 per component. The result is u_m z^{-m-1/2}, with
     z^{-m-1/2} = (sqrt z)^{-2m-1}.
 
@@ -280,9 +314,9 @@ def upper_incomplete_gamma_half_ladder(
     An a-posteriori loss check bounds the error e_k of u_k in units of 2^-wp.
     The base case is allowed e_0 = 32 max(1, |u_0|), for the roundings of
     erfcx's series (a few dozen terms at most) and of two products. In a step,
-    1 - u_k is exact; 2z 2^wp is floored once per component (modulus error
-    below sqrt 2, times |1 - u_k|), the product once by the shift (below
-    sqrt 2) and the quotient once by the division (below sqrt 2), so
+    1 - u_k is exact; the floors of the helpers' error model fall on 2z 2^wp
+    (below sqrt 2, times |1 - u_k|) and on the product's shift (below
+    sqrt 2), and the division floors the quotient once more (below sqrt 2), so
 
         e_{k+1} <= |2z/(2k+1)| e_k + sqrt(2) ((2 + |u_k|)/(2k+1) + 1)
                 <= |2z/(2k+1)| e_k + sqrt(2) (3 + |u_k|).
@@ -314,8 +348,8 @@ def upper_incomplete_gamma_half_ladder(
         zz = to_mpc(wctx, z)
         root = wctx.sqrt(zz)
         u = _constants(wctx).sqrt_pi * root * erfcx(root, wctx)
-        ur, ui = to_fixed(u.real._mpf_, wp), to_fixed(u.imag._mpf_, wp)
-        zr, zi = to_fixed(zz.real._mpf_, wp + 1), to_fixed(zz.imag._mpf_, wp + 1)  # 2z
+        ur, ui = _fixed(u, wp)
+        two_z = _fixed(zz, wp + 1)
         one = 1 << wp
         log2_2z = 1 + _log2_abs(zz)
         # err: log2 of the bound on the error of u_k, in units of 2^-wp
@@ -326,15 +360,12 @@ def upper_incomplete_gamma_half_ladder(
             added = 1.5 + max(_LOG2_3, b + 0.5)  # log2 sqrt(2) (3 + |u_k|)
             top = max(grown, added)
             err = top + math.log2(1 + 2.0 ** (min(grown, added) - top))
-            tr, ti = one - ur, -ui
-            ur = ((zr * tr - zi * ti) >> wp) // (2 * k + 1)
-            ui = ((zr * ti + zi * tr) >> wp) // (2 * k + 1)
+            pr, pi = _fixed_mul(two_z, (one - ur, -ui), wp)
+            ur, ui = pr // (2 * k + 1), pi // (2 * k + 1)
         b = max(ur.bit_length(), ui.bit_length())
         attained = max(0.0, (b - 2 - err) * math.log10(2)) if b else 0.0
         if attained >= ctx.digits:
-            u = wctx.make_mpc((from_man_exp(ur, -wp, wp, round_nearest),
-                               from_man_exp(ui, -wp, wp, round_nearest)))
-            return u * root ** (-2 * m_max - 1)
+            return _from_fixed(wctx, (ur, ui), wp) * root ** (-2 * m_max - 1)
         effective += round_widening(int(math.ceil(ctx.digits - attained)) + 10)
     raise PrecisionError(
         "incomplete-gamma recurrence at m=%d, |z|=%s attained only %.0f of "

@@ -9,7 +9,8 @@ expansion after m terms:
   complementary error function. Fast and exact to working precision.
 * ``voigt_quadrature``: direct numerical integration of the defining
   convolution integral, sharing no code with the erfc route: one folded
-  integral at every point; K on y = 0 in closed form.
+  integral at every point, widened by log10 x digits past x = 1e5; K on
+  y = 0 in closed form.
 * ``remainder_exact``: the terminant remainder, through a downward
   fixed-point sweep of the upper incomplete gamma function at negative
   half-integer order wherever its depth cap allows, and as a
@@ -38,6 +39,7 @@ from .numerics import (
     GUARD_DIGITS,
     PrecisionContext,
     _constants,
+    _float_log,
     integrate_semi_infinite,
     mp_context,
     round_widening,
@@ -227,14 +229,20 @@ def voigt_quadrature(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
     whose real part gives K and minus its imaginary part L. On y = 0 the
     kernel's real part is a delta at t = x, so K is e^{-x^2} in closed form,
     with -x^2 exact. The error estimate is the quadrature's, plus 10^(1-digits)
-    (|K| + |L|); more than ``QUADRATURE_DIGITS_MAX`` digits is a DomainError.
+    (|K| + |L|).
+
+    Nodes near the Gaussian's peak s = x lie about x 10^-dps apart, so past
+    x = 10^GUARD_DIGITS the integral runs log10 x digits wider; more than
+    ``QUADRATURE_DIGITS_MAX`` digits, widening included, is a DomainError.
     """
-    if ctx.digits > QUADRATURE_DIGITS_MAX:
+    log10_x = _float_log(arg.x) / math.log(10) if arg.x > 1 else 0
+    widen = round_widening(max(0, math.ceil(log10_x) - GUARD_DIGITS))
+    if ctx.digits + widen > QUADRATURE_DIGITS_MAX:
         raise DomainError(
-            "quadrature covers at most %d digits (QUADRATURE_DIGITS_MAX), got %d; "
-            "voigt_exact_erfc has no such cap" % (QUADRATURE_DIGITS_MAX, ctx.digits)
-        )
-    wctx = mp_context(ctx.digits + GUARD_DIGITS)
+            "quadrature covers at most %d digits (QUADRATURE_DIGITS_MAX), got %d + %d for "
+            "x = %s; voigt_exact_erfc has no such cap"
+            % (QUADRATURE_DIGITS_MAX, ctx.digits, widen, ctx.mp().nstr(arg.x, 5)))
+    wctx = mp_context(ctx.digits + GUARD_DIGITS + widen)
     x, y = wctx.convert(arg.x), wctx.convert(arg.y)
     pi, prec = wctx.pi, wctx.prec
 
@@ -254,12 +262,14 @@ def voigt_quadrature(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
         g = e / (pi * (y * y + s * s))
         return wctx.mpc(g * y * (2 + d), g * s * d)
 
-    # the Gaussian peaks at s = x, and a float of x would overflow past
-    # 1.8e308; off the axis one panel per decade from y up to 1 resolves the
-    # kernel's spike of width y at s = 0, however small y is
+    # the Gaussian peaks at s = x (a float of x would overflow past 1.8e308)
+    # and is below 10^-dps left of x - c, c^2 > dps ln 10, so the panel
+    # ending at the peak starts there; off the axis one panel per decade
+    # from y up to 1 resolves the kernel's spike of width y at s = 0
+    c = math.ceil(math.sqrt(wctx.dps * math.log(10))) + 1
     decades = max(1, 1 - math.floor(float(wctx.log10(y)))) if y else 0
-    pts = (x, x + 8) + tuple(y * 10 ** k for k in range(decades))
-    res = integrate_semi_infinite(f, ctx, extra_points=pts)
+    pts = (x, x + 8) + ((x - c,) if x > c else ()) + tuple(y * 10 ** k for k in range(decades))
+    res = integrate_semi_infinite(f, ctx, extra_points=pts, extra_dps=widen)
     if y:
         K, L = res.value.real, -res.value.imag
     else:

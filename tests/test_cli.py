@@ -19,7 +19,6 @@ from voigt_asym import (
     PrecisionError,
     TruncationPlan,
     VoigtArgument,
-    E_of_phi,
     mp_context,
     remainder_exact,
     tables,
@@ -446,11 +445,10 @@ ORIGIN = VoigtArgument.from_xy(0, 0, CTX)
      ("eval", "--x", "0", "--y", "0", "--method", "algebraic", "--m", "3")),
     (lambda: terminant_asymptotic(mp_context(21).mpc(3, -3), 4.7, "uniform", 3, CTX),
      DomainError, "covers 0 <= arg z <= pi", None),
-    (lambda: E_of_phi("0.5", 0, CTX), DomainError, "E_of_phi needs r > 0", None),
     (lambda: tables.tolerance_last_digit("0.0", 9), ValueError, "zero cell", None),
 ], ids=["polar-r", "polar-theta-high", "polar-theta-low", "remainder-origin",
         "gamma-m-max", "gamma-cap", "gamma-z",
-        "plan-m", "plan-r", "terminant-arg", "E-r", "tolerance-zero"])
+        "plan-m", "plan-r", "terminant-arg", "tolerance-zero"])
 def test_each_refusal_raises_its_typed_error(capsys, call, error, match, argv):
     # refusals no other test reaches; where the CLI reaches one, it exits 2
     # with the library's message and prints nothing to stdout

@@ -238,6 +238,53 @@ def test_erfcx_series_failure_is_precision_error(monkeypatch):
     assert mctx.isfinite(erfcx(mctx.mpc(20, 1), mctx))
 
 
+# ------------------------------------------------------------ fixed point
+
+def _exact(v) -> Fraction:
+    # an mpf as the exact dyadic Fraction it is (man_exp is unsigned)
+    man, exp = v.man_exp
+    return (-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_fixed_point_helpers_keep_their_floor_contract(digits):
+    # at wp = prec + 20 for the working context of each precision: _fixed
+    # floors each part of an mpf or mpc; _from_fixed rounds back to nearest,
+    # so a value on the 2^-wp grid comes back as mctx.mpc would round it;
+    # _fixed_mul lies below the exact product of its integers, scaled by
+    # 2^-wp, by less than 1 unit per part and sqrt 2 in modulus; and
+    # _float_log is ln v, also past the float range
+    rng = random.Random(2500 + digits)
+    mctx = PrecisionContext(digits).mp()
+    wide = mp_context(mctx.dps + 30)
+    wp = mctx.prec + 20
+    scale = Fraction(1 << wp)
+
+    def part(bits):
+        return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+    for _ in range(100):
+        e = rng.randint(-4, 4)
+        on_grid = (part(wp + e), part(wp + e))
+        v = mctx.mpc(*(wide.ldexp(wide.mpf(n), -wp) for n in on_grid))  # rounded once
+        assert numerics._from_fixed(mctx, on_grid, wp) == mctx.mpc(
+            *(mctx.ldexp(mctx.mpf(n), -wp) for n in on_grid))
+        off = wide.mpc(*(wide.ldexp(wide.mpf(part(wide.prec)), e - wide.prec) for _ in "ri"))
+        floors = tuple(math.floor(_exact(p) * scale) for p in (off.real, off.imag))
+        assert numerics._fixed(off, wp) == floors
+        assert numerics._fixed(off.real, wp) == floors[0]
+        assert numerics._from_fixed(mctx, numerics._fixed(v, wp), wp) == v
+        x, y = on_grid, (part(wp + 2), part(wp + 2))
+        got = numerics._fixed_mul(x, y, wp)
+        exact = (Fraction(x[0] * y[0] - x[1] * y[1]) / scale,
+                 Fraction(x[0] * y[1] + x[1] * y[0]) / scale)
+        miss = [w - g for w, g in zip(exact, got)]
+        assert all(0 <= d < 1 for d in miss) and miss[0] ** 2 + miss[1] ** 2 < 2
+    for text in ("3.25", "1e-30", "7e400", "2e-2000"):
+        v = mctx.mpf(text)
+        assert abs(numerics._float_log(v) - float(mctx.log(v))) <= 1e-13 * abs(float(mctx.log(v)))
+
+
 # ------------------------------------------------------ incomplete gamma
 
 def test_gamma_half_base_case(ctx40):

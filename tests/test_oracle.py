@@ -350,12 +350,15 @@ def test_quadrature_routes_agree(ctx40):
 
 def test_quadrature_refuses_digits_past_its_cap():
     # the work grows steeply with the digits (minutes at 400); the y > 0
-    # and the y = 0 forms refuse past the cap by name
+    # and the y = 0 forms refuse past the cap by name, and so does a point
+    # whose log10 x widening passes it (23 s of work at (1e400, 1) and 40
+    # digits, where the peak's nodes lie 1e360 apart unwidened)
     ctx = PrecisionContext(digits=QUADRATURE_DIGITS_MAX + 1)
     msg = "at most %d digits" % QUADRATURE_DIGITS_MAX
-    for x, y in ((3, 4), (3, 0)):
+    for x, y, c in ((3, 4, ctx), (3, 0, ctx), ("1e400", 1, PrecisionContext(40)),
+                    ("1e300", 2, PrecisionContext(16))):
         with pytest.raises(DomainError, match=msg):
-            voigt_quadrature(VoigtArgument.from_xy(x, y, ctx), ctx)
+            voigt_quadrature(VoigtArgument.from_xy(x, y, c), c)
 
 
 def test_route_agreement_grid(ctx40):
@@ -423,6 +426,28 @@ def test_convolution_holds_its_estimate_as_y_goes_to_zero(digits):
         if y == "0":
             want = voigt_exact_erfc(arg, PrecisionContext(digits=digits + 20))
             assert abs(got.K - want.K) <= unit * want.K, (x, got.K, want.K)
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_convolution_holds_its_estimate_at_large_x(digits):
+    # nodes near the Gaussian's peak s = x lie about x 10^-dps apart, and
+    # the panel ending there starts decades away: the route runs log10 x
+    # digits wider and splits at x - c. At 16 and 40 digits, 20 draws with
+    # x log-uniform on [1e-3, 1e31] and y log-uniform on [1e-30, 1e2], or 0,
+    # and at 16 three such draws the unwidened route missed by 1.03-1.29x;
+    # at every precision three points at y = 1 out to x = 1.23e30
+    rng = random.Random(2025 + digits)
+    ctx = PrecisionContext(digits=digits)
+    points = [(x, "1") for x in ("1.23e15", "1.23e20", "1.23e30")]
+    if digits == 16:
+        points += [("5.24e19", "2.172e-12"), ("5.838e26", "1.776e-8"), ("2.374e26", "1.948e-17")]
+    if digits < 100:
+        points += [(repr(10 ** rng.uniform(-3, 31)),
+                    "0" if rng.random() < 0.15 else repr(10 ** rng.uniform(-30, 2)))
+                   for _ in range(20)]
+    for x, y in points:
+        got, miss = _quadrature_miss(VoigtArgument.from_xy(x, y, ctx), ctx)
+        assert miss <= got.err_estimate, (x, y, miss, got)
 
 
 @pytest.mark.parametrize("digits", [40, 100])

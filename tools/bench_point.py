@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Per-call times of the main paths at fixed points, before and after a change.
 
-Times E_of_phi, remainder_exact(route="gamma") at optimal m, theorem2 and
-theorem1 at k = 3, theorem2's coefficient pass alone (B_0..B_6 and c(phi),
+Times E(phi) from the pass's c(phi) (``coefficients._E_of_c``),
+remainder_exact(route="gamma") at optimal m, theorem2 and theorem1 at
+k = 3, theorem2's coefficient pass alone (B_0..B_6 and c(phi),
 ``coefficient_pass_k3``), algebraic_partial_sums at optimal m,
 evaluate_via_expansion (eq42 and eq41, k = 3), voigt_exact_erfc and a
 table2 cell (remainder_exact, theorem2 and theorem1 at k = 3 and optimal
@@ -107,8 +108,9 @@ def _measure_point(va, X, Y, digits, calls, probe):
         return (va.remainder_exact(arg, m, ctx), va.theorem2(arg, plan, 3, ctx),
                 va.theorem1(arg, plan, 3, ctx))
 
+    c = va.coefficients._pass(arg.phi, plan.alpha, ctx).uniform(0)[1]
     paths = {
-        "E_of_phi": (lambda: va.E_of_phi(arg.phi, arg.r, ctx), lambda v: v, E_ref),
+        "E_of_c": (lambda: va.coefficients._E_of_c(ctx.mp(), c, arg.r), lambda v: v, E_ref),
         "remainder_exact_gamma": (
             lambda: va.remainder_exact(arg, m, ctx, route="gamma"), pair, rem_ref),
         "theorem2_k3": (lambda: va.theorem2(arg, plan, 3, ctx), estimate, rem_ref),
