@@ -25,9 +25,7 @@ from .exceptions import (
 from .numerics import (
     DEFAULT_CONTEXT,
     PrecisionContext,
-    integrate_semi_infinite,
     mp_context,
-    upper_incomplete_gamma_half_ladder,
 )
 from .oracle import (
     Evaluation,
@@ -72,7 +70,6 @@ __all__ = [
     "algebraic_partial_sums",
     "coefficient_set",
     "evaluate_via_expansion",
-    "integrate_semi_infinite",
     "optimal_truncation",
     "mp_context",
     "reduce_to_first_quadrant",
@@ -80,7 +77,6 @@ __all__ = [
     "terminant_asymptotic",
     "theorem1",
     "theorem2",
-    "upper_incomplete_gamma_half_ladder",
     "voigt_exact_erfc",
     "voigt_quadrature",
 ]

@@ -139,11 +139,12 @@ def to_mpc(ctx, z):
 def _fixed(v, wp: int):
     """An mpf as an integer scaled by 2^wp, an mpc as the pair (re, im).
 
-    The fixed-point sweeps (the ladder below, the coefficient pass) run on
-    such integers, through this helper, ``_fixed_mul`` and ``_from_fixed``
-    alone. A conversion, and a product's shift, floors each part once: an
-    error below 1 unit of 2^-wp per part, and below sqrt 2 in modulus for a
-    complex pair. ``_from_fixed`` rounds back to nearest.
+    The fixed-point sweeps (the ladder and the fraction below, the
+    coefficient pass) run on such integers, through this helper,
+    ``_fixed_mul``, ``_fixed_div`` and ``_from_fixed`` alone. A conversion,
+    a product's shift and a quotient floor each part once: an error below 1
+    unit of 2^-wp per part, and below sqrt 2 in modulus for a complex pair.
+    ``_from_fixed`` rounds back to nearest.
     """
     if hasattr(v, "_mpc_"):
         return to_fixed(v._mpc_[0], wp), to_fixed(v._mpc_[1], wp)
@@ -153,6 +154,12 @@ def _fixed(v, wp: int):
 def _fixed_mul(x: tuple, y: tuple, wp: int) -> tuple:
     (xr, xi), (yr, yi) = x, y  # the complex product, one shift per part
     return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp
+
+
+def _fixed_div(x: tuple, y: tuple, wp: int) -> tuple:
+    (xr, xi), (yr, yi) = x, y  # the complex quotient, one floor per part
+    d = yr * yr + yi * yi
+    return ((xr * yr + xi * yi) << wp) // d, ((xi * yr - xr * yi) << wp) // d
 
 
 def _from_fixed(mctx, z: tuple, wp: int):
@@ -261,6 +268,10 @@ def erfcx(z, mctx):
     return mctx.mpc(wctx.exp(z2) - 2 * zw / _constants(wctx).sqrt_pi * kummer)
 
 
+def _bits(v: tuple) -> int:
+    return max(v[0].bit_length(), v[1].bit_length())  # of a fixed-point pair
+
+
 def _log2_abs(z) -> float:
     # log2 |z| from the exact |z|^2 = Re^2 + Im^2 as an integer times a power
     # of two: a float of |z| overflows from about 1e308 on
@@ -353,16 +364,16 @@ def upper_incomplete_gamma_half_ladder(
         one = 1 << wp
         log2_2z = 1 + _log2_abs(zz)
         # err: log2 of the bound on the error of u_k, in units of 2^-wp
-        err = 5 + max(0, max(ur.bit_length(), ui.bit_length()) - wp + 0.5)
+        err = 5 + max(0, _bits((ur, ui)) - wp + 0.5)
         for k in range(m_max):
-            b = max(ur.bit_length(), ui.bit_length()) - wp
+            b = _bits((ur, ui)) - wp
             grown = err + log2_2z - math.log2(2 * k + 1)
             added = 1.5 + max(_LOG2_3, b + 0.5)  # log2 sqrt(2) (3 + |u_k|)
             top = max(grown, added)
             err = top + math.log2(1 + 2.0 ** (min(grown, added) - top))
             pr, pi = _fixed_mul(two_z, (one - ur, -ui), wp)
             ur, ui = pr // (2 * k + 1), pi // (2 * k + 1)
-        b = max(ur.bit_length(), ui.bit_length())
+        b = _bits((ur, ui))
         attained = max(0.0, (b - 2 - err) * math.log10(2)) if b else 0.0
         if attained >= ctx.digits:
             return _from_fixed(wctx, (ur, ui), wp) * root ** (-2 * m_max - 1)
@@ -373,6 +384,77 @@ def upper_incomplete_gamma_half_ladder(
         % (m_max, mctx.nstr(abs(probe), 3), attained, ctx.digits),
         attained=attained,
     )
+
+
+def _fraction_sweep(m: int, z: tuple, wp: int, stop: float, limit: int):
+    # at most limit pairs of steps on z scaled by 2^wp: F = q 2^-scale as (q, scale, pairs)
+    a1, a2, b1, b2 = (1 << wp, 0), (2 << wp, 0), z, (2 * z[0] + ((2 * m + 1) << wp), 2 * z[1])
+    log2_prod, sa, sb = math.log2(2 * m + 1), 0, 0  # log2 a_1 ... a_n; A's and B's shifts
+    for j in range(1, limit + 1):
+        e = 2 * m + 1 + 2 * j
+        t = _fixed_mul(z, a2, wp)
+        a1 = t[0] + 2 * j * a1[0], t[1] + 2 * j * a1[1]
+        a2 = 2 * a1[0] + e * a2[0], 2 * a1[1] + e * a2[1]
+        t = _fixed_mul(z, b2, wp)
+        b1 = t[0] + 2 * j * b1[0], t[1] + 2 * j * b1[1]
+        b2 = 2 * b1[0] + e * b2[0], 2 * b1[1] + e * b2[1]
+        log2_prod += math.log2(2 * j * e)
+        s = max(0, _bits(a1) - wp, _bits(a2) - wp)
+        a1, a2, sa = (a1[0] >> s, a1[1] >> s), (a2[0] >> s, a2[1] >> s), sa + s
+        s = max(0, _bits(b1) - wp, _bits(b2) - wp)
+        b1, b2, sb = (b1[0] >> s, b1[1] >> s), (b2[0] >> s, b2[1] >> s), sb + s
+        # a_1 ... a_n / |A_n B_{n-1}|, with |X| >= 2^(bits - 1 + shift - wp)
+        if log2_prod - _bits(a2) - _bits(b1) - sa - sb + 2 * wp + 2 <= -stop:
+            return _fixed_div(a2, b2, wp), wp - sa + sb, j
+    raise PrecisionError("Legendre's fraction at m = %d did not stop within its Gragg-Warner "
+                         "limit of %d pairs" % (m, limit))
+
+
+def upper_incomplete_gamma_half_fraction(m: int, w, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """e^z Gamma(1/2 - m, z) at z = w^2, w = y + ix with y > 0 and x >= 0, by
+    Legendre's continued fraction (DLMF 8.9.2), as an mpc of ctx.mp().
+
+    With c = m + 1/2 it is w^{1-2m} F for the S-fraction in 1/z
+    F = 1/(z + c/(1 + 1/(z + (c + 1)/(1 + 2/(z + ...))))) (Cuyt et al.,
+    Handbook of Continued Fractions for Special Functions, 2008). Its
+    convergents F_n = A_n/B_n, X_n = b_n X_{n-1} + a_n X_{n-2}, run with
+    (a_n, b_n) = (2j, z) at n = 2j + 1 and (2m + 1 + 2j, 2) at n = 2j + 2 on
+    integers scaled by 2^wp: z, exact from x and y, is floored once, z X_{n-1}
+    is a ``_fixed_mul``, each pair of steps ends by shifting A's and B's last
+    two convergents to wp bits, and F is one ``_fixed_div``.
+
+    Stopping rule: with A_n B_{n-1} - A_{n-1} B_n = +-a_1 ... a_n, bit
+    lengths bound |F_n - F_{n-1}|/|F_n| within a factor 8. The loop stops at
+    the first even n where H times that is below 2^-p, p = ctx.mp().prec,
+    H = 1 at arg w <= pi/4 and 1/sin(2 arg w) past it: |F - F_n| <= H
+    |F_n - F_{n-1}| <= 2^-p |F_n| (Henrici and Pfluger 1966).
+
+    Bound: F's coefficients in 1/z are c, 1, c + 1, 2, ...; the Gragg-Warner
+    bound for S-fractions, with ln((s - 1)/(s + 1)) <= -2/s on 1, 2, 3, ...
+    alone, gives ln|F - F_{2J+1}| <= ln(2/(ry)) - y (sqrt(y^2 + 4J + 4)
+    - sqrt(y^2 + 4)), and |F| >= y/(r (r^2 + c)) as F is a Stieltjes
+    transform of a probability measure of mean c (DLMF 8.6.4). So the rule
+    has fired by J = T^2/(4y^2) + (T/2) sqrt(1 + 4/y^2) pairs, T = p ln 2
+    + ln(64 H (r^2 + c)/y^2); a loop that reaches J is a PrecisionError.
+
+    Rounding: each pair's floors err below 2^(2 - wp) relative to the pairs
+    of convergents they touch, carried into F without growth by these
+    dominant solutions: F errs below 2^(4 - wp) (n + 1) |F| after n pairs
+    (tested against the loop at wp + 200 bits), so wp = p + bit_length(J)
+    + 6. The power w^{1-2m} costs about log10 m digits; ctx must have them.
+    """
+    mctx, y, x = ctx.mp(), w.real, w.imag
+    if m < 0 or not (mctx.isfinite(w) and y > 0 and x >= 0):
+        raise DomainError("the fraction needs m >= 0, y > 0, x >= 0; got m = %r, w = %s" % (m, w))
+    p, y2, x2 = mctx.prec, mctx.fmul(y, y, exact=True), mctx.fmul(x, x, exact=True)
+    r2 = mctx.fadd(x2, y2, exact=True)
+    log_h = _float_log(r2 / (2 * x * y)) if x > y else 0.0
+    T = p * math.log(2) + math.log(64) + log_h + _float_log(r2 + m + 1) - _float_log(y2)
+    limit = int(mctx.ceil(T * T / (4 * y2) + T / 2 * mctx.sqrt(1 + 4 / y2)))
+    wp = p + limit.bit_length() + 6
+    z = _fixed(mctx.fsub(y2, x2, exact=True), wp), _fixed(2 * mctx.fmul(x, y, exact=True), wp)
+    q, scale, _ = _fraction_sweep(m, z, wp, p + log_h / math.log(2), limit)
+    return _from_fixed(mctx, q, scale) * w ** (1 - 2 * m)
 
 
 class QuadratureResult(NamedTuple):

@@ -11,14 +11,13 @@ expansion after m terms:
   convolution integral, sharing no code with the erfc route: one folded
   integral at every point, widened by log10 x digits past x = 1e5; K on
   y = 0 in closed form.
-* ``remainder_exact``: the terminant remainder, through a downward
-  fixed-point sweep of the upper incomplete gamma function at negative
-  half-integer order wherever its depth cap allows, and as a
-  contour-rotated real integral past that cap off the Stokes line.
+* ``remainder_exact``: the terminant remainder, from e^z Gamma(1/2 - m, z)
+  by a downward fixed-point sweep of its recurrence up to the sweep's depth
+  cap, and past it, off the Stokes line, by Legendre's continued fraction.
 
 At run time each quantity has one route at each point. The tests keep the
 second ones as cross-checks: the half-line Fourier integral of K - iL, and
-the contour integral of the remainder below the cap.
+the contour integral of the remainder.
 
 Arguments outside the first quadrant must pass through
 ``reduce_to_first_quadrant`` first; K is even in x and flips sign with y,
@@ -44,13 +43,13 @@ from .numerics import (
     mp_context,
     round_widening,
     to_mpf,
+    upper_incomplete_gamma_half_fraction,
     upper_incomplete_gamma_half_ladder,
 )
 
-# Quadrature form of the remainder keeps its pole off the path only for
-# theta < pi/2. remainder_exact runs it only past GAMMA_RECURRENCE_CAP, and
-# even there the gamma route (and its cap error) takes over within this
-# collar of the Stokes line.
+# Past GAMMA_RECURRENCE_CAP, remainder_exact takes Legendre's fraction, whose
+# steps grow about as (pi/2 - theta)^-2, only outside this collar of the
+# Stokes line; within it the ladder, and its cap, take over.
 EPS_POLE = 0.05
 
 # A nonzero coordinate must have a binary exponent within this bound:
@@ -280,76 +279,6 @@ def voigt_quadrature(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
                       err_estimate=out.mpf(res.err_estimate + ctx.eps() * (abs(K) + abs(L))))
 
 
-def _remainder_prefactors(mctx, arg: VoigtArgument, m: int):
-    # |z| = x^2 + y^2 and alpha = nu - |z| exact, from the coordinates: r^2
-    # from the rounded r would carry |z| 10^-dps into the exponent
-    absz = mctx.fadd(mctx.fmul(arg.x, arg.x, exact=True), mctx.fmul(arg.y, arg.y, exact=True),
-                     exact=True)
-    nu = m + mctx.mpf(1) / 2
-    return absz, nu, mctx.fsub(nu, absz, exact=True)
-
-
-def _remainder_quadrature(arg: VoigtArgument, m: int, ctx: PrecisionContext) -> Evaluation:
-    if arg.phi == 0:
-        raise DomainError(
-            "the remainder integrand has a pole on the path at theta = pi/2; "
-            "use the gamma route there"
-        )
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    # every integrand evaluation reduces an exponent of order |z| modulo
-    # ln 2, so past |z| = 10^digits the work grows without bound: at 40
-    # digits r = 1e50 took 13 s to fail, and r = 1e300 ran past 100 s
-    if 2 * mctx.log10(arg.r) >= ctx.digits:
-        raise DomainError(
-            "the remainder quadrature covers |z| = r^2 < 10^%d at %d digits, got r = %s"
-            % (ctx.digits, ctx.digits, mctx.nstr(arg.r, 5))
-        )
-    absz, nu, alpha = _remainder_prefactors(mctx, arg, m)
-    psi = 2 * mctx.convert(arg.theta)
-    phi = mctx.convert(arg.phi)
-
-    # saddle of the exponent sits at tau = 1 when alpha <= 1; past optimal
-    # truncation the algebraic factor pushes the peak out to tau_star and
-    # the integrand exceeds its endpoint scale by e^{peak}, which must be
-    # paid for in working precision
-    a_f = float(alpha)
-    z_f = float(absz)
-    tau_star = max(1.0, 1.0 + (a_f - 1.0) / z_f)
-    peak = 0.0  # at tau = 1, also where |z| passes the float range
-    if tau_star > 1:
-        peak = -z_f * (tau_star - 1.0 - math.log(tau_star)) + (a_f - 1.0) * math.log(tau_star)
-    extra = max(0, int(math.ceil(peak * math.log10(math.e)))) + 5
-
-    wctx = mp_context(ctx.digits + GUARD_DIGITS + extra)
-    absz_w = wctx.convert(absz)
-    alpha_w = wctx.convert(alpha)
-    rot = wctx.expj(-wctx.convert(psi))
-
-    def integrand(tau):
-        return (
-            wctx.exp(-absz_w * (tau - 1 - wctx.log(tau)))
-            * tau ** (alpha_w - 1)
-            / (1 + tau * rot)
-        )
-
-    # the integrand's pole tau = e^{-i phi}: close to the path (right of 0,
-    # and |Im| < 0.7 (1 + Re)) it is bracketed by splits at Re -+ |Im|
-    pole = wctx.expj(-wctx.convert(phi))
-    re, im = float(pole.real), abs(float(pole.imag))
-    near = (re - im, re + im) if re > 0 and im < 0.7 * (1.0 + re) else ()
-    pts = (1.0, tau_star, 2 * tau_star + 1) + near
-    res = integrate_semi_infinite(integrand, ctx, extra_points=pts, extra_dps=extra)
-
-    pref = mctx.expj(phi * nu) / (mctx.pi * mctx.mpc(0, 1)) * mctx.exp(-absz)
-    val = pref * mctx.mpc(res.value)
-    out = ctx.mp()
-    K, L = out.mpf(val.real), out.mpf(-val.imag)
-    # the quadrature error, plus the unit every other route reports: the
-    # phases phi nu and 2 theta come from rounded angles
-    err = out.mpf(abs(pref) * res.err_estimate + ctx.eps() * (abs(K) + abs(L)))
-    return Evaluation(K=K, L=L, method="remainder-quadrature", err_estimate=err)
-
-
 def remainder_exact(
     arg: VoigtArgument, m: int, ctx: PrecisionContext = DEFAULT_CONTEXT, route: str = "auto"
 ) -> Evaluation:
@@ -359,22 +288,12 @@ def remainder_exact(
     algebraic partial sum; see ``expansions.algebraic_partial_sums``. At
     m = 0 the remainder is the whole K - iL.
 
-    It is (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi, with z = w^2, for
-    every m <= GAMMA_RECURRENCE_CAP by the one value the downward sweep of
-    ``upper_incomplete_gamma_half_ladder`` returns. That sweep runs on
-    u_k = e^z Gamma(1/2 - k, z) z^{k+1/2} in fixed point, widened by the
-    digits its own amplification prod_{k<m} max(1, 2|z|/(2k+1)) costs, so
-    with Gamma(m + 1/2) = (1/2)_m sqrt(pi) and z^{-m-1/2} = w^{-2m-1} the
-    remainder is u_m times the first omitted algebraic term:
-
-        hat-K - i hat-L = u_m (-1)^m (1/2)_m w^{-2m-1} / sqrt(pi),
-
-    with u_m near 1 for m << |z| and of order 1 at the optimal cut. Past
-    the cap, "auto" (the default) evaluates
-    a contour-rotated real integral instead (|z| = r^2 < 10^digits), except
-    within EPS_POLE of the Stokes line, where that integral's pole nears its
-    path and the recurrence refuses the depth. route="gamma" takes the
-    recurrence at every m, so past the cap it always refuses.
+    It is (-1)^m (1/2)_m / sqrt(pi) times e^z Gamma(1/2 - m, z), z = w^2. Up
+    to GAMMA_RECURRENCE_CAP the latter is ``upper_incomplete_gamma_half_ladder``'s
+    sweep and (1/2)_m = (2m)!/(4^m m!) exactly. Past the cap, "auto" (the
+    default) takes ``upper_incomplete_gamma_half_fraction`` outside the
+    EPS_POLE collar, widened by the log10 m digits that w^{1-2m} and (1/2)_m
+    cost; inside it, and at every m for route="gamma", the sweep refuses.
     """
     if m < 0:
         raise DomainError("remainder order m must be nonnegative, got %r" % (m,))
@@ -382,16 +301,18 @@ def remainder_exact(
         raise DomainError("the remainder is undefined at the origin")
     if route not in ("auto", "gamma"):
         raise DomainError("unknown remainder route %r" % (route,))
-    if route == "auto" and m > GAMMA_RECURRENCE_CAP and arg.theta <= ctx.mp().pi / 2 - EPS_POLE:
-        return _remainder_quadrature(arg, m, ctx)
-    mctx = ctx.mp(extra=GUARD_DIGITS)
-    z = arg.z(PrecisionContext(digits=ctx.digits + GUARD_DIGITS))
-    # the ladder returns e^z Gamma(1/2 - m, z) = u_m w^{-2m-1}, and
-    # Gamma(m + 1/2) / sqrt(pi) = (1/2)_m = (2m)! / (4^m m!) exactly
-    g = upper_incomplete_gamma_half_ladder(m, z, ctx)
-    half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+    fraction = (route == "auto" and m > GAMMA_RECURRENCE_CAP
+                and arg.theta <= ctx.mp().pi / 2 - EPS_POLE)
+    wide = PrecisionContext(ctx.digits + GUARD_DIGITS + fraction * round_widening(len(str(m))))
+    mctx = wide.mp()
+    if fraction:
+        g = upper_incomplete_gamma_half_fraction(m, mctx.mpc(arg.y, arg.x), wide)
+        half_poch = mctx.rf(mctx.mpf(1) / 2, m)
+    else:
+        g = upper_incomplete_gamma_half_ladder(m, arg.z(wide), ctx)
+        half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
     val = (-1) ** m * mctx.convert(half_poch) * (1 / _constants(mctx).sqrt_pi) * mctx.mpc(g)
     out = ctx.mp()
     K, L = out.mpf(val.real), out.mpf(-val.imag)
-    return Evaluation(K=K, L=L, method="remainder-gamma",
+    return Evaluation(K=K, L=L, method="remainder-fraction" if fraction else "remainder-gamma",
                       err_estimate=ctx.eps() * (abs(K) + abs(L)))

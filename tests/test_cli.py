@@ -23,7 +23,6 @@ from voigt_asym import (
     remainder_exact,
     tables,
     terminant_asymptotic,
-    upper_incomplete_gamma_half_ladder,
 )
 from voigt_asym.cli import (
     EXIT_CHECK_FAILED,
@@ -34,7 +33,11 @@ from voigt_asym.cli import (
     format_mantissa_exp,
     main,
 )
-from voigt_asym.numerics import GAMMA_RECURRENCE_CAP
+from voigt_asym.numerics import (
+    GAMMA_RECURRENCE_CAP,
+    upper_incomplete_gamma_half_fraction,
+    upper_incomplete_gamma_half_ladder,
+)
 
 
 def run(capsys, *argv):
@@ -313,6 +316,20 @@ def test_scan_eq41_grid_stops_at_collar(capsys):
     assert abs(float(lines[-1].split(",")[1]) - 5.120) < 0.002
 
 
+def test_scan_past_the_ladder_cap(capsys):
+    # eq41 stops short of the collar, so past the cap (m = 400 at r = 20,
+    # 10^40 at r = 1e20) every row is Legendre's fraction; the default
+    # scan reaches the Stokes line, where the ladder refuses m = 225
+    for r in ("20", "1e20"):
+        rc, out, _ = run(capsys, "scan", "--r", r, "--n", "3", "--variant", "eq41")
+        assert rc == EXIT_OK, r
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3 and all(float(v) < 1 for row in rows for v in row[1:] if v != "nan")
+    rc, out, err = run(capsys, "scan", "--r", "15", "--n", "3")
+    assert rc == EXIT_DOMAIN and out == ""
+    assert "exceeds the configured cap" in err
+
+
 def test_scan_rejects_degenerate_grid(capsys):
     rc, _, err = run(capsys, "scan", "--r", "6", "--n", "1")
     assert rc == EXIT_USAGE
@@ -439,6 +456,10 @@ ORIGIN = VoigtArgument.from_xy(0, 0, CTX)
     (lambda: upper_incomplete_gamma_half_ladder(GAMMA_RECURRENCE_CAP + 1, 1, CTX), DomainError,
      "exceeds the configured cap", None),
     (lambda: upper_incomplete_gamma_half_ladder(3, 0, CTX), DomainError, "requires z != 0", None),
+    (lambda: upper_incomplete_gamma_half_fraction(-1, CTX.mp().mpc(1, 1), CTX), DomainError,
+     "the fraction needs m >= 0", None),
+    (lambda: upper_incomplete_gamma_half_fraction(300, CTX.mp().mpc(0, 15), CTX), DomainError,
+     "y > 0", None),
     (lambda: TruncationPlan.for_m(-1, 3, CTX), DomainError, "m must be nonnegative",
      ("eval", "--x", "1", "--y", "2", "--method", "theorem1", "--m", "-1")),
     (lambda: TruncationPlan.for_m(3, 0, CTX), DomainError, "truncation needs r > 0",
@@ -447,7 +468,7 @@ ORIGIN = VoigtArgument.from_xy(0, 0, CTX)
      DomainError, "covers 0 <= arg z <= pi", None),
     (lambda: tables.tolerance_last_digit("0.0", 9), ValueError, "zero cell", None),
 ], ids=["polar-r", "polar-theta-high", "polar-theta-low", "remainder-origin",
-        "gamma-m-max", "gamma-cap", "gamma-z",
+        "gamma-m-max", "gamma-cap", "gamma-z", "fraction-m", "fraction-line",
         "plan-m", "plan-r", "terminant-arg", "tolerance-zero"])
 def test_each_refusal_raises_its_typed_error(capsys, call, error, match, argv):
     # refusals no other test reaches; where the CLI reaches one, it exits 2

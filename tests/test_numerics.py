@@ -22,13 +22,19 @@ from voigt_asym import (
     PrecisionError,
     QuadratureError,
     VoigtArgument,
-    integrate_semi_infinite,
-    upper_incomplete_gamma_half_ladder,
 )
 from coefficient_reference import pochhammer
-from voigt_asym import numerics, oracle
+from quadrature_reference import remainder_quadrature
+from voigt_asym import numerics
 from voigt_asym.coefficients import _DOUBLE_FACTORIAL
-from voigt_asym.numerics import GAMMA_RECURRENCE_CAP, _gamma_widening, erfcx, mp_context
+from voigt_asym.numerics import (
+    GAMMA_RECURRENCE_CAP,
+    _gamma_widening,
+    erfcx,
+    integrate_semi_infinite,
+    mp_context,
+    upper_incomplete_gamma_half_ladder,
+)
 
 HALF = Fraction(1, 2)
 
@@ -306,7 +312,7 @@ def test_gamma_half_feeds_terminant_identity(ctx40):
     gm = upper_incomplete_gamma_half_ladder(m, z, ctx40)  # e^z Gamma(1/2 - m, z)
     poch = mctx.convert(pochhammer(HALF, m)) * mctx.sqrt(mctx.pi)  # Gamma(m+1/2)
     via_gamma = (-1) ** m * poch * gm / mctx.pi
-    ref = oracle._remainder_quadrature(arg, m, ctx40)
+    ref = remainder_quadrature(arg, m, ctx40)
     want = mctx.mpc(ref.K, -ref.L)
     assert abs(via_gamma - want) <= mctx.mpf(10) ** (-30) * abs(want)
 
@@ -415,6 +421,97 @@ def test_gamma_ladder_refuses_when_both_sweeps_fall_short(monkeypatch):
     with pytest.raises(PrecisionError) as caught:
         upper_incomplete_gamma_half_ladder(36, ctx.mp().mpf(36), ctx)
     assert 0 < caught.value.attained < 40
+
+
+def _fraction_draws(digits, seed):
+    # seeded (m, w) past the cap off the EPS_POLE collar: m in (200, 10^4]
+    # with r near sqrt(m), a few with m far above r^2 or r far above sqrt(m),
+    # and theta/pi from 0 to 0.4841, the first draw on the collar edge
+    mctx = mp_context(digits + 5)
+    rng = random.Random(seed + digits)
+    for i in range(8):
+        m = int(10 ** rng.uniform(math.log10(GAMMA_RECURRENCE_CAP + 1), 4))
+        r = math.sqrt(m) * (1 if i < 2 else rng.choice((rng.uniform(0.9, 1.1), 0.05, 1e6)))
+        theta = (0.5 - 0.05 / math.pi if i == 0 else rng.uniform(0, 0.4841)) * math.pi
+        yield m, mctx.mpc(r * math.cos(theta), r * math.sin(theta))
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_fraction_rounding_stays_within_its_stated_bound(monkeypatch, digits):
+    # the loop as upper_incomplete_gamma_half_fraction sizes it, against the
+    # same loop fed z floored 200 bits lower down, with the same stopping
+    # target and limit: both stop after the same n pairs and differ by less
+    # than the stated 2^(4 - wp) (n + 1) |F|. The wide value also meets the
+    # stopping rule's promise, within 2^-p |F| of the fraction run to 200
+    # bits more
+    real, calls = numerics._fraction_sweep, []
+    monkeypatch.setattr(numerics, "_fraction_sweep", lambda *a: calls.append(a) or real(*a))
+    ctx = PrecisionContext(digits=digits)
+    mctx, big = ctx.mp(), mp_context(digits + 200)
+
+    def value(q, scale):
+        return big.mpc(big.ldexp(q[0], -scale), big.ldexp(q[1], -scale))
+
+    for m, w in _fraction_draws(digits, 2626):
+        calls.clear()
+        numerics.upper_incomplete_gamma_half_fraction(m, w, ctx)
+        (_, z, wp, stop, limit), = calls
+        x, y = w.imag, w.real
+        z_exact = (mctx.fsub(mctx.fmul(y, y, exact=True), mctx.fmul(x, x, exact=True), exact=True),
+                   2 * mctx.fmul(x, y, exact=True))
+        wide = [numerics._fixed(v, wp + 200) for v in z_exact]
+        q, scale, n = real(m, z, wp, stop, limit)
+        q_wide, scale_wide, n_wide = real(m, wide, wp + 200, stop, limit)
+        assert n == n_wide <= limit
+        F, G = value(q, scale), value(q_wide, scale_wide)
+        assert abs(F - G) <= big.ldexp(n + 1, 4 - wp) * abs(G), (digits, m, w, n)
+        deep = [numerics._fixed(v, wp + 400) for v in z_exact]
+        exact = value(*real(m, deep, wp + 400, stop + 200, 100 * limit)[:2])
+        assert abs(G - exact) <= big.ldexp(1, -mctx.prec) * abs(G), (digits, m, w, n)
+
+
+def test_fraction_limit_is_a_precision_error_naming_it(ctx40):
+    # at the collar edge, r = 14.2 and m = 202 the fraction needs about 1500
+    # pairs; a limit of 100 is refused with a typed error that names it
+    mctx = ctx40.mp()
+    w = 14.2 * mctx.expj(mctx.pi / 2 - mctx.mpf("0.05"))
+    wp = mctx.prec + 40
+    with pytest.raises(PrecisionError, match="Gragg-Warner limit of 100 pairs"):
+        numerics._fraction_sweep(202, numerics._fixed(w * w, wp), wp, mctx.prec, 100)
+
+
+def test_fraction_convergence_bounds_hold():
+    # the two bounds the fraction's docstring cites, on its S-approximants
+    # F_n summed at 60 digits: Henrici and Pfluger's |F - F_n| <= H |F_n -
+    # F_{n-1}| (the stopping rule) and the Gragg-Warner product (the limit),
+    # up to where F_n has converged to 10^-50, at the collar edge, on both
+    # sides of theta = pi/4, and at small r
+    ref = mp_context(60)
+    for r, theta, m in ((14.2, math.pi / 2 - 0.05, 202), (3, 0.1 * math.pi, 250),
+                        (30, 0.45 * math.pi, 901), (0.3, 0.2 * math.pi, 201)):
+        w = ref.mpc(r * math.cos(theta), r * math.sin(theta))
+        z, c, y = w * w, m + ref.mpf(1) / 2, r * math.cos(theta)
+        F = ref.exp(z) * z ** (m - ref.mpf(1) / 2) * ref.gammainc(ref.mpf(1) / 2 - m, z)
+        H = 1 if theta <= math.pi / 4 else 1 / math.sin(2 * theta)
+        log_bound = math.log(2 / (r * y))
+        A, A_prev, B, B_prev, F_prev = ref.mpf(0), ref.mpf(1), ref.mpf(1), ref.mpf(0), None
+        for n in range(1, 20000):
+            a, b = (1, z) if n == 1 else (c + n // 2 - 1, 1) if n % 2 == 0 else ((n - 1) // 2, z)
+            A, A_prev, B, B_prev = b * A + a * A_prev, A, b * B + a * B_prev, B
+            if n > 1:  # the S-coefficient alpha_{n-1} is c + j - 1 or j
+                alpha = c + (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+                s = math.sqrt(1 + 4 * float(alpha) / y ** 2)
+                log_bound += math.log((s - 1) / (s + 1))
+            F_n = A / B
+            err = abs(F - F_n)
+            if err <= ref.mpf(10) ** -50 * abs(F):
+                break
+            assert float(ref.log(err)) <= log_bound, (r, theta, m, n)
+            if F_prev is not None:
+                assert err <= H * abs(F_n - F_prev), (r, theta, m, n)
+            F_prev = F_n
+        else:
+            raise AssertionError("no convergence at r = %s" % r)
 
 
 def test_gamma_widening_lands_on_few_precisions():

@@ -14,7 +14,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from coefficient_reference import pochhammer
-from quadrature_reference import voigt_fourier
+from quadrature_reference import remainder_quadrature, voigt_fourier
 from voigt_asym import (
     DomainError,
     PrecisionContext,
@@ -529,7 +529,7 @@ def test_remainder_auto_switches_near_stokes(ctx40):
     ev = remainder_exact(arg, 9, ctx40)
     assert ev.method == "remainder-gamma"
     with pytest.raises(DomainError, match="pole on the path"):
-        oracle._remainder_quadrature(arg, 9, ctx40)
+        remainder_quadrature(arg, 9, ctx40)
     arg = VoigtArgument.from_polar(15, mctx.mpf("0.49") * mctx.pi, ctx40)
     with pytest.raises(DomainError, match="exceeds the configured cap"):
         remainder_exact(arg, GAMMA_RECURRENCE_CAP + 1, ctx40)
@@ -537,7 +537,7 @@ def test_remainder_auto_switches_near_stokes(ctx40):
 
 def _route_points():
     # two seeded radii per angle, one point whose optimal order is past the
-    # recurrence cap (m = 225), where auto must fall back to quadrature, and
+    # recurrence cap (m = 225), where auto takes Legendre's fraction, and
     # the foot points of table 1 at m = 16 and m = 12
     rng = random.Random(3141)
     points = [("%.3f" % rng.uniform(3, 8), t)
@@ -547,13 +547,13 @@ def _route_points():
 
 @pytest.mark.parametrize("r, theta_over_pi", _route_points())
 def test_remainder_auto_route(ctx40, r, theta_over_pi):
-    # auto runs the gamma ladder up to the cap; the contour quadrature is
-    # the independent cross-check there, and the runtime route past it
+    # auto runs the gamma ladder up to the cap and the fraction past it; the
+    # contour quadrature is the independent cross-check of both
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx40)
     m = int(mctx.floor(arg.r ** 2 + mctx.mpf(1) / 2))
     auto = remainder_exact(arg, m, ctx40)
-    quad = oracle._remainder_quadrature(arg, m, ctx40)
+    quad = remainder_quadrature(arg, m, ctx40)
     scale = abs(mctx.mpc(quad.K, -quad.L))
     assert abs(auto.K - quad.K) <= mctx.mpf(10) ** (-30) * scale
     assert abs(auto.L - quad.L) <= mctx.mpf(10) ** (-30) * scale
@@ -561,7 +561,7 @@ def test_remainder_auto_route(ctx40, r, theta_over_pi):
         assert auto.method == "remainder-gamma"
         assert auto == remainder_exact(arg, m, ctx40, route="gamma")
     else:
-        assert auto == quad
+        assert auto.method == "remainder-fraction"
 
 
 def test_remainder_quadrature_error_estimate_is_honest(ctx40):
@@ -579,7 +579,7 @@ def test_remainder_quadrature_error_estimate_is_honest(ctx40):
         arg = VoigtArgument.from_polar(r, rctx.mpf(theta_over_pi) * rctx.pi, ctx40)
         m0 = int(r * r + 0.5)
         for m in (m0 - 2, m0, m0 + 3):
-            got = oracle._remainder_quadrature(arg, m, ctx40)
+            got = remainder_quadrature(arg, m, ctx40)
             want = remainder_exact(arg, m, ref)
             err = abs(got.K - want.K) + abs(got.L - want.L)
             assert err <= got.err_estimate, (r, theta_over_pi, m)
@@ -637,9 +637,83 @@ def test_remainder_gamma_agrees_with_the_contour_quadrature(digits):
         arg = VoigtArgument.from_polar(rng.uniform(1, 8), theta, ctx)
         m = max(1, int(arg.r ** 2 + 0.5) + rng.randint(-4, 4))
         got = remainder_exact(arg, m, ctx)
-        quad = oracle._remainder_quadrature(arg, m, ctx)
+        quad = remainder_quadrature(arg, m, ctx)
         miss = abs(got.K - quad.K) + abs(got.L - quad.L)
         assert miss <= got.err_estimate + quad.err_estimate, (digits, arg.r, theta, m)
+
+
+def _past_the_cap(digits, seed, m_max):
+    # seeded (argument, m) with m log-uniform in (200, m_max], r within 10%
+    # of sqrt(m) and theta/pi from 0 to the EPS_POLE collar edge, the first
+    # draw on that edge
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    edge = mctx.pi / 2 - EPS_POLE
+    rng = random.Random(seed + digits)
+    for i in range(3 if digits == 100 else 4):
+        m = int(10 ** rng.uniform(math.log10(GAMMA_RECURRENCE_CAP + 1), math.log10(m_max)))
+        r = math.sqrt(m) * rng.uniform(0.9, 1.1)
+        yield VoigtArgument.from_polar(r, edge * (1 if i == 0 else rng.random()), ctx), m, ctx
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_remainder_fraction_agrees_with_the_contour_quadrature(digits):
+    # past the cap Legendre's fraction and the contour integral share no
+    # code; they agree within the sum of their estimates for m up to 10^4
+    for arg, m, ctx in _past_the_cap(digits, 2610, 10 ** 4):
+        got = remainder_exact(arg, m, ctx)
+        assert got.method == "remainder-fraction"
+        quad = remainder_quadrature(arg, m, ctx)
+        miss = abs(got.K - quad.K) + abs(got.L - quad.L)
+        assert miss <= got.err_estimate + quad.err_estimate, (digits, arg.r, arg.theta, m)
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_remainder_fraction_matches_mpmath_gammainc(digits):
+    # against mpmath's gammainc at 20 more digits the miss is within
+    # remainder_exact's own estimate. Past m of about 1000 gammainc is no
+    # reference: near theta = 0 it took 2-4 s at m = 1600 and raised
+    # NoConvergence from m = 2000 (36 to 120 digits), so the draws stop at
+    # 1000 and the contour test above covers m up to 10^4
+    for arg, m, ctx in _past_the_cap(digits, 2611, 1000):
+        got = remainder_exact(arg, m, ctx)
+        want = _remainder_by_gammainc(arg, m, digits + 20)
+        miss = abs(got.K - want.real) + abs(got.L + want.imag)
+        assert miss <= got.err_estimate, (digits, arg.r, arg.theta, m)
+
+
+def test_remainder_routes_meet_at_the_cap(ctx40):
+    # the ladder at m = 200 and the fraction at m = 201, at one point near
+    # the optimal cut: consecutive remainders differ by the term the cut
+    # moves, R_200 - R_201 = (1/2)_200 w^{-401} / sqrt(pi)
+    mctx = ctx40.mp()
+    arg = VoigtArgument.from_polar("14.15", mctx.mpf("0.3") * mctx.pi, ctx40)
+    below = remainder_exact(arg, GAMMA_RECURRENCE_CAP, ctx40)
+    above = remainder_exact(arg, GAMMA_RECURRENCE_CAP + 1, ctx40)
+    assert (below.method, above.method) == ("remainder-gamma", "remainder-fraction")
+    ref = mp_context(70)
+    term = (ref.convert(pochhammer(Fraction(1, 2), GAMMA_RECURRENCE_CAP))
+            * ref.mpc(arg.y, arg.x) ** (-2 * GAMMA_RECURRENCE_CAP - 1) / ref.sqrt(ref.pi))
+    gap = ref.mpc(below.K, -below.L) - ref.mpc(above.K, -above.L) - term
+    assert abs(gap) <= below.err_estimate + above.err_estimate
+    assert abs(term) > 100 * (below.err_estimate + above.err_estimate)
+
+
+@pytest.mark.parametrize("digits", [40, 100])
+@pytest.mark.parametrize("r", ["20", "30", "45"])
+def test_eq41_scan_points_past_the_cap_match_the_contour_quadrature(r, digits):
+    # the points of `scan --r 20|30|45 --n 3 --variant eq41`: theta/pi = 0,
+    # 0.24 and 0.48 at the optimal cut, m = 400, 900 and 2025
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    for frac in ("0", "0.24", "0.48"):
+        arg = VoigtArgument.from_polar(r, mctx.mpf(frac) * mctx.pi, ctx)
+        m = int(mctx.mpf(r) ** 2 + mctx.mpf(1) / 2)
+        got = remainder_exact(arg, m, ctx)
+        quad = remainder_quadrature(arg, m, ctx)
+        miss = abs(got.K - quad.K) + abs(got.L - quad.L)
+        assert got.method == "remainder-fraction"
+        assert miss <= got.err_estimate, (r, digits, frac)
 
 
 def test_remainder_order_zero_is_whole_function(ctx40):
@@ -665,7 +739,7 @@ def test_remainder_ladder_consistency(ctx40):
     assert abs(zero.L - full.L) < mctx.mpf(10) ** (-35) * abs(full.L)
     # its value at m = 12 equals the contour integral
     twelve = remainder_exact(arg, 12, ctx40)
-    solo = oracle._remainder_quadrature(arg, 12, ctx40)
+    solo = remainder_quadrature(arg, 12, ctx40)
     scale = abs(mctx.mpc(solo.K, -solo.L))
     assert abs(twelve.K - solo.K) < mctx.mpf(10) ** (-28) * scale
     assert abs(twelve.L - solo.L) < mctx.mpf(10) ** (-28) * scale
