@@ -109,18 +109,9 @@ def _c_raw(mctx, phi, cos_half, sin_half):
     # principal square root of 2(1 - i phi - e^{-i phi}) = 4 sin^2(phi/2)
     # - 2i (phi - sin phi), in the closed fourth quadrant for phi in [0, pi],
     # so the principal branch is the continuous one with c ~ phi near 0.
-    # phi - sin phi costs c log10(1/phi) digits, more than the guard digits
-    # cover below phi = 1e-3, where it comes from its series instead
-    if phi < 0.001:
-        term = diff = phi**3 / 6
-        k = 1
-        while abs(term) > mctx.eps * diff:
-            term *= -phi * phi / ((2 * k + 2) * (2 * k + 3))
-            diff += term
-            k += 1
-    else:
-        diff = phi - 2 * sin_half * cos_half
-    return mctx.sqrt(mctx.mpc(4 * sin_half * sin_half, -2 * diff))
+    # phi - sin phi cancels across about 2 log10(1/phi) digits, fewer than the
+    # 13 log10(PHI_SWITCH/phi) that _b_widening gives the pass's mctx
+    return mctx.sqrt(mctx.mpc(4 * sin_half * sin_half, -2 * (phi - 2 * sin_half * cos_half)))
 
 
 def _E_of_c(mctx, c, r):

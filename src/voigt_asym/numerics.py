@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .exceptions import DomainError, PrecisionError, QuadratureError
 
@@ -169,6 +169,12 @@ def _from_fixed(mctx, z: tuple, wp: int):
                           from_man_exp(im, -wp, prec, round_nearest)))
 
 
+def _abs2(mctx, v):
+    # |v|^2 = Re^2 + Im^2 of an mpc (or mpf), exact
+    return mctx.fadd(mctx.fmul(v.real, v.real, exact=True),
+                     mctx.fmul(v.imag, v.imag, exact=True), exact=True)
+
+
 def _float_log(v) -> float:
     # ln v of a positive mpf as a float, also past the float range
     return math.log(v.man) + v.exp * math.log(2)
@@ -248,8 +254,7 @@ def erfcx(z, mctx):
     zz = to_mpc(mctx, z)
     if not (mctx.isfinite(zz) and zz.real >= 0):
         raise DomainError("erfcx covers finite z with Re z >= 0, got %s" % (zz,))
-    r2 = mctx.fadd(mctx.fmul(zz.real, zz.real, exact=True),
-                   mctx.fmul(zz.imag, zz.imag, exact=True), exact=True)
+    r2 = _abs2(mctx, zz)
     if float(r2) > mctx.dps * math.log(10):  # inf past the float range
         return asymptotic_series(zz, r2, mctx)
     cancel = max(0, math.ceil(float((zz * zz).real) * math.log10(math.e)))
@@ -272,14 +277,6 @@ def _bits(v: tuple) -> int:
     return max(v[0].bit_length(), v[1].bit_length())  # of a fixed-point pair
 
 
-def _log2_abs(z) -> float:
-    # log2 |z| from the exact |z|^2 = Re^2 + Im^2 as an integer times a power
-    # of two: a float of |z| overflows from about 1e308 on
-    re, im = z._mpc_
-    sign, man, exp, bc = mpf_add(mpf_mul(re, re), mpf_mul(im, im))
-    return (math.log2(man) + exp) / 2
-
-
 def _sweep_loss(m: int, log2_z: float) -> float:
     # log10 of the sweep's amplification prod_{k<m} max(1, 2|z|/(2k+1)),
     # times 1/min(1, |z|/(m + 1/2)), the smallness of the |u_m| it ends on.
@@ -297,37 +294,43 @@ def _gamma_widening(loss: float, digits: int) -> int:
 
 
 def upper_incomplete_gamma_half_ladder(
-    m_max: int, z, ctx: PrecisionContext = DEFAULT_CONTEXT
+    m_max: int, w, ctx: PrecisionContext = DEFAULT_CONTEXT
 ):
-    """e^z Gamma(1/2 - m_max, z), the end of one downward sweep of the
-    incomplete-gamma recurrence (DLMF 8.8.2), as an mpc.
+    """e^z Gamma(1/2 - m_max, z) at z = w^2, w = y + ix != 0 with y >= 0 and
+    x >= 0, the end of one downward sweep of the incomplete-gamma recurrence
+    (DLMF 8.8.2), as an mpc good to ctx.digits.
 
-    The sweep runs on the scaled values u_k = e^z Gamma(1/2 - k, z) z^{k+1/2},
-    which stay O(1): near 1 while k << |z|, and near |z|/k past it. With
-    the principal square root, u_0 = sqrt(pi z) erfcx(sqrt z), and
-    G_{a-1} = (G_a - z^{a-1})/(a - 1) for G_a = e^z Gamma(a, z) becomes
+    The sweep runs on the scaled values u_k = e^z Gamma(1/2 - k, z) w^{2k+1},
+    which stay O(1): near 1 while k << |z|, and near |z|/k past it. As
+    arg w lies in [0, pi/2], w is the principal sqrt z, so u_0 = sqrt(pi) w
+    erfcx(w), and G_{a-1} = (G_a - z^{a-1})/(a - 1) for G_a = e^z Gamma(a, z)
+    becomes
 
         u_{k+1} = 2z (1 - u_k) / (2k + 1),
 
     summed on Python integers scaled by 2^wp (mpmath's fixed-point idiom,
     by ``_fixed``): each step is one ``_fixed_mul`` and one floor division
-    by 2k + 1 per component. The result is u_m z^{-m-1/2}, with
-    z^{-m-1/2} = (sqrt z)^{-2m-1}.
+    by 2k + 1 per component. The result is u_m w^{-2m-1}. z is squared
+    exactly from w as the sweep's context holds it, before its one floor.
 
     The sweep multiplies the error of u_k by |2z/(2k+1)| per step, so its
     precision is the requested digits widened by the log10 of
     prod_{k<m} max(1, 2|z|/(2k+1)), and of max(1, (m + 1/2)/|z|) for the
     |u_m| it ends on, plus 10 digits, rounded up to a multiple of 10; log2|z|
-    comes from the exact |z|^2 in binary, never from a float of |z|. At the
-    optimal cut m ~ |z| the product is about e^{|z|}/sqrt 2, the |z| log10 e
-    digits the sweep loses there; at m << |z| it is about m log10(2|z|).
+    comes from the exact |z| = x^2 + y^2 in binary, never from a float of
+    |z|. At the optimal cut m ~ |z| the product is about e^{|z|}/sqrt 2, the
+    |z| log10 e digits the sweep loses there; at m << |z| it is about
+    m log10(2|z|).
 
     An a-posteriori loss check bounds the error e_k of u_k in units of 2^-wp.
-    The base case is allowed e_0 = 32 max(1, |u_0|), for the roundings of
-    erfcx's series (a few dozen terms at most) and of two products. In a step,
-    1 - u_k is exact; the floors of the helpers' error model fall on 2z 2^wp
-    (below sqrt 2, times |1 - u_k|) and on the product's shift (below
-    sqrt 2), and the division floors the quotient once more (below sqrt 2), so
+    It presumes z is w^2 exactly: the sweep would multiply a mismatch between
+    u_0, formed from w, and 2z by up to the 10^loss it widens for, and no
+    term below counts it. The base case is allowed e_0 = 32 max(1, |u_0|),
+    for the roundings of erfcx's series (a few dozen terms at most) and of
+    two products. In a step, 1 - u_k is exact; the floors of the helpers'
+    error model fall on 2z 2^wp (below sqrt 2, times |1 - u_k|) and on the
+    product's shift (below sqrt 2), and the division floors the quotient
+    once more (below sqrt 2), so
 
         e_{k+1} <= |2z/(2k+1)| e_k + sqrt(2) ((2 + |u_k|)/(2k+1) + 1)
                 <= |2z/(2k+1)| e_k + sqrt(2) (3 + |u_k|).
@@ -347,22 +350,22 @@ def upper_incomplete_gamma_half_ladder(
             % (m_max, GAMMA_RECURRENCE_CAP)
         )
     mctx = ctx.mp()
-    probe = to_mpc(mctx, z)
-    if not (probe and mctx.isfinite(probe)):
-        raise DomainError("the incomplete-gamma ladder requires z != 0 and finite, got %s" % (probe,))
-
-    effective = _gamma_widening(_sweep_loss(m_max, _log2_abs(probe)), ctx.digits)
+    if not (w and mctx.isfinite(w) and w.real >= 0 and w.imag >= 0):
+        raise DomainError("the incomplete-gamma ladder requires a finite w != 0 in the "
+                          "first quadrant, got %s" % (w,))
+    abs_z = _abs2(mctx, w)
+    log2_z = _float_log(abs_z) / math.log(2)
+    log2_2z = 1 + log2_z
+    effective = _gamma_widening(_sweep_loss(m_max, log2_z), ctx.digits)
     attained = 0.0
     for attempt in range(2):
         wctx = mp_context(effective)
         wp = wctx.prec
-        zz = to_mpc(wctx, z)
-        root = wctx.sqrt(zz)
+        root = wctx.mpc(w)
         u = _constants(wctx).sqrt_pi * root * erfcx(root, wctx)
         ur, ui = _fixed(u, wp)
-        two_z = _fixed(zz, wp + 1)
+        two_z = _fixed(wctx.fmul(root, root, exact=True), wp + 1)
         one = 1 << wp
-        log2_2z = 1 + _log2_abs(zz)
         # err: log2 of the bound on the error of u_k, in units of 2^-wp
         err = 5 + max(0, _bits((ur, ui)) - wp + 0.5)
         for k in range(m_max):
@@ -381,7 +384,7 @@ def upper_incomplete_gamma_half_ladder(
     raise PrecisionError(
         "incomplete-gamma recurrence at m=%d, |z|=%s attained only %.0f of "
         "%d requested digits despite widening"
-        % (m_max, mctx.nstr(abs(probe), 3), attained, ctx.digits),
+        % (m_max, mctx.nstr(abs_z, 3), attained, ctx.digits),
         attained=attained,
     )
 
@@ -412,7 +415,7 @@ def _fraction_sweep(m: int, z: tuple, wp: int, stop: float, limit: int):
 
 def upper_incomplete_gamma_half_fraction(m: int, w, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """e^z Gamma(1/2 - m, z) at z = w^2, w = y + ix with y > 0 and x >= 0, by
-    Legendre's continued fraction (DLMF 8.9.2), as an mpc of ctx.mp().
+    Legendre's continued fraction (DLMF 8.9.2), as an mpc good to ctx.digits.
 
     With c = m + 1/2 it is w^{1-2m} F for the S-fraction in 1/z
     F = 1/(z + c/(1 + 1/(z + (c + 1)/(1 + 2/(z + ...))))) (Cuyt et al.,
@@ -425,7 +428,7 @@ def upper_incomplete_gamma_half_fraction(m: int, w, ctx: PrecisionContext = DEFA
 
     Stopping rule: with A_n B_{n-1} - A_{n-1} B_n = +-a_1 ... a_n, bit
     lengths bound |F_n - F_{n-1}|/|F_n| within a factor 8. The loop stops at
-    the first even n where H times that is below 2^-p, p = ctx.mp().prec,
+    the first even n where H times that is below 2^-p, p the working prec,
     H = 1 at arg w <= pi/4 and 1/sin(2 arg w) past it: |F - F_n| <= H
     |F_n - F_{n-1}| <= 2^-p |F_n| (Henrici and Pfluger 1966).
 
@@ -441,18 +444,22 @@ def upper_incomplete_gamma_half_fraction(m: int, w, ctx: PrecisionContext = DEFA
     of convergents they touch, carried into F without growth by these
     dominant solutions: F errs below 2^(4 - wp) (n + 1) |F| after n pairs
     (tested against the loop at wp + 200 bits), so wp = p + bit_length(J)
-    + 6. The power w^{1-2m} costs about log10 m digits; ctx must have them.
+    + 6. p is the prec of ctx.mp() widened by the about log10 m digits the
+    power w^{1-2m} costs, rounded up by ``round_widening``, and by
+    GUARD_DIGITS more: the margin past ctx.digits that the ladder's 10
+    guard digits give its value.
     """
-    mctx, y, x = ctx.mp(), w.real, w.imag
+    mctx = ctx.mp(extra=GUARD_DIGITS + round_widening(len(str(m))))
+    w = mctx.mpc(w)
+    y, x = w.real, w.imag
     if m < 0 or not (mctx.isfinite(w) and y > 0 and x >= 0):
         raise DomainError("the fraction needs m >= 0, y > 0, x >= 0; got m = %r, w = %s" % (m, w))
-    p, y2, x2 = mctx.prec, mctx.fmul(y, y, exact=True), mctx.fmul(x, x, exact=True)
-    r2 = mctx.fadd(x2, y2, exact=True)
+    p, y2, r2 = mctx.prec, mctx.fmul(y, y, exact=True), _abs2(mctx, w)
     log_h = _float_log(r2 / (2 * x * y)) if x > y else 0.0
     T = p * math.log(2) + math.log(64) + log_h + _float_log(r2 + m + 1) - _float_log(y2)
     limit = int(mctx.ceil(T * T / (4 * y2) + T / 2 * mctx.sqrt(1 + 4 / y2)))
     wp = p + limit.bit_length() + 6
-    z = _fixed(mctx.fsub(y2, x2, exact=True), wp), _fixed(2 * mctx.fmul(x, y, exact=True), wp)
+    z = _fixed(mctx.fmul(w, w, exact=True), wp)
     q, scale, _ = _fraction_sweep(m, z, wp, p + log_h / math.log(2), limit)
     return _from_fixed(mctx, q, scale) * w ** (1 - 2 * m)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .exceptions import DomainError
@@ -147,11 +146,6 @@ class VoigtArgument:
                 % (mctx.nstr(rr, 5), mctx.nstr(th, 5), COORDINATE_MAG_MAX, COORDINATE_MAG_MAX)
             )
         return cls._from_checked(mctx, x, y)
-
-    def z(self, ctx: PrecisionContext = DEFAULT_CONTEXT):
-        """z = w^2 rounded at the context precision."""
-        w = ctx.mp().mpc(self.y, self.x)
-        return w * w
 
 
 @dataclass(frozen=True, slots=True)  # callers keep many; slots make each smaller
@@ -288,12 +282,15 @@ def remainder_exact(
     algebraic partial sum; see ``expansions.algebraic_partial_sums``. At
     m = 0 the remainder is the whole K - iL.
 
-    It is (-1)^m (1/2)_m / sqrt(pi) times e^z Gamma(1/2 - m, z), z = w^2. Up
-    to GAMMA_RECURRENCE_CAP the latter is ``upper_incomplete_gamma_half_ladder``'s
-    sweep and (1/2)_m = (2m)!/(4^m m!) exactly. Past the cap, "auto" (the
-    default) takes ``upper_incomplete_gamma_half_fraction`` outside the
-    EPS_POLE collar, widened by the log10 m digits that w^{1-2m} and (1/2)_m
-    cost; inside it, and at every m for route="gamma", the sweep refuses.
+    It is (-1)^m (1/2)_m / sqrt(pi) times e^z Gamma(1/2 - m, z), z = w^2,
+    w = y + ix. The latter comes from one of two kernels, each taking w,
+    squaring it exactly and widening for its own losses: up to
+    GAMMA_RECURRENCE_CAP ``upper_incomplete_gamma_half_ladder``'s sweep;
+    past the cap, "auto" (the default) takes
+    ``upper_incomplete_gamma_half_fraction`` outside the EPS_POLE collar,
+    and inside it, as at every m for route="gamma", the sweep refuses.
+    The prefactor is Gamma(m + 1/2)/pi, and the product is formed at
+    GUARD_DIGITS past the working precision.
     """
     if m < 0:
         raise DomainError("remainder order m must be nonnegative, got %r" % (m,))
@@ -303,15 +300,14 @@ def remainder_exact(
         raise DomainError("unknown remainder route %r" % (route,))
     fraction = (route == "auto" and m > GAMMA_RECURRENCE_CAP
                 and arg.theta <= ctx.mp().pi / 2 - EPS_POLE)
-    wide = PrecisionContext(ctx.digits + GUARD_DIGITS + fraction * round_widening(len(str(m))))
-    mctx = wide.mp()
-    if fraction:
-        g = upper_incomplete_gamma_half_fraction(m, mctx.mpc(arg.y, arg.x), wide)
-        half_poch = mctx.rf(mctx.mpf(1) / 2, m)
-    else:
-        g = upper_incomplete_gamma_half_ladder(m, arg.z(wide), ctx)
-        half_poch = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
-    val = (-1) ** m * mctx.convert(half_poch) * (1 / _constants(mctx).sqrt_pi) * mctx.mpc(g)
+    kernel = (upper_incomplete_gamma_half_fraction if fraction
+              else upper_incomplete_gamma_half_ladder)
+    mctx = ctx.mp(extra=GUARD_DIGITS)
+    g = kernel(m, mctx.mpc(arg.y, arg.x), ctx)
+    # (1/2)_m / sqrt(pi) = Gamma(m + 1/2)/pi, by mpmath's gamma at the
+    # context's own prec: its rf sets the prec of the shared context for a
+    # moment, and threads doing so at once can leave it changed for good
+    val = (-1) ** m * mctx.gamma(mctx.fadd(m, 0.5, exact=True)) / mctx.pi * mctx.mpc(g)
     out = ctx.mp()
     K, L = out.mpf(val.real), out.mpf(-val.imag)
     return Evaluation(K=K, L=L, method="remainder-fraction" if fraction else "remainder-gamma",

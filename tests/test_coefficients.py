@@ -406,8 +406,8 @@ def test_c_of_phi_tiny_phi_keeps_every_digit():
                 1 - j * phi / 3 - phi**2 / 12 + j * phi**3 / 60 + phi**4 / 360)
             got = c_of_phi(phi, ctx)
             assert abs(got - want) <= mctx.mpf(10) ** (1 - digits) * abs(want), (digits, text)
-        # either side of phi = 1e-3, where c switches to the series, against
-        # the closed form at 40 more digits than it cancels
+        # either side of phi = 1e-3, against the closed form at 40 more
+        # digits than it cancels
         ref = mp_context(mctx.dps + 40)
         for text in ("0.000999", "0.001001", "0.15"):
             phi = ref.mpf(text)
@@ -597,9 +597,11 @@ def _stokes_roots(k):
 def test_coefficient_set_meets_its_contract_over_phi(digits):
     # every A, B and B^ of order k <= K_MAX agrees with the same pass at 80
     # more digits to 10^(1-digits) relative, for phi over (0, pi]: 40 draws
-    # log-uniform down to 1e-60, 40 uniform, and 20 at the alpha of
-    # hand-built plans. At a draw within 1e-3 of a root of B_2k's Stokes-line
-    # limit, B_2k (and B^_2k) are measured against max(|B_2k|, 1e-3)
+    # log-uniform down to 1e-60, 40 uniform, 20 at the alpha of hand-built
+    # plans, and phi = 1e-1000, where c's phi - sin phi cancels across 2000
+    # digits of the widened pass. At a draw within 1e-3 of a root of B_2k's
+    # Stokes-line limit, B_2k (and B^_2k) are measured against
+    # max(|B_2k|, 1e-3)
     rng = random.Random(1403 + digits)
     ctx, ref = PrecisionContext(digits), PrecisionContext(digits + 80)
     rctx = ref.mp()
@@ -607,6 +609,7 @@ def test_coefficient_set_meets_its_contract_over_phi(digits):
     draws = [(10 ** rng.uniform(-60, math.log10(math.pi)), rng.uniform(-1, 1)) for _ in range(40)]
     draws += [(rng.uniform(0, math.pi) or 1.0, rng.uniform(-1, 1)) for _ in range(40)]
     draws += [(rng.uniform(0, math.pi) or 1.0, a) for a in (-389.5, 10.5) for _ in range(10)]
+    draws.append(("1e-1000", rng.uniform(-1, 1)))
     for phi, alpha in draws:
         got = coefficient_set(phi, alpha, K_MAX, ctx)
         want = coefficient_set(phi, alpha, K_MAX, ref)

@@ -281,12 +281,18 @@ def test_terminant_half_on_stokes_line(ctx40):
         assert abs(T - mctx.mpf(1) / 2) <= mctx.mpf("1.5") / mctx.sqrt(absz)
 
 
+def _square(arg, ctx):
+    # z = w^2, w = y + ix, squared exactly
+    w = ctx.mp().mpc(arg.y, arg.x)
+    return ctx.mp().fmul(w, w, exact=True)
+
+
 def test_terminant_away_matches_gamma_oracle(ctx40):
     # |z| = 12.25, arg z = pi/5 corresponds to the |w| = 3.5, theta = pi/10
     # geometry where the exact terminant follows from the remainder oracle
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar("3.5", mctx.pi / 10, ctx40)
-    z = arg.z(ctx40)
+    z = _square(arg, ctx40)
     rem = remainder_exact(arg, 12, ctx40, route="gamma")
     T_exact = mctx.mpc(rem.K, -rem.L) * mctx.exp(-z) / 2
     for k_terms in (1, 3, 5):
@@ -333,7 +339,7 @@ def test_terminant_validation(ctx40):
     for phi in (mctx.mpf(0), mctx.mpf("0.01")):
         arg = VoigtArgument.from_polar(3, (mctx.pi - phi) / 2, ctx40)
         assert (arg.phi == 0) == (phi == 0)
-        near = arg.z(ctx40)
+        near = _square(arg, ctx40)
         rem = remainder_exact(arg, 9, ctx40, route="gamma")
         T_exact = mctx.mpc(rem.K, -rem.L) * mctx.exp(-near) / 2
         pref = abs(mctx.exp(-near - 9)) / mctx.sqrt(18 * mctx.pi)
@@ -393,7 +399,7 @@ def test_terminant_admits_as_its_theorem_does(ctx40):
     for i, frac in enumerate(fracs):
         arg = VoigtArgument.from_polar(rng.uniform(2, 12), mctx.mpf(frac) * mctx.pi / 2, ctx40)
         plan = optimal_truncation(arg.r, ctx40)
-        z = arg.z(ctx40)
+        z = _square(arg, ctx40)
         for j, (region, theorem) in enumerate((("away", theorem1), ("uniform", theorem2))):
             k_terms = orders[(2 * i + j) % len(orders)]
             want = _admission(lambda: theorem(arg, plan, k_terms, ctx40))
@@ -428,7 +434,7 @@ def test_theorems_are_twice_e_z_times_the_terminant(digits, r, theta_over_pi):
     ref = PrecisionContext(digits=digits + 10)
     arg = VoigtArgument.from_polar(r, mctx.mpf(theta_over_pi) * mctx.pi, ctx)
     plan = optimal_truncation(arg.r, ctx)
-    z = arg.z(ref)
+    z = _square(arg, ref)
     kinds = [(theorem2, "uniform")]
     if float(theta_over_pi) < 0.48:
         kinds.append((theorem1, "away"))

@@ -294,11 +294,11 @@ def test_fixed_point_helpers_keep_their_floor_contract(digits):
 # ------------------------------------------------------ incomplete gamma
 
 def test_gamma_half_base_case(ctx40):
-    # at m = 0 the ladder returns e^z Gamma(1/2, z) = e^z sqrt(pi) erfc(sqrt(z))
+    # at m = 0 the ladder returns e^z Gamma(1/2, z) = e^z sqrt(pi) erfc(w), z = w^2
     mctx = ctx40.mp()
-    for z in (mctx.mpf("0.5"), mctx.mpf(2), mctx.mpf(9)):
-        got = upper_incomplete_gamma_half_ladder(0, z, ctx40)
-        want = mctx.exp(z) * mctx.sqrt(mctx.pi) * mctx.erfc(mctx.sqrt(z))
+    for w in (mctx.sqrt(mctx.mpf("0.5")), mctx.sqrt(2), mctx.mpf(3)):
+        got = upper_incomplete_gamma_half_ladder(0, w, ctx40)
+        want = mctx.exp(mctx.fmul(w, w, exact=True)) * mctx.sqrt(mctx.pi) * mctx.erfc(w)
         assert abs(got - want) <= mctx.mpf(10) ** (-(ctx40.digits - 3)) * abs(want)
 
 
@@ -307,9 +307,9 @@ def test_gamma_half_feeds_terminant_identity(ctx40):
     # through Khat - i Lhat = (-1)^m Gamma(m + 1/2) e^z Gamma(1/2 - m, z) / pi
     mctx = ctx40.mp()
     arg = VoigtArgument.from_polar("3.5", mctx.pi / 10, ctx40)
-    z = arg.z(ctx40)
     m = 12
-    gm = upper_incomplete_gamma_half_ladder(m, z, ctx40)  # e^z Gamma(1/2 - m, z)
+    w = mctx.mpc(arg.y, arg.x)
+    gm = upper_incomplete_gamma_half_ladder(m, w, ctx40)  # e^z Gamma(1/2 - m, z)
     poch = mctx.convert(pochhammer(HALF, m)) * mctx.sqrt(mctx.pi)  # Gamma(m+1/2)
     via_gamma = (-1) ** m * poch * gm / mctx.pi
     ref = remainder_quadrature(arg, m, ctx40)
@@ -323,12 +323,12 @@ def test_gamma_half_recurrence_round_trip(ctx40):
     # documented 10^-(digits-35) allowance. On the scaled values the upward
     # step is G_{s+1} = s G_s + z^s.
     mctx = ctx40.mp()
-    z = mctx.mpf(36)
-    G = mctx.mpc(upper_incomplete_gamma_half_ladder(36, z, ctx40))
+    w, z = mctx.mpf(6), mctx.mpf(36)
+    G = mctx.mpc(upper_incomplete_gamma_half_ladder(36, w, ctx40))
     for m in range(36, 0, -1):
         s = mctx.mpf(1) / 2 - m
         G = s * G + mctx.power(z, s)
-    base = mctx.mpc(upper_incomplete_gamma_half_ladder(0, z, ctx40))
+    base = mctx.mpc(upper_incomplete_gamma_half_ladder(0, w, ctx40))
     assert abs(G - base) <= mctx.mpf(10) ** (-(ctx40.digits - 35)) * abs(base)
 
 
@@ -337,8 +337,9 @@ def test_gamma_half_ladder_prefix_consistency(ctx40):
     # case; the values at consecutive orders must still be one downward
     # step apart, G_{a-1} = (G_a - z^{a-1})/(a - 1) with a = 1/2 - m
     mctx = ctx40.mp()
-    z = mctx.mpc(2, 3)
-    values = [mctx.mpc(upper_incomplete_gamma_half_ladder(m, z, ctx40)) for m in range(9)]
+    w = mctx.sqrt(mctx.mpc(2, 3))
+    z = mctx.fmul(w, w, exact=True)
+    values = [mctx.mpc(upper_incomplete_gamma_half_ladder(m, w, ctx40)) for m in range(9)]
     for m in range(8):
         a = mctx.mpf(1) / 2 - m
         step = (values[m] - mctx.power(z, a - 1)) / (a - 1)
@@ -346,19 +347,20 @@ def test_gamma_half_ladder_prefix_consistency(ctx40):
             values[m + 1]), m
 
 
-def _gammainc_miss(ref_ctx, z, m, ctx):
-    # |e^{-z} ladder - Gamma(1/2 - m, z)| / |Gamma(1/2 - m, z)|, by mpmath
-    zr = ref_ctx.mpc(z)
+def _gammainc_miss(ref_ctx, w, m, ctx):
+    # |e^{-z} ladder - Gamma(1/2 - m, z)| / |Gamma(1/2 - m, z)|, by mpmath,
+    # at z = w^2 squared exactly
+    zr = ref_ctx.fmul(w, w, exact=True)
     want = ref_ctx.gammainc(ref_ctx.mpf(1) / 2 - m, zr)
-    got = ref_ctx.exp(-zr) * ref_ctx.mpc(upper_incomplete_gamma_half_ladder(m, z, ctx))
+    got = ref_ctx.exp(-zr) * ref_ctx.mpc(upper_incomplete_gamma_half_ladder(m, w, ctx))
     return abs(got - want) / abs(want)
 
 
 def test_scaled_ladder_matches_mpmath_gammainc():
     # the ladder against mpmath's Gamma(1/2 - m, z) at 25 more digits, over
-    # seeded (digits, z, m <= GAMMA_RECURRENCE_CAP); z = w^2 with w in the
-    # closed first quadrant, as the remainder route passes it, with arg z up
-    # to pi
+    # seeded (digits, w, m <= GAMMA_RECURRENCE_CAP); w in the closed first
+    # quadrant, rounded to the working context as the remainder route passes
+    # it, so arg z = 2 arg w reaches pi
     rng = random.Random(2607)
     for _ in range(24):
         digits = rng.choice((16, 40, 100))
@@ -367,11 +369,10 @@ def test_scaled_ladder_matches_mpmath_gammainc():
         w_arg = rng.choice((0.0, math.pi / 2, rng.uniform(0, math.pi / 2)))
         m_max = rng.randint(0, GAMMA_RECURRENCE_CAP)
         ref_ctx = mp_context(digits + 25)
-        w = ref_ctx.mpc(w_abs * math.cos(w_arg), w_abs * math.sin(w_arg))
-        z = ctx.mp().mpc(w * w)
+        w = ctx.mp().mpc(w_abs * math.cos(w_arg), w_abs * math.sin(w_arg))
         for m in sorted({0, m_max // 2, m_max}):
-            miss = _gammainc_miss(ref_ctx, z, m, ctx)
-            assert miss <= ref_ctx.mpf(10) ** (1 - digits), (digits, z, m)
+            miss = _gammainc_miss(ref_ctx, w, m, ctx)
+            assert miss <= ref_ctx.mpf(10) ** (1 - digits), (digits, w, m)
 
 
 @pytest.mark.parametrize("digits", [16, 40, 100])
@@ -386,11 +387,12 @@ def test_scaled_ladder_matches_gammainc_where_re_z_is_negative(digits):
     for on_line in (True, False) * 4:
         theta = mctx.pi / 2 if on_line else mctx.mpf(rng.uniform(0.26, 0.49)) * mctx.pi
         arg = VoigtArgument.from_polar(rng.uniform(0.5, 14.1), theta, ctx)
-        z = arg.z(ctx)
+        w = mctx.mpc(arg.y, arg.x)
+        z = mctx.fmul(w, w, exact=True)
         assert z.real < 0 and (z.imag == 0) == on_line
         m0 = int(arg.r ** 2 + 0.5)
         for m in sorted({0, rng.randint(0, GAMMA_RECURRENCE_CAP), min(m0, GAMMA_RECURRENCE_CAP)}):
-            miss = _gammainc_miss(ref_ctx, z, m, ctx)
+            miss = _gammainc_miss(ref_ctx, w, m, ctx)
             assert miss <= ref_ctx.mpf(10) ** (1 - digits), (digits, z, m)
 
 
@@ -405,10 +407,10 @@ def test_gamma_ladder_retries_a_sweep_that_falls_short(monkeypatch, w_arg):
     digits, m_max = 40, 36
     ctx = PrecisionContext(digits=digits)
     ref_ctx = mp_context(digits + 25)
-    z = ctx.mp().mpc(ref_ctx.mpf(36) * ref_ctx.expj(2 * w_arg))
+    w = ctx.mp().mpc(6 * ref_ctx.expj(w_arg))
     _starved(monkeypatch)
     for m in (0, m_max // 2, m_max):
-        miss = _gammainc_miss(ref_ctx, z, m, ctx)
+        miss = _gammainc_miss(ref_ctx, w, m, ctx)
         assert miss <= ref_ctx.mpf(10) ** (1 - digits), (w_arg, m)
 
 
@@ -419,7 +421,7 @@ def test_gamma_ladder_refuses_when_both_sweeps_fall_short(monkeypatch):
     monkeypatch.setattr(numerics, "round_widening", lambda extra: 0)
     ctx = PrecisionContext(digits=40)
     with pytest.raises(PrecisionError) as caught:
-        upper_incomplete_gamma_half_ladder(36, ctx.mp().mpf(36), ctx)
+        upper_incomplete_gamma_half_ladder(36, ctx.mp().mpf(6), ctx)
     assert 0 < caught.value.attained < 40
 
 
@@ -456,9 +458,8 @@ def test_fraction_rounding_stays_within_its_stated_bound(monkeypatch, digits):
         calls.clear()
         numerics.upper_incomplete_gamma_half_fraction(m, w, ctx)
         (_, z, wp, stop, limit), = calls
-        x, y = w.imag, w.real
-        z_exact = (mctx.fsub(mctx.fmul(y, y, exact=True), mctx.fmul(x, x, exact=True), exact=True),
-                   2 * mctx.fmul(x, y, exact=True))
+        square = mctx.fmul(w, w, exact=True)
+        z_exact = square.real, square.imag
         wide = [numerics._fixed(v, wp + 200) for v in z_exact]
         q, scale, n = real(m, z, wp, stop, limit)
         q_wide, scale_wide, n_wide = real(m, wide, wp + 200, stop, limit)
@@ -478,6 +479,29 @@ def test_fraction_limit_is_a_precision_error_naming_it(ctx40):
     wp = mctx.prec + 40
     with pytest.raises(PrecisionError, match="Gragg-Warner limit of 100 pairs"):
         numerics._fraction_sweep(202, numerics._fixed(w * w, wp), wp, mctx.prec, 100)
+
+
+@pytest.mark.parametrize("digits", [16, 40, 100])
+def test_fraction_matches_the_ladder_below_the_cap(digits):
+    # both kernels map (m, w, ctx) to e^z Gamma(1/2 - m, z), z = w^2; where
+    # the ladder runs they agree to 10^(1 - digits), over seeded m in [0,
+    # GAMMA_RECURRENCE_CAP], r in [3, 14.1] and theta/pi in [0, 0.45], the
+    # first draw on the real w axis; at m = 0 both are sqrt(pi) erfcx(w)
+    rng = random.Random(2727 + digits)
+    ctx = PrecisionContext(digits=digits)
+    mctx = ctx.mp()
+    tol = mctx.mpf(10) ** (1 - digits)
+    for i in range(12):
+        m = 0 if i % 4 == 0 else rng.randint(0, GAMMA_RECURRENCE_CAP)
+        theta = mctx.mpf(rng.uniform(0, 0.45) if i else 0) * mctx.pi
+        arg = VoigtArgument.from_polar(rng.uniform(3, 14.1), theta, ctx)
+        w = mctx.mpc(arg.y, arg.x)
+        fraction = mctx.mpc(numerics.upper_incomplete_gamma_half_fraction(m, w, ctx))
+        ladder = mctx.mpc(upper_incomplete_gamma_half_ladder(m, w, ctx))
+        assert abs(fraction - ladder) <= tol * abs(ladder), (digits, m, w)
+        if m == 0:
+            want = mctx.sqrt(mctx.pi) * erfcx(w, mctx)
+            assert abs(fraction - want) <= tol * abs(want), (digits, w)
 
 
 def test_fraction_convergence_bounds_hold():

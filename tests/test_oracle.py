@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from voigt_asym import (
     voigt_exact_erfc,
     voigt_quadrature,
 )
-from voigt_asym.numerics import GAMMA_RECURRENCE_CAP
+from voigt_asym.numerics import GAMMA_RECURRENCE_CAP, GUARD_DIGITS
 from voigt_asym.oracle import COORDINATE_MAG_MAX, EPS_POLE, QUADRATURE_DIGITS_MAX
 
 # exact remainders at |w| = 3.5 with the m = 12 cut, frozen from the
@@ -697,6 +699,40 @@ def test_remainder_routes_meet_at_the_cap(ctx40):
     gap = ref.mpc(below.K, -below.L) - ref.mpc(above.K, -above.L) - term
     assert abs(gap) <= below.err_estimate + above.err_estimate
     assert abs(term) > 100 * (below.err_estimate + above.err_estimate)
+
+
+def test_threads_leave_the_remainder_contexts_as_they_were(ctx40):
+    # 4 threads run remainder_exact on both kernels at once, switching every
+    # microsecond: each gets the single-threaded result, and the shared
+    # contexts keep their precision. mpmath's rf, which sets its context's
+    # prec for a moment, left the epilogue's 169-bit context hundreds of bits
+    # wider here, every run
+    mctx = ctx40.mp()
+    jobs = [(VoigtArgument.from_polar(r, mctx.mpf("0.3") * mctx.pi, ctx40), m)
+            for r, m in ((3, 12), (7, 49), (20, 400))]
+    precs = [c.prec for c in (mctx, ctx40.mp(extra=GUARD_DIGITS))]
+    want = [remainder_exact(arg, m, ctx40) for arg, m in jobs]
+    assert [w.method for w in want] == ["remainder-gamma"] * 2 + ["remainder-fraction"]
+    got = []
+
+    def worker():
+        for i in range(90):
+            arg, m = jobs[i % 3]
+            got.append(remainder_exact(arg, m, ctx40) == want[i % 3])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 360 and all(got)
+    assert [c.prec for c in (mctx, ctx40.mp(extra=GUARD_DIGITS))] == precs
 
 
 @pytest.mark.parametrize("digits", [40, 100])
