@@ -115,7 +115,11 @@ def _c_raw(mctx, phi, cos_half, sin_half):
 
 
 def _E_of_c(mctx, c, r):
-    # E(phi) = sqrt(2 pi) erfcx(zeta), zeta = c(phi) r / sqrt 2, from a c(phi) at hand
+    # E(phi) = sqrt(2 pi) erfcx(zeta), zeta = c(phi) r / sqrt 2, from a c(phi) at hand.
+    # arg c^2 lies in [-pi/2, 0], so zeta lies within pi/4 below the real
+    # axis: erfcx sums Legendre's fraction at conj(zeta) once |zeta|^2
+    # (about r^2 phi^2 / 2 at small phi) reaches its edge, about 20 at 40
+    # digits, and the Kummer series below it
     return _constants(mctx).sqrt_2pi * erfcx(c * r / _constants(mctx).sqrt2, mctx)
 
 

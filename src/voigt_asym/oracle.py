@@ -38,6 +38,7 @@ from .numerics import (
     PrecisionContext,
     _constants,
     _float_log,
+    _thread_context,
     integrate_semi_infinite,
     mp_context,
     round_widening,
@@ -197,14 +198,15 @@ def voigt_exact_erfc(arg: VoigtArgument, ctx: PrecisionContext = DEFAULT_CONTEXT
         # from y = 2^511 on K is U(1/2, 1/2, y^2)/sqrt(pi) (DLMF 13.6.7)
         y2 = mctx.fmul(arg.y, arg.y, exact=True)
         if mctx.mag(arg.y) > 511:
-            f = mctx.mpc(mctx.hyperu(0.5, 0.5, y2) / _constants(mctx).sqrt_pi)
+            f = mctx.mpc(_thread_context(mctx.dps).hyperu(0.5, 0.5, y2)
+                         / _constants(mctx).sqrt_pi)
         else:
             f = mctx.mpc(mctx.exp(y2) * mctx.erfc(arg.y))
     else:
         # mpmath's erfc squares w at its own working precision too; give it
         # the 2 log10(x) digits that squaring costs, beyond the guard digits
         loss = math.ceil(2 * mctx.mag(arg.x) * math.log10(2)) - GUARD_DIGITS
-        wctx = mp_context(mctx.dps + round_widening(max(0, loss)))
+        wctx = _thread_context(mctx.dps + round_widening(max(0, loss)))
         w = wctx.mpc(arg.y, arg.x)
         f = wctx.exp(wctx.fmul(w, w, exact=True)) * wctx.erfc(w)
     # on y = 0 the real part collapses to a pure Gaussian, kept in closed

@@ -21,6 +21,7 @@ from voigt_asym import (
     TruncationPlan,
     VoigtArgument,
     mp_context,
+    numerics,
     remainder_exact,
     tables,
     terminant_asymptotic,
@@ -583,15 +584,28 @@ def test_precision_error_maps_to_exit_3(capsys, monkeypatch):
 
 
 def test_erfcx_series_failure_exits_3(capsys, monkeypatch):
-    # at (3, 4) E(phi) sums erfcx's Kummer series through hypsum; mpmath's
-    # convergence failure there must reach the caller as a precision failure
+    # at (1, 2) E(phi) sums erfcx's Kummer series through hypsum (|zeta|^2
+    # = 10.7, below the fraction's edge); mpmath's convergence failure there
+    # must reach the caller as a precision failure
     def fail(ctx, *args, **kwargs):
         raise ValueError("hypsum() failed to converge")
 
     monkeypatch.setattr(MPContext, "hypsum", fail)
-    rc, out, err = run(capsys, "eval", "--x", "3", "--y", "4", "--method", "theorem2")
+    rc, out, err = run(capsys, "eval", "--x", "1", "--y", "2", "--method", "theorem2")
     assert rc == EXIT_PRECISION and out == ""
     assert "Kummer series" in err
+
+
+def test_erfcx_fraction_failure_exits_3(capsys, monkeypatch):
+    # at (3, 4) E(phi) takes erfcx's Legendre fraction (|zeta|^2 = 39); the
+    # fraction's own refusal, here forced by a limit of one pair, must reach
+    # the caller as a precision failure too
+    real = numerics._fraction_sweep
+    monkeypatch.setattr(numerics, "_fraction_sweep",
+                        lambda m, z, wp, stop, limit: real(m, z, wp, stop, 1))
+    rc, out, err = run(capsys, "eval", "--x", "3", "--y", "4", "--method", "theorem2")
+    assert rc == EXIT_PRECISION and out == ""
+    assert "Gragg-Warner limit of 1 pairs" in err
 
 
 def test_library_value_error_is_not_a_usage_error(capsys, monkeypatch):

@@ -28,6 +28,8 @@ from quadrature_reference import remainder_quadrature
 from voigt_asym import numerics
 from voigt_asym.coefficients import _DOUBLE_FACTORIAL
 from voigt_asym.numerics import (
+    ERFCX_EDGE,
+    ERFCX_EDGE_REAL,
     GAMMA_RECURRENCE_CAP,
     _gamma_widening,
     erfcx,
@@ -193,6 +195,46 @@ def test_erfcx_matches_mpmath_on_seeded_grid():
     assert seen == {"asymptotic", "kummer"}
 
 
+def _erfcx_edge_grid(seed):
+    # (digits, re, im, fraction) just either side of erfcx's fraction edge,
+    # on the real axis and at seeded t = |Im z|/Re z in (0, 1], and of
+    # |arg z| = pi/4 above that edge, both below and past the asymptotic
+    # threshold dps ln 10, with Im z of either sign; fraction says whether
+    # the point lies on the fraction's side
+    rng = random.Random(seed)
+    for digits in (16, 40, 100, 400):
+        dps = digits + 5  # the working precision of PrecisionContext.mp()
+        for i in range(6):
+            t = rng.uniform(0.01, 1) if i else 0.0
+            edge = (dps / 3 + (ERFCX_EDGE if t else ERFCX_EDGE_REAL)) * (1 + t * t / 2)
+            for side in (1 - 1e-6, 1 + 1e-6):
+                re = math.sqrt(edge * side / (1 + t * t))
+                yield digits, re, (-1) ** i * t * re, side > 1
+        top, threshold = 1.5 * (dps / 3 + ERFCX_EDGE), dps * math.log(10)
+        for r2 in (rng.uniform(top, threshold), rng.uniform(threshold, 2 * threshold)):
+            for t in (1 - 1e-6, 1 + 1e-6):
+                re = math.sqrt(r2 / (1 + t * t))
+                for sign in (1, -1):
+                    yield digits, re, sign * t * re, t < 1
+
+
+def test_erfcx_matches_mpmath_across_the_fraction_edges(monkeypatch):
+    # every point takes the branch its side names, and matches mpmath's
+    # e^{z^2} erfc(z) at 20 more digits to 10^(1 - digits)
+    real, calls = numerics._fraction, []
+    monkeypatch.setattr(numerics, "_fraction", lambda *a: calls.append(a) or real(*a))
+    for digits, re, im, fraction in _erfcx_edge_grid(2828):
+        calls.clear()
+        mctx = PrecisionContext(digits=digits).mp()
+        z = mctx.mpc(re, im)
+        ref_ctx = mp_context(mctx.dps + 20)
+        zr = ref_ctx.mpc(z)
+        want = ref_ctx.exp(zr * zr) * ref_ctx.erfc(zr)
+        got = ref_ctx.mpc(erfcx(z, mctx))
+        assert abs(got - want) <= ref_ctx.mpf(10) ** (1 - digits) * abs(want), (digits, z)
+        assert bool(calls) == fraction, (digits, z)
+
+
 def test_erfcx_sums_a_real_argument_in_real_arithmetic(monkeypatch):
     # on the real axis (the ladder's base case at theta = 0) the Kummer
     # series gets a real z^2; the value is an mpc still, and matches
@@ -208,7 +250,7 @@ def test_erfcx_sums_a_real_argument_in_real_arithmetic(monkeypatch):
     for digits in (16, 40, 100):
         mctx = PrecisionContext(digits=digits).mp()
         ref_ctx = mp_context(mctx.dps + 20)
-        for x in ("0.1", "0.5", "1", "2.5", "4", "6.5"):  # all below the threshold
+        for x in ("0.1", "0.5", "1", "2.5", "4", "5.5"):  # all below the fraction's edge
             z = mctx.mpc(x, 0)
             got = erfcx(z, mctx)
             assert type(got) is mctx.mpc

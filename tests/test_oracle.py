@@ -735,6 +735,37 @@ def test_threads_leave_the_remainder_contexts_as_they_were(ctx40):
     assert [c.prec for c in (mctx, ctx40.mp(extra=GUARD_DIGITS))] == precs
 
 
+def test_threads_leave_the_erfc_oracle_contexts_as_they_were(ctx40):
+    # 4 threads run voigt_exact_erfc at once, switching every microsecond:
+    # each gets the single-threaded result, bit for bit, and the shared
+    # contexts keep their precision. mpmath's complex erfc sets the prec of
+    # its context for the call (through hypercomb); on the shared 50-digit
+    # context it left 189 to 278 bits in place of 169 here
+    args = [VoigtArgument.from_xy(x, y, ctx40) for x, y in ((3, 4), (1, 2), (5, "0.5"))]
+    contexts = (ctx40.mp(), ctx40.mp(extra=GUARD_DIGITS))
+    precs = [c.prec for c in contexts]
+    want = [voigt_exact_erfc(arg, ctx40) for arg in args]
+    got = []
+
+    def worker():
+        for i in range(60):
+            got.append(voigt_exact_erfc(args[i % 3], ctx40) == want[i % 3])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 240 and all(got)
+    assert [c.prec for c in contexts] == precs
+
+
 @pytest.mark.parametrize("digits", [40, 100])
 @pytest.mark.parametrize("r", ["20", "30", "45"])
 def test_eq41_scan_points_past_the_cap_match_the_contour_quadrature(r, digits):
